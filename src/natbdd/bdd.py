@@ -9,6 +9,9 @@ The encoding and its inverses:
 
 * :func:`plain_bdd` unfolds a truth table into a complete tree by
   recursively unpairing it with the bit-interleaving bijection;
+* :func:`reduced_bdd` builds the reduced tree top-down by the same
+  unpairing, skipping levels whose halves are equal and stopping at
+  constant tables, so its cost scales with the reduced tree, not 2**nv;
 * :func:`plain_inverse_bdd` folds a tree back by recursive pairing;
 * :func:`ev` evaluates a tree as a boolean function over the variable
   column encodings.
@@ -25,12 +28,12 @@ from .pairing import bitmerge_pair, bitmerge_unpair
 from .truthtab import DEFAULT_MAX_VARS, all_ones_mask, check_var_count, ite_tt, var_tt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     bit: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ite:
     var: int
     high: "Node"  # taken when the variable is 1
@@ -40,7 +43,7 @@ class Ite:
 Node = Leaf | Ite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bdd:
     nv: int
     root: Node
@@ -53,10 +56,14 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     the even half becomes the high branch.  A 0-variable table is a bare
     leaf.
     """
+    _check_table(nv, tt, max_nv)
+    return Bdd(nv, _isplit(nv, tt))
+
+
+def _check_table(nv: int, tt: int, max_nv: int) -> None:
     check_var_count(nv, max_nv)
     if not 0 <= tt < (1 << (1 << nv)):
         raise ValueError(f"truth table {tt} out of range for {nv} variables")
-    return Bdd(nv, _isplit(nv, tt))
 
 
 def _isplit(nv: int, tt: int) -> Node:
@@ -84,8 +91,25 @@ def _reduce_node(node: Node) -> Node:
 
 
 def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
-    """The reduced tree of truth table ``tt`` on ``nv`` variables."""
-    return reduce(plain_bdd(nv, tt, max_nv))
+    """The reduced tree of truth table ``tt`` on ``nv`` variables.
+
+    Equal to ``reduce(plain_bdd(nv, tt, max_nv))`` but built top-down: a
+    constant table is a leaf at once, and a level whose two halves are equal
+    tables adds no node, so the cost follows the reduced tree, not 2**nv.
+    """
+    _check_table(nv, tt, max_nv)
+    return Bdd(nv, _reduced_node(nv, tt))
+
+
+def _reduced_node(nv: int, tt: int) -> Node:
+    # reduced trees share no subtrees, so two halves reduce to equal trees
+    # exactly when they are equal tables
+    if tt == 0 or tt.bit_count() == 1 << nv:
+        return Leaf(1 if tt else 0)
+    hi, lo = bitmerge_unpair(tt)
+    if hi == lo:
+        return _reduced_node(nv - 1, hi)
+    return Ite(nv - 1, _reduced_node(nv - 1, hi), _reduced_node(nv - 1, lo))
 
 
 def plain_inverse_bdd(b: Bdd) -> int:
@@ -111,15 +135,20 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     rowwise if-then-else with its variable's column as the condition.
     Recovers the original table from plain and reduced trees alike.
     """
-    mask = all_ones_mask(b.nv, max_nv)
-    columns = [var_tt(b.nv, k, max_nv) for k in range(b.nv)]
+    columns: list[int | None] = [None] * b.nv  # each built when a node first tests it
+    return _ev_node(b.root, b.nv, all_ones_mask(b.nv, max_nv), columns, max_nv)
 
-    def walk(node: Node) -> int:
-        if isinstance(node, Leaf):
-            return mask if node.bit else 0
-        return ite_tt(columns[node.var], walk(node.high), walk(node.low))
 
-    return walk(b.root)
+# a module-level walk: a recursive closure would leave a reference cycle,
+# holding its columns, for the collector to free during some later call
+def _ev_node(node: Node, nv: int, mask: int, columns: list[int | None], max_nv: int) -> int:
+    if isinstance(node, Leaf):
+        return mask if node.bit else 0
+    column = columns[node.var]
+    if column is None:
+        column = columns[node.var] = var_tt(nv, node.var, max_nv)
+    return ite_tt(column, _ev_node(node.high, nv, mask, columns, max_nv),
+                  _ev_node(node.low, nv, mask, columns, max_nv))
 
 
 def validate(b: Bdd) -> Bdd:
@@ -131,19 +160,19 @@ def validate(b: Bdd) -> Bdd:
     """
     if b.nv < 0:
         raise ValueError(f"variable count must be >= 0, got {b.nv}")
-
-    def walk(node: Node, bound: int) -> None:
-        if isinstance(node, Leaf):
-            if node.bit not in (0, 1):
-                raise ValueError(f"leaf bit must be 0 or 1, got {node.bit!r}")
-            return
-        if not 0 <= node.var < bound:
-            raise ValueError(
-                f"variable {node.var} breaks the strictly decreasing order "
-                f"(must lie in [0, {bound}))"
-            )
-        walk(node.high, node.var)
-        walk(node.low, node.var)
-
-    walk(b.root, b.nv)
+    _validate_node(b.root, b.nv)
     return b
+
+
+def _validate_node(node: Node, bound: int) -> None:
+    if isinstance(node, Leaf):
+        if node.bit not in (0, 1):
+            raise ValueError(f"leaf bit must be 0 or 1, got {node.bit!r}")
+        return
+    if not 0 <= node.var < bound:
+        raise ValueError(
+            f"variable {node.var} breaks the strictly decreasing order "
+            f"(must lie in [0, {bound}))"
+        )
+    _validate_node(node.high, node.var)
+    _validate_node(node.low, node.var)

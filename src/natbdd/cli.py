@@ -13,10 +13,13 @@ unparseable input), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import re
 import sys
-from typing import IO
+import threading
+from typing import IO, Iterator
 
 from .bdd import Bdd, Ite, Leaf, Node, ev, plain_bdd, reduced_bdd, validate
 from .bdd import reduce as reduce_bdd
@@ -34,15 +37,56 @@ class BddTextError(ValueError):
 _NAT_RE = re.compile(r"(?:0[xX][0-9a-fA-F]+|[0-9]+)\Z")
 
 
-def parse_nat(text: str) -> int:
+_LOG10_2 = math.log10(2)
+# the digit cap is interpreter-wide: without the lock, one thread could put
+# it back while another thread's conversion still needs it lifted
+_DIGIT_CAP_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _uncapped_decimal() -> Iterator[None]:
+    """Lift Python's int<->str digit cap (3.11+) for one conversion.
+
+    Decimal tables of 14 or more variables pass its default of 4300 digits;
+    the interpreter-wide cap is restored afterwards.  Python 3.10 has none.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    with _DIGIT_CAP_LOCK:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
+def parse_nat(text: str, max_vars: int = DEFAULT_MAX_VARS) -> int:
+    """Parse a decimal or ``0x`` hexadecimal natural.
+
+    Decimal conversion can take time quadratic in the length, so a decimal
+    longer than a 2**max_vars-bit number is rejected before it runs.
+    """
     s = text.strip()
     if not _NAT_RE.match(s):
         raise ValueError(f"not a natural number: {text!r}")
-    return int(s, 16) if s[:2].lower() == "0x" else int(s)
+    if s[:2].lower() == "0x":
+        return int(s, 16)
+    # a d-digit decimal is at least 10**(d-1); past 2**64 bits no text fits
+    if len(s) - 1 > math.ldexp(_LOG10_2, min(max_vars, 64)):
+        raise ValueError(
+            f"decimal of {len(s)} digits exceeds the 2**{max_vars}-bit budget of --max-vars {max_vars}"
+        )
+    with _uncapped_decimal():
+        return int(s)
 
 
 def format_nat(n: int, hexadecimal: bool = False) -> str:
-    return hex(n) if hexadecimal else str(n)
+    if hexadecimal:
+        return hex(n)
+    with _uncapped_decimal():
+        return str(n)
 
 
 # ------------------------------------------------------------- s-expressions
@@ -275,19 +319,22 @@ def _read_input(args: argparse.Namespace, stdin: IO[str]) -> str:
 def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> list[str]:
     cmd = args.command
 
+    def nat(text: str) -> int:
+        return parse_nat(text, args.max_vars)
+
     if cmd == "pair":
         pair_fn, _ = SCHEMES[args.scheme]
-        z = pair_fn(parse_nat(args.x), parse_nat(args.y))
+        z = pair_fn(nat(args.x), nat(args.y))
         return [format_nat(z, args.hex)]
 
     if cmd == "unpair":
         _, unpair_fn = SCHEMES[args.scheme]
-        x, y = unpair_fn(parse_nat(args.z))
+        x, y = unpair_fn(nat(args.z))
         return [f"{format_nat(x, args.hex)} {format_nat(y, args.hex)}"]
 
     if cmd == "tt2bdd":
         build = reduced_bdd if args.reduced else plain_bdd
-        b = build(parse_nat(args.vars), parse_nat(args.tt), args.max_vars)
+        b = build(nat(args.vars), nat(args.tt), args.max_vars)
         return [render_bdd(b, args.format)]
 
     if cmd == "bdd2tt":
@@ -305,23 +352,23 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> list[str]:
 
     if cmd == "unrank":
         unrank = nat2bdd if args.reduced else nat2plain_bdd
-        return [render_bdd(unrank(parse_nat(args.n), args.max_vars), args.format)]
+        return [render_bdd(unrank(nat(args.n), args.max_vars), args.format)]
 
     if cmd == "enum":
         kind = "reduced" if args.reduced else "plain"
-        stream = enumerate_bdds(kind, parse_nat(args.start), parse_nat(args.count), args.max_vars)
+        stream = enumerate_bdds(kind, nat(args.start), nat(args.count), args.max_vars)
         return [render_bdd(b, args.format) for b in stream]
 
     if cmd == "shannon":
-        nv = parse_nat(args.vars)
+        nv = nat(args.vars)
         if args.mode == "split":
-            hi, lo = shannon_split(nv, parse_nat(args.x), args.max_vars)
+            hi, lo = shannon_split(nv, nat(args.x), args.max_vars)
             return [f"{format_nat(hi, args.hex)} {format_nat(lo, args.hex)}"]
-        fused = shannon_fuse(nv, parse_nat(args.hi), parse_nat(args.lo), args.max_vars)
+        fused = shannon_fuse(nv, nat(args.hi), nat(args.lo), args.max_vars)
         return [format_nat(fused, args.hex)]
 
     if cmd == "varbits":
-        column = var_tt(parse_nat(args.vars), parse_nat(args.index), args.max_vars)
+        column = var_tt(nat(args.vars), nat(args.index), args.max_vars)
         return [format_nat(column, args.hex)]
 
     raise AssertionError(f"unhandled command {cmd!r}")

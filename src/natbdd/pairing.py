@@ -43,44 +43,40 @@ def pepis_unpair(z: int) -> tuple[int, int]:
     return two_adic_valuation(z + 1), (odd_part(z + 1) - 1) >> 1
 
 
-def _spread_byte(b: int) -> int:
-    out = 0
-    for i in range(8):
-        out |= ((b >> i) & 1) << (2 * i)
-    return out
-
-
-# byte-at-a-time interleaving tables: _SPREAD maps a byte to its 16-bit
-# even-position spread, _EVEN packs a byte's even-position bits into a nibble
-_SPREAD = [_spread_byte(b) for b in range(256)]
-_EVEN = [sum(((b >> (2 * i)) & 1) << i for i in range(4)) for b in range(256)]
+# Interleaving by table lookup inside C-level bytes operations, linear in the
+# operand size (https://graphics.stanford.edu/~seander/bithacks.html): each
+# table maps a byte to a byte, spreading a nibble or gathering alternate bits.
+_SPREAD_LO = bytes(sum(((b >> i) & 1) << (2 * i) for i in range(4)) for b in range(256))
+_SPREAD_HI = bytes(_SPREAD_LO[b >> 4] for b in range(256))
+_EVEN = bytes(sum(((b >> (2 * i)) & 1) << i for i in range(4)) for b in range(256))
+_ODD = bytes(_EVEN[b >> 1] for b in range(256))
 
 
 def bitmerge_pair(x: int, y: int) -> int:
     """Interleave: bit i of ``x`` lands at position 2i, bit i of ``y`` at 2i+1."""
     _check_pair(x, y)
-    z = 0
-    shift = 0
-    while x or y:
-        z |= (_SPREAD[x & 0xFF] | (_SPREAD[y & 0xFF] << 1)) << shift
-        x >>= 8
-        y >>= 8
-        shift += 16
-    return z
+    if x < 256 and y < 256:
+        return _SPREAD_LO[x] | _SPREAD_HI[x] << 8 | (_SPREAD_LO[y] | _SPREAD_HI[y] << 8) << 1
+    n = ((x | y).bit_length() + 7) >> 3
+    # spread the bytes of x, then of y, in one pass, each onto the even bits of two bytes
+    src = x.to_bytes(n, "little") + y.to_bytes(n, "little")
+    out = bytearray(4 * n)
+    out[0::2] = src.translate(_SPREAD_LO)
+    out[1::2] = src.translate(_SPREAD_HI)
+    both = int.from_bytes(out, "little")
+    return both & ((1 << 16 * n) - 1) | (both >> 16 * n) << 1
 
 
 def bitmerge_unpair(z: int) -> tuple[int, int]:
     """Split ``z`` into its even-position bits and its odd-position bits."""
     if z < 0:
         raise ValueError(f"expected a natural number, got {z}")
-    x = y = 0
-    shift = 0
-    while z:
-        b = z & 0xFF
-        x |= _EVEN[b] << shift
-        y |= _EVEN[b >> 1] << shift
-        z >>= 8
-        shift += 4
+    if z < 256:
+        return _EVEN[z], _ODD[z]
+    src = z.to_bytes((z.bit_length() + 7) >> 3, "little")
+    lo, hi = src[0::2], src[1::2]  # the low and the high nibbles of each byte of x and y
+    x = int.from_bytes(lo.translate(_EVEN), "little") | int.from_bytes(hi.translate(_EVEN), "little") << 4
+    y = int.from_bytes(lo.translate(_ODD), "little") | int.from_bytes(hi.translate(_ODD), "little") << 4
     return x, y
 
 

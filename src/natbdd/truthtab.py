@@ -36,12 +36,18 @@ def var_tt(nv: int, k: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
     The column, read LSB-first, is the exact quotient
     (2**(2**nv) - 1) // (2**(2**(nv-k-1)) + 1): blocks of 2**(nv-k-1) ones
-    alternating with equally long blocks of zeros.
+    alternating with equally long blocks of zeros.  It is built by repeating
+    one period of bytes, in time linear in the table, not by the division.
     """
     mask = all_ones_mask(nv, max_nv)
     if not 0 <= k < nv:
         raise ValueError(f"variable index {k} out of range for {nv} variables")
-    return mask // ((1 << (1 << (nv - k - 1))) + 1)
+    j = nv - k - 1
+    if j < 3:  # a period fits in a byte: 01010101, 00110011 or 00001111, LSB first
+        period = (b"\x55", b"\x33", b"\x0f")[j]
+    else:
+        period = b"\xff" * (1 << (j - 3)) + b"\x00" * (1 << (j - 3))
+    return int.from_bytes(period * max(1, (1 << nv) // (8 * len(period))), "little") & mask
 
 
 def ite_tt(x: int, t: int, e: int) -> int:

@@ -101,8 +101,11 @@ def test_criterion_2_eval_and_fold_invert_construction():
                 failures.append(f"ev(plain_bdd({nv},{tt}))")
             if plain_inverse_bdd(b) != tt:
                 failures.append(f"plain_inverse_bdd(plain_bdd({nv},{tt}))")
-            if ev(reduce_bdd(b)) != tt:
-                failures.append(f"ev(reduced_bdd({nv},{tt}))")
+            reduced = reduce_bdd(b)
+            if ev(reduced) != tt:
+                failures.append(f"ev(reduce(plain_bdd({nv},{tt})))")
+            if reduced_bdd(nv, tt) != reduced:
+                failures.append(f"reduced_bdd({nv},{tt}) != reduce(plain_bdd({nv},{tt}))")
             cases += 1
     if cases != 65814:  # 2 + 4 + 16 + 256 + 65536
         failures.append(f"expected 65814 tables, visited {cases}")
@@ -111,7 +114,8 @@ def test_criterion_2_eval_and_fold_invert_construction():
         failures.append(f"runtime {elapsed:.1f}s, budget is <60s")
     _report(
         2,
-        f"evaluation and structural fold invert construction, nv<=4 "
+        f"evaluation and structural fold invert construction, top-down "
+        f"reduced_bdd equals reduce(plain_bdd), nv<=4 "
         f"({cases} tables, {elapsed:.1f}s)",
         failures,
     )

@@ -1,7 +1,11 @@
+import gc
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import natbdd.bdd
 from natbdd.bdd import (
     Bdd,
     Ite,
@@ -13,6 +17,9 @@ from natbdd.bdd import (
     reduced_bdd,
     validate,
 )
+from natbdd.oracle import truth_table_of
+from natbdd.pairing import bitmerge_unpair
+from natbdd.truthtab import var_tt
 
 
 def c(bit):
@@ -72,6 +79,49 @@ def test_reduced_bdd_examples():
     assert reduced_bdd(3, 42) == Bdd(3, ite(2, c(0), ite(1, c(1), ite(0, c(1), c(0)))))
 
 
+def test_reduced_bdd_equals_reduced_plain_tree_random():
+    # the exhaustive nv <= 4 sweep lives in acceptance criterion 2; here
+    # seeded tables are made independent of some variables, so whole levels
+    # and constant subtables reduce away
+    rng = random.Random(12)
+    for nv in range(13):
+        for _ in range(6):
+            tt = rng.getrandbits(1 << nv)
+            for k in rng.sample(range(nv), rng.randrange(nv + 1)):
+                kept = tt & var_tt(nv, k)  # rows where variable k is 1
+                tt = kept | kept << (1 << (nv - 1 - k))
+            assert reduced_bdd(nv, tt) == reduce(plain_bdd(nv, tt)), (nv, tt)
+
+
+@pytest.mark.parametrize(
+    "nv,tt,max_nv",
+    [(1, 4, 20), (0, 2, 20), (2, -1, 20), (21, 0, 20), (-1, 0, 20), (5, 0, 4)],
+)
+def test_reduced_bdd_range_errors_match_plain_bdd(nv, tt, max_nv):
+    with pytest.raises(ValueError) as plain_error:
+        plain_bdd(nv, tt, max_nv)
+    with pytest.raises(ValueError) as reduced_error:
+        reduced_bdd(nv, tt, max_nv)
+    assert str(reduced_error.value) == str(plain_error.value)
+
+
+@pytest.mark.parametrize("k", [5, 10, 19])
+def test_reduced_bdd_work_follows_the_reduced_tree(monkeypatch, k):
+    # one variable's column at nv=20: a plain tree would take 2**20 - 1
+    # unpairings, the reduced build one per level above the variable
+    nv = 20
+    tt = var_tt(nv, k)
+    calls = []
+
+    def counting_unpair(z):
+        calls.append(z.bit_length())
+        return bitmerge_unpair(z)
+
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_unpair", counting_unpair)
+    assert reduced_bdd(nv, tt) == Bdd(nv, ite(k, c(1), c(0)))
+    assert len(calls) == nv - k <= nv
+
+
 def test_reduce_is_idempotent():
     for nv in range(4):
         for tt in range(1 << (1 << nv)):
@@ -104,6 +154,51 @@ def test_ev_examples():
     assert ev(Bdd(2, c(1))) == 15
     assert ev(Bdd(0, c(1))) == 1
     assert ev(Bdd(0, c(0))) == 0
+
+
+def test_ev_never_folds_through_pairing(monkeypatch):
+    # ev must stay independent of the construction it is meant to invert
+    rng = random.Random(7)
+    tables = [(nv, rng.getrandbits(1 << nv)) for nv in range(8) for _ in range(3)]
+    trees = [(tt, build(nv, tt)) for nv, tt in tables for build in (plain_bdd, reduced_bdd)]
+
+    def refuse(*args):
+        raise AssertionError("ev went through the pairing fold")
+
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", refuse)
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_unpair", refuse)
+    for tt, b in trees:
+        assert ev(b) == tt
+
+
+def test_ev_builds_only_the_columns_it_tests(monkeypatch):
+    calls = []
+
+    def counting_var_tt(nv, k, max_nv):
+        calls.append(k)
+        return var_tt(nv, k, max_nv)
+
+    monkeypatch.setattr(natbdd.bdd, "var_tt", counting_var_tt)
+    # variables 5 and 2 are tested on two paths each
+    b = Bdd(10, ite(9, ite(5, ite(2, c(1), c(0)), c(0)), ite(5, c(0), ite(2, c(0), c(1)))))
+    assert ev(b) == truth_table_of(b)
+    assert sorted(calls) == [2, 5, 9]
+
+
+def test_ev_and_validate_leave_no_reference_cycles():
+    # garbage cycles would be freed by the collector during some later call
+    tt = random.Random(3).getrandbits(1 << 12)
+    b = reduced_bdd(12, tt)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert ev(b) == tt
+        validate(b)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_roundtrips_exhaustive_small():

@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -40,6 +42,52 @@ def test_format_nat():
     assert format_nat(2008) == "2008"
     assert format_nat(2008, hexadecimal=True) == "0x7d8"
     assert parse_nat(format_nat(123456789, hexadecimal=True)) == 123456789
+
+
+def test_decimal_roundtrip_at_2_pow_20_bits():
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    n = random.Random(20).getrandbits(1 << 20)
+    assert parse_nat(format_nat(n)) == n
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap  # restored
+
+
+def test_decimal_conversions_from_many_threads():
+    # each conversion lifts and restores the interpreter-wide digit cap; a
+    # thread restoring it under another one's conversion would make that fail
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    wide = [random.Random(i).getrandbits(1 << 14) for i in range(4)]
+    errors = []
+
+    def convert(n):
+        try:
+            for _ in range(20):
+                assert parse_nat(format_nat(n)) == n
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=convert, args=(n,)) for n in wide * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+def test_parse_nat_rejects_decimals_past_the_bit_budget(cli):
+    assert parse_nat("65535", max_vars=4) == 65535  # 2**4 bits hold 5 digits
+    with pytest.raises(ValueError, match="budget"):
+        parse_nat("123456", max_vars=4)
+    # one digit more than 2**(2**20) - 1 has, refused before any conversion
+    code, out, err = cli(["pair", "--scheme", "cantor", "9" * 315654, "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("natbdd: error:") and "budget" in err and err.count("\n") == 1
 
 
 def test_render_sexpr_exact():
@@ -149,9 +197,13 @@ def test_tt2bdd_json(cli):
 
 
 def test_pipe_tt2bdd_to_bdd2tt(cli):
-    for variant in ("--plain", "--reduced"):
-        _, text, _ = cli(["tt2bdd", "--vars", "4", "--tt", "31337", variant])
-        assert cli(["bdd2tt"], stdin_text=text) == (0, "31337\n", "")
+    # a 4932-digit nv=14 table passes Python's default 4300-digit int/str cap
+    rng = random.Random(14)
+    wide = "1" + "".join(rng.choice("0123456789") for _ in range(4931))
+    for nv, tt in ((4, "31337"), (14, wide)):
+        for variant in ("--plain", "--reduced"):
+            _, text, _ = cli(["tt2bdd", "--vars", str(nv), "--tt", tt, variant])
+            assert cli(["bdd2tt"], stdin_text=text) == (0, tt + "\n", "")
 
 
 def test_pipe_unrank_to_rank(cli):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,16 @@ BITMERGE_TABLE = {
     8: (0, 2), 9: (1, 2), 10: (0, 3), 11: (1, 3),
     12: (2, 2), 13: (3, 2), 14: (2, 3), 15: (3, 3),
 }
+
+
+def reference_pair(x, y):
+    w = max(x.bit_length(), y.bit_length())
+    return int("".join(b + a for a, b in zip(f"{x:0{w}b}", f"{y:0{w}b}")), 2)
+
+
+def reference_unpair(z):
+    bits = f"{z:b}"[::-1] + "0"  # LSB first, padded so both halves are non-empty
+    return int(bits[0::2][::-1], 2), int(bits[1::2][::-1], 2)
 
 
 def test_cantor_examples():
@@ -63,6 +75,37 @@ def test_bitmerge_examples():
 
 def test_bitmerge_small_codes():
     assert {z: bitmerge_unpair(z) for z in range(16)} == BITMERGE_TABLE
+
+
+def test_bitmerge_matches_bitwise_reference_at_every_small_width():
+    rng = random.Random(300)
+    for w in range(301):
+        x = rng.getrandbits(w) | (1 << w >> 1)  # exactly w bits
+        y = rng.getrandbits(rng.randrange(w + 1))
+        for a, b in ((x, y), (y, x), (x, x)):
+            z = bitmerge_pair(a, b)
+            assert z == reference_pair(a, b), (a, b)
+            assert bitmerge_unpair(z) == (a, b)
+    for w in range(602):
+        z = rng.getrandbits(w) | (1 << w >> 1)
+        assert bitmerge_unpair(z) == reference_unpair(z), z
+
+
+@pytest.mark.parametrize("bits", [1 << 12, 1 << 16, 1 << 20])
+def test_bitmerge_matches_bitwise_reference_when_wide(bits):
+    rng = random.Random(bits)
+    x, y = rng.getrandbits(bits), rng.getrandbits(bits - 13)
+    for a, b in ((x, y), (y, x)):
+        z = bitmerge_pair(a, b)
+        assert z == reference_pair(a, b)
+        assert bitmerge_unpair(z) == reference_unpair(z) == (a, b)
+
+
+@given(x=st.integers(0, 1 << 5000), y=st.integers(0, 1 << 5000))
+def test_bitmerge_roundtrip_matches_reference(x, y):
+    z = bitmerge_pair(x, y)
+    assert z == reference_pair(x, y)
+    assert bitmerge_unpair(z) == reference_unpair(z) == (x, y)
 
 
 @for_each_scheme

@@ -37,6 +37,15 @@ def test_var_tt_divides_the_mask_exactly():
             assert var_tt(nv, k) * divisor == mask
 
 
+def test_var_tt_equals_the_quotient_at_every_width():
+    # the byte-period construction against the defining division, through
+    # the byte-sized periods (nv - k - 1 < 3) and multi-byte ones
+    for nv in range(1, 17):
+        mask = all_ones_mask(nv)
+        for k in range(nv):
+            assert var_tt(nv, k) == mask // ((1 << (1 << (nv - k - 1))) + 1), (nv, k)
+
+
 def test_var_tt_index_errors():
     with pytest.raises(ValueError):
         var_tt(2, 2)
