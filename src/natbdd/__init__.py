@@ -9,7 +9,6 @@ naturals.
 """
 
 from .bdd import Bdd, Ite, Leaf, Node, ev, plain_bdd, plain_inverse_bdd, reduce, reduced_bdd, validate
-from .natbits import from_rbits, odd_part, to_rbits, two_adic_valuation
 from .oracle import row_assignment, semantic_eval, truth_table_of
 from .pairing import (
     SCHEMES,
@@ -17,8 +16,10 @@ from .pairing import (
     bitmerge_unpair,
     cantor_pair,
     cantor_unpair,
+    odd_part,
     pepis_pair,
     pepis_unpair,
+    two_adic_valuation,
 )
 from .ranking import (
     RankPair,
@@ -58,7 +59,6 @@ __all__ = [
     "cantor_unpair",
     "enumerate_bdds",
     "ev",
-    "from_rbits",
     "ite_tt",
     "nat2bdd",
     "nat2plain_bdd",
@@ -75,7 +75,6 @@ __all__ = [
     "shannon_fuse",
     "shannon_split",
     "to_bsum",
-    "to_rbits",
     "truth_table_of",
     "two_adic_valuation",
     "validate",

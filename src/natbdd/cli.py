@@ -13,19 +13,19 @@ unparseable input), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import json
 import math
+import os
 import re
 import sys
-import threading
-from typing import IO, Iterator
+from typing import IO, Iterable
 
 from .bdd import Bdd, Ite, Leaf, Node, ev, plain_bdd, reduced_bdd, validate
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
-from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2nat
-from .truthtab import DEFAULT_MAX_VARS, shannon_fuse, shannon_split, var_tt
+from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2nat, to_bsum
+from .truthtab import DEFAULT_MAX_VARS, check_var_count, shannon_fuse, shannon_split, var_tt
 
 
 class BddTextError(ValueError):
@@ -36,30 +36,33 @@ class BddTextError(ValueError):
 
 _NAT_RE = re.compile(r"(?:0[xX][0-9a-fA-F]+|[0-9]+)\Z")
 
-
 _LOG10_2 = math.log10(2)
-# the digit cap is interpreter-wide: without the lock, one thread could put
-# it back while another thread's conversion still needs it lifted
-_DIGIT_CAP_LOCK = threading.Lock()
+# digits per built-in int()/str() call, under Python's 4300-digit cap (3.11+);
+# longer decimals go a piece at a time and the interpreter's cap stays as is
+_PIECE = 4096
 
 
-@contextlib.contextmanager
-def _uncapped_decimal() -> Iterator[None]:
-    """Lift Python's int<->str digit cap (3.11+) for one conversion.
+@functools.cache
+def _pow10(level: int) -> int:
+    """10 ** (_PIECE * 2**level), where a decimal of 2**(level+1) pieces splits."""
+    return 10 ** (_PIECE << level)
 
-    Decimal tables of 14 or more variables pass its default of 4300 digits;
-    the interpreter-wide cap is restored afterwards.  Python 3.10 has none.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    with _DIGIT_CAP_LOCK:
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            yield
-        finally:
-            sys.set_int_max_str_digits(old)
+
+def _int_pieces(s: str) -> int:
+    """``int(s)`` of a decimal of any length; recursion depth is log2 of it."""
+    if len(s) <= _PIECE:
+        return int(s)
+    level = ((len(s) - 1) // _PIECE).bit_length() - 1
+    cut = len(s) - (_PIECE << level)
+    return _int_pieces(s[:cut]) * _pow10(level) + _int_pieces(s[cut:])
+
+
+def _str_pieces(n: int, level: int) -> str:
+    """``n`` < 10**(_PIECE << level) in decimal, zero-padded to that many digits."""
+    if not level:
+        return str(n).zfill(_PIECE)
+    hi, lo = divmod(n, _pow10(level - 1))
+    return _str_pieces(hi, level - 1) + _str_pieces(lo, level - 1)
 
 
 def parse_nat(text: str, max_vars: int = DEFAULT_MAX_VARS) -> int:
@@ -78,18 +81,36 @@ def parse_nat(text: str, max_vars: int = DEFAULT_MAX_VARS) -> int:
         raise ValueError(
             f"decimal of {len(s)} digits exceeds the 2**{max_vars}-bit budget of --max-vars {max_vars}"
         )
-    with _uncapped_decimal():
-        return int(s)
+    return _int_pieces(s)
 
 
 def format_nat(n: int, hexadecimal: bool = False) -> str:
     if hexadecimal:
         return hex(n)
-    with _uncapped_decimal():
-        return str(n)
+    # n has at most this many digits, with one to spare against rounding
+    level = ((int(n.bit_length() * _LOG10_2) + 1) // _PIECE).bit_length()
+    return _str_pieces(n, level).lstrip("0") if level else str(n)
 
 
-# ------------------------------------------------------------- s-expressions
+# ------------------------------------------------------------- BDD text
+
+def _form(form: list) -> Node | Bdd:
+    """Build ``(c BIT)``, ``(ite VAR THEN ELSE)`` or ``(bdd NV ROOT)`` from a
+    parsed form ``[kind, *members]``, members already built; both text formats
+    build here.  Leaf bits and variable order are left to ``validate``."""
+    n = len(form)
+    if n > 1 and type(form[1]) is int and form[1] >= 0:
+        kind = form[0]
+        if n == 2 and kind == "c":
+            return Leaf(form[1])
+        if n == 4 and kind == "ite" and type(form[2]) in (Leaf, Ite) and type(form[3]) in (Leaf, Ite):
+            return Ite(form[1], form[2], form[3])
+        if n == 3 and kind == "bdd" and type(form[2]) in (Leaf, Ite):
+            return Bdd(form[1], form[2])
+    head = form[0] if n and type(form[0]) is str else "?"
+    raise BddTextError(
+        f"malformed ({head} ...) of {n} items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)")
+
 
 def render_sexpr(b: Bdd) -> str:
     return f"(bdd {b.nv} {_node_sexpr(b.root)})"
@@ -104,54 +125,31 @@ def _node_sexpr(node: Node) -> str:
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
-def parse_sexpr(text: str) -> Bdd:
-    tokens = _TOKEN_RE.findall(text)
-    pos = 0
+def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
+    tokens = iter(_TOKEN_RE.findall(text))
+    if next(tokens, None) != "(":
+        raise BddTextError("BDD text must start with '('")
+    stack: list[list] = [[]]  # the forms still open, innermost last
+    for tok in tokens:
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            built = _form(stack.pop())
+            if not stack:
+                break
+            stack[-1].append(built)
+        else:
+            stack[-1].append(int(tok) if tok.isdecimal() else tok)
+    else:
+        raise BddTextError("unexpected end of BDD text")
+    extra = next(tokens, None)
+    if extra is not None:
+        raise BddTextError(f"trailing content after BDD: {extra!r}")
+    if type(built) is not Bdd:
+        raise BddTextError("expected (bdd NV ROOT) at the top")
+    check_var_count(built.nv, max_vars)  # a valid tree is at most nv deep: bounds validate
+    return validate(built)
 
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise BddTextError("unexpected end of BDD text")
-        pos += 1
-        return tokens[pos - 1]
-
-    def expect(tok: str) -> None:
-        got = take()
-        if got != tok:
-            raise BddTextError(f"expected {tok!r}, got {got!r}")
-
-    def nat() -> int:
-        got = take()
-        if not got.isdigit():
-            raise BddTextError(f"expected a number, got {got!r}")
-        return int(got)
-
-    def node() -> Node:
-        expect("(")
-        head = take()
-        if head == "c":
-            bit = nat()
-            expect(")")
-            return Leaf(bit)
-        if head == "ite":
-            var = nat()
-            high = node()
-            low = node()
-            expect(")")
-            return Ite(var, high, low)
-        raise BddTextError(f"expected 'c' or 'ite', got {head!r}")
-
-    expect("(")
-    expect("bdd")
-    nv = nat()
-    root = node()
-    expect(")")
-    if pos != len(tokens):
-        raise BddTextError(f"trailing content after BDD: {tokens[pos]!r}")
-    return validate(Bdd(nv, root))
-
-
-# -------------------------------------------------------------------- JSON
 
 def render_json(b: Bdd) -> str:
     return json.dumps({"vars": b.nv, "root": _node_json(b.root)})
@@ -167,49 +165,53 @@ def _node_json(node: Node) -> dict:
     }
 
 
-def parse_json(text: str) -> Bdd:
+# JSON key set -> the form it stands for: its kind, then the keys in member order
+_JSON_FORMS = {
+    frozenset(("leaf",)): ("c", "leaf"),
+    frozenset(("var", "then", "else")): ("ite", "var", "then", "else"),
+    frozenset(("vars", "root")): ("bdd", "vars", "root"),
+}
+
+
+def _json_object(obj: dict) -> Node | Bdd:
+    keys = _JSON_FORMS.get(frozenset(obj))
+    if keys is None:
+        raise BddTextError(f"JSON object keys {sorted(obj)} match no BDD form")
+    return _form([keys[0], *map(obj.__getitem__, keys[1:])])
+
+
+def parse_json(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        b = json.loads(text, object_hook=_json_object)
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting: RecursionError
         raise BddTextError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or set(obj) != {"vars", "root"}:
+    if type(b) is not Bdd:
         raise BddTextError('expected an object with keys "vars" and "root"')
-    return validate(Bdd(_json_nat(obj["vars"]), _json_node(obj["root"])))
-
-
-def _json_nat(value: object) -> int:
-    if type(value) is not int or value < 0:
-        raise BddTextError(f"expected a natural number, got {value!r}")
-    return value
-
-
-def _json_node(obj: object) -> Node:
-    if not isinstance(obj, dict):
-        raise BddTextError(f"expected a node object, got {obj!r}")
-    if set(obj) == {"leaf"}:
-        return Leaf(_json_nat(obj["leaf"]))
-    if set(obj) == {"var", "then", "else"}:
-        return Ite(_json_nat(obj["var"]), _json_node(obj["then"]), _json_node(obj["else"]))
-    raise BddTextError(
-        'node must have exactly the keys {"leaf"} or {"var", "then", "else"}'
-    )
+    check_var_count(b.nv, max_vars)  # a valid tree is at most nv deep: bounds validate
+    return validate(b)
 
 
 def render_bdd(b: Bdd, fmt: str = "sexpr") -> str:
     return render_json(b) if fmt == "json" else render_sexpr(b)
 
 
-def parse_bdd(text: str) -> Bdd:
+def parse_bdd(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
     """Parse either serialization; the first character picks the format."""
     s = text.lstrip()
     if s.startswith("{"):
-        return parse_json(s)
+        return parse_json(s, max_vars)
     if s.startswith("("):
-        return parse_sexpr(s)
+        return parse_sexpr(s, max_vars)
     raise BddTextError("BDD text must start with '(' or '{'")
 
 
 # ------------------------------------------------------------------ parser
+
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return int(text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-vars",
-        type=int,
+        type=_natural,
         default=DEFAULT_MAX_VARS,
         metavar="N",
         help=f"resource guard on variable counts (default {DEFAULT_MAX_VARS})",
@@ -247,16 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--in", dest="infile", metavar="FILE", help="read BDD text from FILE instead of stdin"
     )
 
-    def variant(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--plain", dest="reduced", action="store_false", help="use plain (complete) trees"
-        )
-        group.add_argument(
-            "--reduced", dest="reduced", action="store_true",
-            help="use reduced trees (default)",
-        )
-        p.set_defaults(reduced=True)
+    variant = argparse.ArgumentParser(add_help=False)
+    group = variant.add_mutually_exclusive_group()
+    group.add_argument(
+        "--plain", dest="reduced", action="store_false", help="use plain (complete) trees"
+    )
+    group.add_argument(
+        "--reduced", dest="reduced", action="store_true", help="use reduced trees (default)"
+    )
+    variant.set_defaults(reduced=True)
 
     p = sub.add_parser("pair", parents=[common], help="combine two naturals into one")
     p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
@@ -267,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
     p.add_argument("z")
 
-    p = sub.add_parser("tt2bdd", parents=[common, fmt], help="build a BDD from a truth table")
+    p = sub.add_parser("tt2bdd", parents=[common, fmt, variant], help="build a BDD from a truth table")
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("--tt", required=True, metavar="T")
-    variant(p)
 
     p = sub.add_parser(
         "bdd2tt", parents=[common, infile], help="evaluate a BDD back to its truth table"
@@ -278,17 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common, fmt, infile], help="reduce a BDD")
 
-    p = sub.add_parser("rank", parents=[common, infile], help="rank a BDD onto the naturals")
-    variant(p)
+    p = sub.add_parser("rank", parents=[common, infile, variant], help="rank a BDD onto the naturals")
 
-    p = sub.add_parser("unrank", parents=[common, fmt], help="unrank a natural to a BDD")
+    p = sub.add_parser("unrank", parents=[common, fmt, variant], help="unrank a natural to a BDD")
     p.add_argument("n")
-    variant(p)
 
-    p = sub.add_parser("enum", parents=[common, fmt], help="print a run of the BDD stream")
+    p = sub.add_parser("enum", parents=[common, fmt, variant], help="print a run of the BDD stream")
     p.add_argument("--from", dest="start", default="0", metavar="N")
     p.add_argument("--count", required=True, metavar="C")
-    variant(p)
 
     p = sub.add_parser("shannon", parents=[common], help="split or fuse a table on its top variable")
     shannon_sub = p.add_subparsers(dest="mode", required=True, metavar="mode")
@@ -309,23 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------- commands
 
-def _read_input(args: argparse.Namespace, stdin: IO[str]) -> str:
-    if args.infile is not None:
-        with open(args.infile, encoding="utf-8") as handle:
-            return handle.read()
-    return stdin.read()
-
-
-def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> list[str]:
+def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
+    """The output lines of one command; every check runs before the first."""
     cmd = args.command
-
-    def nat(text: str) -> int:
-        return parse_nat(text, args.max_vars)
+    nat = functools.partial(parse_nat, max_vars=args.max_vars)
 
     if cmd == "pair":
         pair_fn, _ = SCHEMES[args.scheme]
-        z = pair_fn(nat(args.x), nat(args.y))
-        return [format_nat(z, args.hex)]
+        x, y = nat(args.x), nat(args.y)
+        # min: the bound is never built wider than x, whatever --max-vars says
+        if args.scheme == "pepis" and x > 1 << min(args.max_vars, x.bit_length()):
+            raise ValueError(f"pepis pairing of an x above 2**{args.max_vars} exceeds "
+                             f"the 2**{args.max_vars}-bit budget of --max-vars {args.max_vars}")
+        return [format_nat(pair_fn(x, y), args.hex)]
 
     if cmd == "unpair":
         _, unpair_fn = SCHEMES[args.scheme]
@@ -337,16 +330,17 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> list[str]:
         b = build(nat(args.vars), nat(args.tt), args.max_vars)
         return [render_bdd(b, args.format)]
 
-    if cmd == "bdd2tt":
-        b = parse_bdd(_read_input(args, stdin))
-        return [format_nat(ev(b, args.max_vars), args.hex)]
-
-    if cmd == "reduce":
-        b = parse_bdd(_read_input(args, stdin))
-        return [render_bdd(reduce_bdd(b), args.format)]
-
-    if cmd == "rank":
-        b = parse_bdd(_read_input(args, stdin))
+    if cmd in ("bdd2tt", "reduce", "rank"):
+        if args.infile is None:
+            text = stdin.read()
+        else:
+            with open(args.infile, encoding="utf-8") as handle:
+                text = handle.read()
+        b = parse_bdd(text, args.max_vars)
+        if cmd == "bdd2tt":
+            return [format_nat(ev(b, args.max_vars), args.hex)]
+        if cmd == "reduce":
+            return [render_bdd(reduce_bdd(b), args.format)]
         n = bdd2nat(b, args.max_vars) if args.reduced else plain_bdd2nat(b)
         return [format_nat(n, args.hex)]
 
@@ -356,8 +350,11 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> list[str]:
 
     if cmd == "enum":
         kind = "reduced" if args.reduced else "plain"
-        stream = enumerate_bdds(kind, nat(args.start), nat(args.count), args.max_vars)
-        return [render_bdd(b, args.format) for b in stream]
+        start, count = nat(args.start), nat(args.count)
+        if count:  # the last tree has the most variables
+            check_var_count(to_bsum(start + count - 1).k, args.max_vars)
+        stream = enumerate_bdds(kind, start, count, args.max_vars)
+        return (render_bdd(b, args.format) for b in stream)
 
     if cmd == "shannon":
         nv = nat(args.vars)
@@ -374,6 +371,11 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> list[str]:
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
+def _write(lines: Iterable[str], out: IO[str]) -> None:
+    for line in lines:
+        out.write(line + "\n")
+
+
 def run(
     argv: list[str] | None = None,
     *,
@@ -384,7 +386,7 @@ def run(
     """Run one command; returns the exit status without calling sys.exit.
 
     Usage errors are argparse's: it prints to sys.stderr and raises
-    SystemExit(2).
+    SystemExit(2).  A closed stdout raises BrokenPipeError.
     """
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
@@ -393,20 +395,29 @@ def run(
     args = build_parser().parse_args(argv)
     try:
         lines = _dispatch(args, stdin)
-    except ValueError as exc:
+        if args.out is None:
+            _write(lines, stdout)
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                _write(lines, handle)
+    except BrokenPipeError:
+        raise
+    except (ValueError, OSError) as exc:
         print(f"natbdd: error: {exc}", file=stderr)
         return 1
-    text = "".join(line + "\n" for line in lines)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        stdout.write(text)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+    try:
+        code = run(argv)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull, as Python's
+        # SIGPIPE note advises, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .natbits import odd_part, two_adic_valuation
-
 
 def cantor_pair(x: int, y: int) -> int:
     _check_pair(x, y)
@@ -41,6 +39,18 @@ def pepis_unpair(z: int) -> tuple[int, int]:
     if z < 0:
         raise ValueError(f"expected a natural number, got {z}")
     return two_adic_valuation(z + 1), (odd_part(z + 1) - 1) >> 1
+
+
+def two_adic_valuation(n: int) -> int:
+    """Largest t such that 2**t divides ``n``.  Undefined (an error) for 0."""
+    if n <= 0:
+        raise ValueError(f"2-adic valuation needs n >= 1, got {n}")
+    return (n & -n).bit_length() - 1
+
+
+def odd_part(n: int) -> int:
+    """``n`` with every factor of two removed."""
+    return n >> two_adic_valuation(n)
 
 
 # Interleaving by table lookup inside C-level bytes operations, linear in the

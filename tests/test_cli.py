@@ -1,4 +1,8 @@
+import contextlib
+import io
+import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -17,6 +21,7 @@ from natbdd.cli import (
     parse_sexpr,
     render_json,
     render_sexpr,
+    run,
 )
 from natbdd.ranking import nat2bdd, nat2plain_bdd
 
@@ -48,12 +53,40 @@ def test_decimal_roundtrip_at_2_pow_20_bits():
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     n = random.Random(20).getrandbits(1 << 20)
     assert parse_nat(format_nat(n)) == n
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap  # restored
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap  # never changed
+
+
+@contextlib.contextmanager
+def uncapped_digits():
+    """Lift the interpreter's int<->str digit cap (Python 3.11+) in this block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_decimal_pieces_match_builtin_conversion():
+    rng = random.Random(18)
+    values = [p + d for p in (10**4096, 10**8192) for d in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randrange(1, 1 << 18)) for _ in range(8)]
+    values += [rng.getrandbits(1 << 18) | 1 << ((1 << 18) - 1), 0, 1, 10**4095]
+    # piece at a time under the default cap, against the built-ins without it
+    formatted = [format_nat(n) for n in values]
+    padded = ["0" * zeros + text for zeros in (1, 4095, 4096, 9000) for text in ("0", "7", formatted[0])]
+    parsed = [parse_nat(text) for text in formatted + padded]
+    with uncapped_digits():
+        assert formatted == [str(n) for n in values]
+        assert parsed == [int(text) for text in formatted + padded]
 
 
 def test_decimal_conversions_from_many_threads():
-    # each conversion lifts and restores the interpreter-wide digit cap; a
-    # thread restoring it under another one's conversion would make that fail
+    # conversions leave the interpreter-wide digit cap alone and share one
+    # cache of powers of ten; every thread must still get exact results
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     wide = [random.Random(i).getrandbits(1 << 14) for i in range(4)]
     errors = []
@@ -121,6 +154,12 @@ def test_sexpr_accepts_loose_whitespace():
         "(bdd 1 (c 3))",
         "(bdd 1 (ite 2 (c 0) (c 1)))",
         "(bdd 2 (ite 0 (ite 1 (c 0) (c 1)) (c 0)))",
+        "()",
+        "(c 0)",
+        "(bdd 1 ())",
+        "(bdd 1 (c 0) (c 1))",
+        "(bdd 1 (bdd 1 (c 0)))",
+        "(bdd 1 (ite (c 0) (c 0) (c 1)))",
     ],
 )
 def test_sexpr_rejects_malformed(bad):
@@ -151,11 +190,60 @@ def test_json_roundtrip():
         '{"vars": 1, "root": {"leaf": 0, "var": 0}}',
         '{"vars": 1, "root": {"var": 0, "then": {"leaf": 1}}}',
         '{"vars": 1, "root": 3}',
+        '{"leaf": 0}',
+        '{"vars": 1, "root": {"leaf": true}}',
+        '{"vars": 1, "root": {"var": false, "then": {"leaf": 1}, "else": {"leaf": 0}}}',
+        '{"vars": 1, "root": {"vars": 1, "root": {"leaf": 0}}}',
+        '{"vars": 1, "root": [{"leaf": 0}]}',
     ],
 )
 def test_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_json(bad)
+
+
+def test_bdd_text_header_is_guarded():
+    for text in ("(bdd 3 (c 0))", '{"vars": 3, "root": {"leaf": 0}}'):
+        assert parse_bdd(text, max_vars=3) == Bdd(3, Leaf(0))
+        with pytest.raises(ValueError, match="exceeds the guard of 2"):
+            parse_bdd(text, max_vars=2)
+    with pytest.raises(ValueError, match="exceeds the guard of 20"):
+        parse_sexpr("(bdd 21 (c 0))")
+    with pytest.raises(ValueError, match="exceeds the guard of 20"):
+        parse_json('{"vars": 21, "root": {"leaf": 0}}')
+
+
+DEEP_SEXPR = "(bdd 1 " + "(ite 0 " * 100000 + "(c 0)" + " (c 1))" * 100000 + ")"
+DEEP_JSON = ('{"vars": 1, "root": ' + '{"var": 0, "then": ' * 3000 + '{"leaf": 0}'
+             + ', "else": {"leaf": 1}}' * 3000 + "}")
+# a valid tree, one node per variable
+CHAIN_2000 = "(bdd 2000 " + "".join(f"(ite {v} (c 0) " for v in range(1999, -1, -1)) + "(c 1)" + ")" * 2001
+
+
+@pytest.mark.parametrize("argv", [["bdd2tt"], ["reduce"], ["rank", "--plain"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "text",
+    [DEEP_SEXPR, DEEP_JSON, CHAIN_2000, "(bdd 100 (c 0))"],
+    ids=["deep-sexpr", "deep-json", "chain-2000", "nv-100"],
+)
+def test_hostile_bdd_text_exits_1(cli, argv, text):
+    code, out, err = cli(argv, stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err.startswith("natbdd: error:") and err.count("\n") == 1
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="() bdcite0123456789x"),
+        st.text(alphabet='{}[]:," leafvarthenlsoot01-.'),
+    )
+)
+def test_bdd2tt_on_arbitrary_text_exits_0_or_1(text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = run(["bdd2tt"], stdin=io.StringIO(text), stdout=stdout, stderr=stderr)
+    assert code in (0, 1)
+    assert (stdout.getvalue() == "") == (code == 1)
 
 
 def test_parse_bdd_needs_a_known_format():
@@ -275,6 +363,10 @@ def test_max_vars_override(cli):
         (["rank"], "(bdd 1 (c 1))"),
         (["varbits", "--vars", "2", "--index", "2"], ""),
         (["shannon", "split", "--vars", "0", "1"], ""),
+        (["bdd2tt", "--in", "no-such-dir/bdd.txt"], ""),
+        (["pair", "--scheme", "cantor", "1", "2", "--out", "no-such-dir/out.txt"], ""),
+        (["pair", "--scheme", "pepis", "--hex", str(2**20 + 1), "0"], ""),
+        (["enum", "--from", "5", "--count", "2", "--max-vars", "2"], ""),
     ],
 )
 def test_domain_errors_exit_1(cli, argv, stdin_text):
@@ -293,6 +385,7 @@ def test_domain_errors_exit_1(cli, argv, stdin_text):
         ["pair", "--scheme", "nope", "1", "2"],
         ["tt2bdd", "--vars", "1", "--tt", "0", "--plain", "--reduced"],
         ["enum"],                        # --count is required
+        ["pair", "--scheme", "cantor", "1", "2", "--max-vars", "-5"],
     ],
 )
 def test_usage_errors_exit_2(cli, argv, capsys):
@@ -300,6 +393,15 @@ def test_usage_errors_exit_2(cli, argv, capsys):
         cli(argv)
     assert excinfo.value.code == 2
     capsys.readouterr()  # swallow argparse usage noise
+
+
+def test_pepis_pairing_has_a_bit_budget(cli):
+    code, out, err = cli(["pair", "--scheme", "pepis", "--hex", str(2**20 + 1), "0"])
+    assert (code, out) == (1, "") and "budget" in err
+    code, out, _ = cli(["pair", "--scheme", "pepis", "--hex", str(2**20), "0"])
+    assert (code, out) == (0, hex((1 << 2**20) - 1) + "\n")
+    code, _, err = cli(["pair", "--scheme", "pepis", "100000000000", "1"])
+    assert code == 1 and "budget" in err
 
 
 def test_deterministic_output(cli):
@@ -329,3 +431,17 @@ def test_real_shell_pipe():
     proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "4242\n"
+
+
+def test_enum_streams_and_stops_quietly_on_a_closed_pipe():
+    cmd = f"{sys.executable} -m natbdd enum --count 100000000 | head -1"
+    proc = subprocess.Popen(["sh", "-c", cmd], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert out == "(bdd 1 (c 0))\n"
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -10,8 +10,10 @@ from natbdd.pairing import (
     bitmerge_unpair,
     cantor_pair,
     cantor_unpair,
+    odd_part,
     pepis_pair,
     pepis_unpair,
+    two_adic_valuation,
 )
 
 for_each_scheme = pytest.mark.parametrize(
@@ -156,3 +158,30 @@ def test_negative_arguments_are_rejected(pair, unpair):
         pair(0, -1)
     with pytest.raises(ValueError):
         unpair(-1)
+
+
+def test_two_adic_valuation_examples():
+    assert two_adic_valuation(1) == 0
+    assert two_adic_valuation(12) == 2
+    assert two_adic_valuation(2**40) == 40
+    assert odd_part(2**40) == 1
+
+
+def test_odd_part_examples():
+    assert odd_part(1) == 1
+    assert odd_part(12) == 3
+    assert odd_part(42) == 21
+
+
+def test_valuation_of_zero_is_an_error():
+    with pytest.raises(ValueError):
+        two_adic_valuation(0)
+    with pytest.raises(ValueError):
+        odd_part(0)
+
+
+@given(st.integers(min_value=1))
+def test_two_adic_factorization(n):
+    odd = odd_part(n)
+    assert odd % 2 == 1
+    assert (1 << two_adic_valuation(n)) * odd == n
