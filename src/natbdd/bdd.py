@@ -2,8 +2,9 @@
 
 A ``Bdd`` is a variable count plus a tree of ``Ite`` nodes over ``Leaf(0)``
 and ``Leaf(1)``.  Variable indices strictly decrease from root to leaf.
-Reduction trims ite nodes whose branches are structurally equal; common
-subtrees are deliberately *not* shared, so every value is a plain tree.
+Reduction trims ite nodes whose branches are structurally equal.  Nodes are
+immutable NamedTuples, equal to plain tuples of the same fields.  The two
+leaves are shared constants, ``LEAVES``; ite nodes are never shared.
 
 The encoding and its inverses:
 
@@ -22,29 +23,27 @@ For every plain tree the two inverses agree with the original table, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
-from .truthtab import DEFAULT_MAX_VARS, all_ones_mask, check_var_count, ite_tt, var_tt
+from .truthtab import DEFAULT_MAX_VARS, all_ones_mask, check_var_count, ite_tt, size_text, var_tt
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+class Leaf(NamedTuple):
     bit: int
 
 
-@dataclass(frozen=True, slots=True)
-class Ite:
+class Ite(NamedTuple):
     var: int
     high: "Node"  # taken when the variable is 1
     low: "Node"   # taken when the variable is 0
 
 
 Node = Leaf | Ite
+LEAVES = (Leaf(0), Leaf(1))  # the leaves of every tree the library returns
 
 
-@dataclass(frozen=True, slots=True)
-class Bdd:
+class Bdd(NamedTuple):
     nv: int
     root: Node
 
@@ -63,12 +62,13 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
 def _check_table(nv: int, tt: int, max_nv: int) -> None:
     check_var_count(nv, max_nv)
     if not 0 <= tt < (1 << (1 << nv)):
-        raise ValueError(f"truth table {tt} out of range for {nv} variables")
+        raise ValueError(
+            f"truth table out of range for {nv} variables ({1 << nv} bits), got {size_text(tt)}")
 
 
 def _isplit(nv: int, tt: int) -> Node:
     if nv == 0:
-        return Leaf(tt)
+        return LEAVES[tt]
     hi, lo = bitmerge_unpair(tt)
     return Ite(nv - 1, _isplit(nv - 1, hi), _isplit(nv - 1, lo))
 
@@ -102,10 +102,10 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
 
 
 def _reduced_node(nv: int, tt: int) -> Node:
-    # reduced trees share no subtrees, so two halves reduce to equal trees
-    # exactly when they are equal tables
+    # a reduced tree is unique to its table, so two halves reduce to equal
+    # trees exactly when they are equal tables
     if tt == 0 or tt.bit_count() == 1 << nv:
-        return Leaf(1 if tt else 0)
+        return LEAVES[1 if tt else 0]
     hi, lo = bitmerge_unpair(tt)
     if hi == lo:
         return _reduced_node(nv - 1, hi)

@@ -21,11 +21,13 @@ import re
 import sys
 from typing import IO, Iterable
 
-from .bdd import Bdd, Ite, Leaf, Node, ev, plain_bdd, reduced_bdd, validate
+from .bdd import LEAVES, Bdd, Ite, Leaf, Node, ev, plain_bdd, reduced_bdd, validate
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
 from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2nat, to_bsum
-from .truthtab import DEFAULT_MAX_VARS, check_var_count, shannon_fuse, shannon_split, var_tt
+from .truthtab import (
+    DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, shannon_fuse, shannon_split, var_tt,
+)
 
 
 class BddTextError(ValueError):
@@ -101,8 +103,8 @@ def _form(form: list) -> Node | Bdd:
     n = len(form)
     if n > 1 and type(form[1]) is int and form[1] >= 0:
         kind = form[0]
-        if n == 2 and kind == "c":
-            return Leaf(form[1])
+        if n == 2 and kind == "c":  # any bit but 0 or 1 is left for validate to reject
+            return LEAVES[form[1]] if form[1] < 2 else Leaf(form[1])
         if n == 4 and kind == "ite" and type(form[2]) in (Leaf, Ite) and type(form[3]) in (Leaf, Ite):
             return Ite(form[1], form[2], form[3])
         if n == 3 and kind == "bdd" and type(form[2]) in (Leaf, Ite):
@@ -207,9 +209,10 @@ def parse_bdd(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
 
 # ------------------------------------------------------------------ parser
 
-def _natural(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+def _max_vars(text: str) -> int:
+    if not (text.isdecimal() and int(text) <= MAX_VARS_CEILING):
+        raise argparse.ArgumentTypeError(
+            f"expected a natural number up to {MAX_VARS_CEILING}, got {text!r}")
     return int(text)
 
 
@@ -227,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-vars",
-        type=_natural,
+        type=_max_vars,
         default=DEFAULT_MAX_VARS,
         metavar="N",
-        help=f"resource guard on variable counts (default {DEFAULT_MAX_VARS})",
+        help=f"resource guard on variable counts (default {DEFAULT_MAX_VARS}, "
+        f"at most {MAX_VARS_CEILING})",
     )
     common.add_argument(
         "--out", metavar="FILE", help="write output to FILE instead of stdout"

@@ -11,16 +11,28 @@ from __future__ import annotations
 # masks occupy 2**nv bits, so an unchecked var count allocates gigabit
 # integers; callers can raise the ceiling explicitly where they mean it
 DEFAULT_MAX_VARS = 20
+# the highest guard the CLI accepts: tables of 2**24 bits (2 MiB), and tree
+# walks (validate, ev, reduce, rendering, tuple equality) at most 25 calls
+# deep, far below Python's recursion limit of 1000
+MAX_VARS_CEILING = 24
+
+
+def size_text(value: int) -> str:
+    """``value`` for an error message: whole up to 64 bits, else by its bit
+    length, since a long decimal is slow to print and past 4300 digits fails."""
+    if value.bit_length() <= 64:
+        return str(value)
+    return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit number"
 
 
 def check_var_count(nv: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Validate a variable count against the resource guard and return it."""
     if nv < 0:
-        raise ValueError(f"variable count must be >= 0, got {nv}")
+        raise ValueError(f"variable count must be >= 0, got {size_text(nv)}")
     if nv > max_nv:
         raise ValueError(
-            f"variable count {nv} exceeds the guard of {max_nv} "
-            f"(a {nv}-variable table needs 2**{nv} bits)"
+            f"variable count exceeds the guard of {max_nv} "
+            f"(a table on n variables needs 2**n bits), got {size_text(nv)}"
         )
     return nv
 
@@ -41,7 +53,7 @@ def var_tt(nv: int, k: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """
     mask = all_ones_mask(nv, max_nv)
     if not 0 <= k < nv:
-        raise ValueError(f"variable index {k} out of range for {nv} variables")
+        raise ValueError(f"variable index out of range for {nv} variables, got {size_text(k)}")
     j = nv - k - 1
     if j < 3:  # a period fits in a byte: 01010101, 00110011 or 00001111, LSB first
         period = (b"\x55", b"\x33", b"\x0f")[j]
@@ -65,7 +77,7 @@ def shannon_split(nv: int, x: int, max_nv: int = DEFAULT_MAX_VARS) -> tuple[int,
         raise ValueError("cannot split a 1-bit table (no variables left)")
     mask = all_ones_mask(nv, max_nv)
     if not 0 <= x <= mask:
-        raise ValueError(f"table {x} out of range for {nv} variables")
+        raise ValueError(f"table out of range for {nv} variables ({1 << nv} bits), got {size_text(x)}")
     return x >> (1 << (nv - 1)), x & all_ones_mask(nv - 1)
 
 
@@ -75,7 +87,7 @@ def shannon_fuse(nv: int, hi: int, lo: int, max_nv: int = DEFAULT_MAX_VARS) -> i
         raise ValueError("cannot fuse into a 1-bit table (no variables left)")
     half_mask = all_ones_mask(nv - 1, max_nv)
     if not 0 <= hi <= half_mask:
-        raise ValueError(f"hi half {hi} exceeds the {1 << (nv - 1)}-bit half width")
+        raise ValueError(f"hi half out of range for the {1 << (nv - 1)}-bit width, got {size_text(hi)}")
     if not 0 <= lo <= half_mask:
-        raise ValueError(f"lo half {lo} exceeds the {1 << (nv - 1)}-bit half width")
+        raise ValueError(f"lo half out of range for the {1 << (nv - 1)}-bit width, got {size_text(lo)}")
     return (hi << (1 << (nv - 1))) | lo

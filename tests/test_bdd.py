@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import natbdd.bdd
 from natbdd.bdd import (
+    LEAVES,
     Bdd,
     Ite,
     Leaf,
@@ -17,6 +18,7 @@ from natbdd.bdd import (
     reduced_bdd,
     validate,
 )
+from natbdd.cli import parse_json, parse_sexpr, render_json, render_sexpr
 from natbdd.oracle import truth_table_of
 from natbdd.pairing import bitmerge_unpair
 from natbdd.truthtab import var_tt
@@ -218,6 +220,37 @@ def test_roundtrips_random(nv, data):
     assert ev(b) == tt
     assert plain_inverse_bdd(b) == tt
     assert ev(reduce(b)) == tt
+
+
+def leaf_ids(node):
+    if isinstance(node, Leaf):
+        return {id(node)}
+    return leaf_ids(node.high) | leaf_ids(node.low)
+
+
+def test_trees_share_the_two_leaves():
+    # a complete tree at nv=10 has 1024 leaf positions, all filled by LEAVES
+    shared = {id(leaf) for leaf in LEAVES}
+    tt = random.Random(10).getrandbits(1 << 10)
+    for b in (plain_bdd(10, tt), reduced_bdd(10, tt), plain_bdd(0, 1), reduced_bdd(3, 0)):
+        for parsed in (b, parse_sexpr(render_sexpr(b)), parse_json(render_json(b))):
+            assert parsed == b
+            assert leaf_ids(parsed.root) <= shared
+
+
+def test_nodes_are_immutable():
+    b = plain_bdd(1, 1)
+    for obj, field in ((b, "nv"), (b.root, "var"), (b.root, "high"), (b.root.low, "bit")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    assert b == Bdd(1, ite(0, c(1), c(0)))
+
+
+def test_node_kinds_never_compare_equal():
+    values = [c(0), c(1), ite(0, c(1), c(0)), Bdd(0, c(0)), Bdd(1, c(1)), Bdd(1, ite(0, c(0), c(1)))]
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            assert (x == y) == (i == j), (x, y)
 
 
 def test_validate_accepts_library_trees():

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import os
 import random
@@ -24,6 +25,7 @@ from natbdd.cli import (
     run,
 )
 from natbdd.ranking import nat2bdd, nat2plain_bdd
+from natbdd.truthtab import MAX_VARS_CEILING
 
 REDUCED_42_TEXT = "(bdd 3 (ite 2 (c 0) (ite 1 (c 1) (ite 0 (c 1) (c 0)))))"
 
@@ -349,6 +351,22 @@ def test_max_vars_override(cli):
     code, _, err = cli(["shannon", "split", "--vars", "21", "0"])
     assert code == 1 and "exceeds the guard" in err
     assert cli(["shannon", "split", "--vars", "21", "0", "--max-vars", "21"]) == (0, "0 0\n", "")
+    ceiling = str(MAX_VARS_CEILING)
+    assert cli(["tt2bdd", "--vars", ceiling, "--tt", "0", "--max-vars", ceiling]) == (
+        0, f"(bdd {ceiling} (c 0))\n", "")
+
+
+HUGE_HEX = "0x" + "f" * 4000  # 16000 bits: past 4300 digits Python will not print it in decimal
+# domain errors about values too long to print whole, which name their bit length
+SIZE_NAMED_ERRORS = {
+    (("tt2bdd", "--vars", "2", "--tt", HUGE_HEX), ""):
+        "truth table out of range for 2 variables (4 bits), got a 16000-bit number",
+    (("shannon", "split", "--vars", "2", HUGE_HEX), ""):
+        "table out of range for 2 variables (4 bits), got a 16000-bit number",
+    (("rank", "--max-vars", "15"), "(bdd 15 (c 1))"):
+        "not in the enumeration: the block for 15 variables holds the tables below 2**16384, "
+        "got a 32768-bit number",
+}
 
 
 @pytest.mark.parametrize(
@@ -367,13 +385,17 @@ def test_max_vars_override(cli):
         (["pair", "--scheme", "cantor", "1", "2", "--out", "no-such-dir/out.txt"], ""),
         (["pair", "--scheme", "pepis", "--hex", str(2**20 + 1), "0"], ""),
         (["enum", "--from", "5", "--count", "2", "--max-vars", "2"], ""),
+        *SIZE_NAMED_ERRORS,
     ],
 )
 def test_domain_errors_exit_1(cli, argv, stdin_text):
-    code, out, err = cli(argv, stdin_text=stdin_text)
+    code, out, err = cli(list(argv), stdin_text=stdin_text)
     assert code == 1
     assert out == ""
     assert "natbdd: error:" in err
+    want = SIZE_NAMED_ERRORS.get((tuple(argv), stdin_text))
+    if want is not None:
+        assert err == f"natbdd: error: {want}\n"
 
 
 @pytest.mark.parametrize(
@@ -386,6 +408,10 @@ def test_domain_errors_exit_1(cli, argv, stdin_text):
         ["tt2bdd", "--vars", "1", "--tt", "0", "--plain", "--reduced"],
         ["enum"],                        # --count is required
         ["pair", "--scheme", "cantor", "1", "2", "--max-vars", "-5"],
+        # past the ceiling; with 5000, the valid 2000-deep CHAIN_2000 would
+        # pass the header guard and overflow the recursion limit in validate
+        ["reduce", "--max-vars", "5000"],
+        ["reduce", "--max-vars", str(MAX_VARS_CEILING + 1)],
     ],
 )
 def test_usage_errors_exit_2(cli, argv, capsys):
@@ -393,6 +419,59 @@ def test_usage_errors_exit_2(cli, argv, capsys):
         cli(argv)
     assert excinfo.value.code == 2
     capsys.readouterr()  # swallow argparse usage noise
+
+
+# naturals for fuzzed argv: small ones, and huge ones past the 4300-digit
+# decimal cap in hex and in decimal; none in between, as a table or plain tree
+# on 13 to MAX_VARS_CEILING variables is a legitimate but slow request
+FUZZ_NATS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(1 << 14300, 1 << 16000).map(hex),
+    st.text("0123456789", min_size=4301, max_size=4400),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    nat = functools.partial(draw, FUZZ_NATS)
+    scheme = functools.partial(draw, st.sampled_from(["bitmerge", "cantor", "pepis"]))
+    commands = {  # each command with its positional and required arguments
+        "pair": lambda: ["--scheme", scheme(), nat(), nat()],
+        "unpair": lambda: ["--scheme", scheme(), nat()],
+        "tt2bdd": lambda: ["--vars", nat(), "--tt", nat()],
+        "bdd2tt": lambda: [],
+        "reduce": lambda: [],
+        "rank": lambda: [],
+        "unrank": lambda: [nat()],
+        # a huge count streams for as long as it is asked to
+        "enum": lambda: ["--from", nat(), "--count", str(draw(st.integers(0, 3)))],
+        "shannon split": lambda: ["--vars", nat(), nat()],
+        "shannon fuse": lambda: ["--vars", nat(), nat(), nat()],
+        "varbits": lambda: ["--vars", nat(), "--index", nat()],
+    }
+    cmd = draw(st.sampled_from(sorted(commands)))
+    argv = cmd.split() + commands[cmd]()
+    argv += draw(st.lists(st.sampled_from(["--hex", "--plain", "--reduced", "--format=json"]),
+                          max_size=2, unique=True))
+    if draw(st.booleans()):
+        argv += ["--max-vars", str(draw(st.integers(0, MAX_VARS_CEILING)))]
+    return argv
+
+
+@given(argv=fuzzed_argv(),
+       stdin_text=st.sampled_from(["", REDUCED_42_TEXT, "(bdd 15 (c 1))", "(bdd 25 (c 0))", CHAIN_2000]))
+def test_fuzzed_argv_exits_0_1_or_2(argv, stdin_text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        code = run(argv, stdin=io.StringIO(stdin_text), stdout=stdout, stderr=stderr)
+    except SystemExit as exc:  # a usage error, reported by argparse
+        assert exc.code == 2
+        return
+    if code == 1:
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("natbdd: error:") and stderr.getvalue().count("\n") == 1
+    else:
+        assert (code, stderr.getvalue()) == (0, "")
 
 
 def test_pepis_pairing_has_a_bit_budget(cli):
