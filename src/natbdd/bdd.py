@@ -8,12 +8,14 @@ leaves are shared constants, ``LEAVES``; ite nodes are never shared.
 
 The encoding and its inverses:
 
-* :func:`plain_bdd` unfolds a truth table into a complete tree by
-  recursively unpairing it with the bit-interleaving bijection;
+* :func:`plain_bdd` unfolds a truth table into the complete tree that
+  recursive unpairing with the bit-interleaving bijection gives, built
+  bottom-up one level at a time from the table's bits;
 * :func:`reduced_bdd` builds the reduced tree top-down by the same
   unpairing, skipping levels whose halves are equal and stopping at
   constant tables, so its cost scales with the reduced tree, not 2**nv;
-* :func:`plain_inverse_bdd` folds a tree back by recursive pairing;
+* :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
+  paper's structural fold, independent of the level build;
 * :func:`ev` evaluates a tree as a boolean function over the variable
   column encodings.
 
@@ -23,6 +25,8 @@ For every plain tree the two inverses agree with the original table, and
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
@@ -48,15 +52,30 @@ class Bdd(NamedTuple):
     root: Node
 
 
+_LEAF_OF_DIGIT = {"0": LEAVES[0], "1": LEAVES[1]}
+# Ite from a (var, high, low) tuple without NamedTuple's Python-level __new__
+_new_ite = partial(tuple.__new__, Ite)
+
+
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     """Unfold truth table ``tt`` into the complete depth-``nv`` tree.
 
-    At each level the table is unpaired into (even-bits, odd-bits) halves;
-    the even half becomes the high branch.  A 0-variable table is a bare
-    leaf.
+    The tree is the one recursive unpairing gives.  There each level unpairs
+    the table into (even-bits, odd-bits) halves and the even half becomes
+    the high branch, so the path to row p's leaf reads p's bits LSB first,
+    0 taking the high branch; variable v reads bit nv-1-v.  The tree is
+    built bottom-up on that: first the leaves in row order, then, for
+    v = 0 .. nv-1, nodes p and p + half of the level become
+    ``Ite(v, node p, node p + half)``, as their indices differ only in the
+    bit variable v reads.  Every node is made in C.  A 0-variable table is
+    a bare leaf.
     """
     _check_table(nv, tt, max_nv)
-    return Bdd(nv, _isplit(nv, tt))
+    nodes = list(map(_LEAF_OF_DIGIT.__getitem__, format(tt, "b")[::-1].ljust(1 << nv, "0")))
+    for v in range(nv):
+        half = len(nodes) >> 1
+        nodes = list(map(_new_ite, zip(repeat(v, half), nodes[:half], nodes[half:])))
+    return Bdd(nv, nodes[0])
 
 
 def _check_table(nv: int, tt: int, max_nv: int) -> None:
@@ -64,13 +83,6 @@ def _check_table(nv: int, tt: int, max_nv: int) -> None:
     if not 0 <= tt < (1 << (1 << nv)):
         raise ValueError(
             f"truth table out of range for {nv} variables ({1 << nv} bits), got {size_text(tt)}")
-
-
-def _isplit(nv: int, tt: int) -> Node:
-    if nv == 0:
-        return LEAVES[tt]
-    hi, lo = bitmerge_unpair(tt)
-    return Ite(nv - 1, _isplit(nv - 1, hi), _isplit(nv - 1, lo))
 
 
 def reduce(b: Bdd) -> Bdd:

@@ -19,7 +19,7 @@ import math
 import os
 import re
 import sys
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .bdd import LEAVES, Bdd, Ite, Leaf, Node, ev, plain_bdd, reduced_bdd, validate
 from .bdd import reduce as reduce_bdd
@@ -28,6 +28,9 @@ from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2
 from .truthtab import (
     DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, shannon_fuse, shannon_split, var_tt,
 )
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 class BddTextError(ValueError):
@@ -59,14 +62,6 @@ def _int_pieces(s: str) -> int:
     return _int_pieces(s[:cut]) * _pow10(level) + _int_pieces(s[cut:])
 
 
-def _str_pieces(n: int, level: int) -> str:
-    """``n`` < 10**(_PIECE << level) in decimal, zero-padded to that many digits."""
-    if not level:
-        return str(n).zfill(_PIECE)
-    hi, lo = divmod(n, _pow10(level - 1))
-    return _str_pieces(hi, level - 1) + _str_pieces(lo, level - 1)
-
-
 def parse_nat(text: str, max_vars: int = DEFAULT_MAX_VARS) -> int:
     """Parse a decimal or ``0x`` hexadecimal natural.
 
@@ -90,11 +85,50 @@ def format_nat(n: int, hexadecimal: bool = False) -> str:
     if hexadecimal:
         return hex(n)
     # n has at most this many digits, with one to spare against rounding
-    level = ((int(n.bit_length() * _LOG10_2) + 1) // _PIECE).bit_length()
-    return _str_pieces(n, level).lstrip("0") if level else str(n)
+    if int(n.bit_length() * _LOG10_2) + 1 <= _PIECE:
+        return str(n)
+    return _decimal_text(n)
+
+
+def _decimal_text(n: int) -> str:
+    """``str(n)`` of a natural of any length, in subquadratic time.
+
+    After CPython 3.12's ``_pylong.int_to_decimal_string``: the int is split
+    in binary and recombined in the ``decimal`` module (libmpdec), whose
+    multiplication is subquadratic; ``divmod`` by powers of ten is not.
+    """
+    import decimal  # here, so that only values past one piece pay its import
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # every step is exact, or raises
+        return str(_to_decimal(n, n.bit_length(), {}, decimal.Decimal))
+
+
+def _to_decimal(n: int, width: int, powers: dict[int, Decimal], dec: type[Decimal]) -> Decimal:
+    """``dec(n)`` for ``n`` < 2**width: both binary halves converted, then
+    joined by 2**half, which ``powers`` holds once per width."""
+    if width <= 1024:  # a short int converts directly
+        return dec(n)
+    half = width >> 1
+    hi = n >> half
+    power = powers.get(half)
+    if power is None:
+        power = powers[half] = dec(2) ** half
+    return _to_decimal(hi, width - half, powers, dec) * power + _to_decimal(n - (hi << half), half, powers, dec)
 
 
 # ------------------------------------------------------------- BDD text
+
+def _numeral(text: str) -> int:
+    """An integer of BDD text.  Valid ones are small, as variable counts stop
+    at MAX_VARS_CEILING; a long one is refused by its length, before
+    Python's 4300-digit cap would stop ``int``."""
+    if len(text) > _PIECE:  # with a JSON minus sign, if any
+        raise BddTextError(
+            f"numeral of {len(text.lstrip('-'))} digits in BDD text: too long for a variable or a bit")
+    return int(text)
+
 
 def _form(form: list) -> Node | Bdd:
     """Build ``(c BIT)``, ``(ite VAR THEN ELSE)`` or ``(bdd NV ROOT)`` from a
@@ -141,7 +175,7 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
                 break
             stack[-1].append(built)
         else:
-            stack[-1].append(int(tok) if tok.isdecimal() else tok)
+            stack[-1].append(_numeral(tok) if tok.isdecimal() else tok)
     else:
         raise BddTextError("unexpected end of BDD text")
     extra = next(tokens, None)
@@ -184,7 +218,7 @@ def _json_object(obj: dict) -> Node | Bdd:
 
 def parse_json(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
     try:
-        b = json.loads(text, object_hook=_json_object)
+        b = json.loads(text, object_hook=_json_object, parse_int=_numeral)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting: RecursionError
         raise BddTextError(f"invalid JSON: {exc}") from None
     if type(b) is not Bdd:

@@ -21,6 +21,7 @@ from natbdd.bdd import (
 from natbdd.cli import parse_json, parse_sexpr, render_json, render_sexpr
 from natbdd.oracle import truth_table_of
 from natbdd.pairing import bitmerge_unpair
+from natbdd.ranking import enumerate_bdds, nat2plain_bdd, plain_bdd2nat
 from natbdd.truthtab import var_tt
 
 
@@ -55,6 +56,44 @@ def test_plain_bdd_small_cases():
     # high branch comes from the even bits, low from the odd bits
     assert plain_bdd(2, 1) == Bdd(2, ite(1, ite(0, c(1), c(0)), ite(0, c(0), c(0))))
     assert plain_bdd(2, 2) == Bdd(2, ite(1, ite(0, c(0), c(0)), ite(0, c(1), c(0))))
+
+
+def unpair_tree(nv, tt):
+    """The paper's construction, recursive unpairing: the reference for plain_bdd."""
+    if nv == 0:
+        return LEAVES[tt]
+    hi, lo = bitmerge_unpair(tt)
+    return Ite(nv - 1, unpair_tree(nv - 1, hi), unpair_tree(nv - 1, lo))
+
+
+def test_plain_bdd_equals_recursive_unpairing():
+    for nv in range(5):
+        for tt in range(1 << (1 << nv)):
+            assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), (nv, tt)
+    rng = random.Random(5)
+    for nv in range(5, 13):
+        ones = (1 << (1 << nv)) - 1
+        for tt in (0, 1, ones, ones >> 1, ones ^ 1, *(rng.getrandbits(1 << nv) for _ in range(4))):
+            assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), (nv, tt)
+    tt = rng.getrandbits(1 << 16)
+    assert plain_bdd(16, tt) == Bdd(16, unpair_tree(16, tt))
+
+
+def test_plain_trees_are_built_without_unpairing(monkeypatch):
+    # the fold still pairs, so plain_inverse_bdd(plain_bdd(tt)) == tt checks
+    # the fold against an independent construction, not pair against unpair
+    rng = random.Random(16)
+    tables = [(nv, rng.getrandbits(1 << nv)) for nv in range(13) for _ in range(3)]
+
+    def refuse(z):
+        raise AssertionError("a plain tree was built through bitmerge_unpair")
+
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_unpair", refuse)
+    for nv, tt in tables:
+        assert plain_inverse_bdd(plain_bdd(nv, tt)) == tt
+    for n, b in enumerate(enumerate_bdds("plain", 0, 40)):
+        assert b == nat2plain_bdd(n)
+        assert plain_bdd2nat(b) == n
 
 
 def test_plain_bdd_range_errors():

@@ -25,9 +25,12 @@ from natbdd.cli import (
     run,
 )
 from natbdd.ranking import nat2bdd, nat2plain_bdd
-from natbdd.truthtab import MAX_VARS_CEILING
+from natbdd.truthtab import MAX_VARS_CEILING, var_tt
 
 REDUCED_42_TEXT = "(bdd 3 (ite 2 (c 0) (ite 1 (c 1) (ite 0 (c 1) (c 0)))))"
+# a leaf bit of 5000 digits, past Python's 4300-digit int/str cap
+LONG_NUMERAL_SEXPR = "(bdd 1 (c " + "1" * 5000 + "))"
+LONG_NUMERAL_JSON = '{"vars":1,"root":{"leaf":' + "1" * 5000 + "}}"
 
 
 # ---------------------------------------------------------------- formats
@@ -77,6 +80,8 @@ def test_decimal_pieces_match_builtin_conversion():
     values = [p + d for p in (10**4096, 10**8192) for d in (-1, 0, 1)]
     values += [rng.getrandbits(rng.randrange(1, 1 << 18)) for _ in range(8)]
     values += [rng.getrandbits(1 << 18) | 1 << ((1 << 18) - 1), 0, 1, 10**4095]
+    # binary halves of all zeros or all ones, and odd widths
+    values += [1 << 20000, (1 << 20000) - 1, (1 << 40001) + 1, ((1 << 15001) - 1) << 15001]
     # piece at a time under the default cap, against the built-ins without it
     formatted = [format_nat(n) for n in values]
     padded = ["0" * zeros + text for zeros in (1, 4095, 4096, 9000) for text in ("0", "7", formatted[0])]
@@ -162,6 +167,7 @@ def test_sexpr_accepts_loose_whitespace():
         "(bdd 1 (c 0) (c 1))",
         "(bdd 1 (bdd 1 (c 0)))",
         "(bdd 1 (ite (c 0) (c 0) (c 1)))",
+        pytest.param(LONG_NUMERAL_SEXPR, id="5000-digit-bit"),
     ],
 )
 def test_sexpr_rejects_malformed(bad):
@@ -197,11 +203,19 @@ def test_json_roundtrip():
         '{"vars": 1, "root": {"var": false, "then": {"leaf": 1}, "else": {"leaf": 0}}}',
         '{"vars": 1, "root": {"vars": 1, "root": {"leaf": 0}}}',
         '{"vars": 1, "root": [{"leaf": 0}]}',
+        pytest.param(LONG_NUMERAL_JSON, id="5000-digit-bit"),
     ],
 )
 def test_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_json(bad)
+
+
+@pytest.mark.parametrize("text", [LONG_NUMERAL_SEXPR, LONG_NUMERAL_JSON], ids=["sexpr", "json"])
+def test_long_numerals_in_bdd_text_exit_1(cli, text):
+    code, out, err = cli(["bdd2tt"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == "natbdd: error: numeral of 5000 digits in BDD text: too long for a variable or a bit\n"
 
 
 def test_bdd_text_header_is_guarded():
@@ -294,6 +308,16 @@ def test_pipe_tt2bdd_to_bdd2tt(cli):
         for variant in ("--plain", "--reduced"):
             _, text, _ = cli(["tt2bdd", "--vars", str(nv), "--tt", tt, variant])
             assert cli(["bdd2tt"], stdin_text=text) == (0, tt + "\n", "")
+
+
+def test_pipe_tt2bdd_to_bdd2tt_in_decimal_at_20_vars(cli):
+    # 315634 digits, past the OS limit on one argv string: run in process
+    column = var_tt(20, 13)
+    text = format_nat(column)
+    assert parse_nat(text) == column and text[0] != "0"  # exactly str(column)
+    code, tree, err = cli(["tt2bdd", "--vars", "20", "--tt", text])
+    assert (code, tree, err) == (0, "(bdd 20 (ite 13 (c 1) (c 0)))\n", "")
+    assert cli(["bdd2tt"], stdin_text=tree) == (0, text + "\n", "")
 
 
 def test_pipe_unrank_to_rank(cli):
@@ -498,6 +522,16 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2008\n"
+
+
+def test_short_decimals_leave_the_decimal_module_unimported():
+    code = ("import io, sys; from natbdd.cli import run; "
+            "run(['tt2bdd', '--vars', '14', '--tt', str(10**4000)], stdout=io.StringIO()); "
+            "print('decimal' in sys.modules, end=' '); "
+            "run(['pair', '--scheme', 'pepis', '20000', '0'], stdout=io.StringIO()); "
+            "print('decimal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
 
 
 def test_real_shell_pipe():
