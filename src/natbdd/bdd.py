@@ -4,18 +4,25 @@ A ``Bdd`` is a variable count plus a tree of ``Ite`` nodes over ``Leaf(0)``
 and ``Leaf(1)``.  Variable indices strictly decrease from root to leaf.
 Reduction trims ite nodes whose branches are structurally equal.  Nodes are
 immutable NamedTuples, equal to plain tuples of the same fields.  The two
-leaves are shared constants, ``LEAVES``; ite nodes are never shared.
+leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd`
+also share subtrees, as an ROBDD's unique table does: equal subtrees are
+one object.  :func:`reduce` keeps the sharing of its input, so equal
+subtrees of ``reduce(plain_bdd(...))`` are one object too.  Trees from
+:func:`reduced_bdd` and trees parsed from text share only the leaves.
+Sharing never shows in output or equality.
 
 The encoding and its inverses:
 
 * :func:`plain_bdd` unfolds a truth table into the complete tree that
   recursive unpairing with the bit-interleaving bijection gives, built
-  bottom-up one level at a time from the table's bits;
+  bottom-up one level at a time from the table's bits, one node per
+  distinct subtree;
 * :func:`reduced_bdd` builds the reduced tree top-down by the same
   unpairing, skipping levels whose halves are equal and stopping at
   constant tables, so its cost scales with the reduced tree, not 2**nv;
 * :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
-  paper's structural fold, independent of the level build;
+  paper's structural fold, independent of the level build; it and
+  :func:`reduce` handle each distinct node object once;
 * :func:`ev` evaluates a tree as a boolean function over the variable
   column encodings.
 
@@ -26,7 +33,8 @@ For every plain tree the two inverses agree with the original table, and
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
@@ -52,7 +60,7 @@ class Bdd(NamedTuple):
     root: Node
 
 
-_LEAF_OF_DIGIT = {"0": LEAVES[0], "1": LEAVES[1]}
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 # Ite from a (var, high, low) tuple without NamedTuple's Python-level __new__
 _new_ite = partial(tuple.__new__, Ite)
 
@@ -67,15 +75,24 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     built bottom-up on that: first the leaves in row order, then, for
     v = 0 .. nv-1, nodes p and p + half of the level become
     ``Ite(v, node p, node p + half)``, as their indices differ only in the
-    bit variable v reads.  Every node is made in C.  A 0-variable table is
-    a bare leaf.
+    bit variable v reads.  A 0-variable table is a bare leaf.
+
+    Equal subtrees are one object, as in a unique table: each position
+    carries the code of its distinct subtree (a leaf's code is its bit), a
+    level keys position p on its two children's codes, and one node is made
+    per distinct key.  So the build makes one node per distinct strided
+    sub-table, and a walk memoized on node identity visits each once.
     """
     _check_table(nv, tt, max_nv)
-    nodes = list(map(_LEAF_OF_DIGIT.__getitem__, format(tt, "b")[::-1].ljust(1 << nv, "0")))
+    codes = format(tt, "b")[::-1].ljust(1 << nv, "0").encode().translate(_BIT_OF_DIGIT)
+    nodes = LEAVES
     for v in range(nv):
-        half = len(nodes) >> 1
-        nodes = list(map(_new_ite, zip(repeat(v, half), nodes[:half], nodes[half:])))
-    return Bdd(nv, nodes[0])
+        n, half = len(nodes), len(codes) >> 1
+        keys = list(map(add, map(mul, codes[:half], repeat(n)), codes[half:]))
+        code_of = dict(zip(dict.fromkeys(keys), count()))  # distinct keys, first seen first
+        nodes = [_new_ite((v, nodes[k // n], nodes[k % n])) for k in code_of]
+        codes = list(map(code_of.__getitem__, keys))
+    return Bdd(nv, nodes[codes[0]])
 
 
 def _check_table(nv: int, tt: int, max_nv: int) -> None:
@@ -86,20 +103,32 @@ def _check_table(nv: int, tt: int, max_nv: int) -> None:
 
 
 def reduce(b: Bdd) -> Bdd:
-    """Trim, bottom-up, every ite node whose branches reduce to equal trees."""
-    return Bdd(b.nv, _reduce_node(b.root))
+    """Trim, bottom-up, every ite node whose branches reduce to equal trees.
+
+    Each distinct node object is reduced once, so a shared input gives a
+    shared result: on a :func:`plain_bdd` tree, equal subtrees of the
+    result are one object too.
+    """
+    return Bdd(b.nv, _reduce_node(b.root, {}))
 
 
-def _reduce_node(node: Node) -> Node:
+# memo: id(node) -> its reduced tree, valid while the root keeps every node
+# alive; a result depends only on the subtree, whatever its parents
+def _reduce_node(node: Node, memo: dict[int, Node]) -> Node:
     if isinstance(node, Leaf):
         return node
-    high = _reduce_node(node.high)
-    low = _reduce_node(node.low)
-    if high == low:
-        return high
-    if high is node.high and low is node.low:
-        return node
-    return Ite(node.var, high, low)
+    done = memo.get(id(node))
+    if done is None:
+        high = _reduce_node(node.high, memo)
+        low = _reduce_node(node.low, memo)
+        if high == low:
+            done = high
+        elif high is node.high and low is node.low:
+            done = node
+        else:
+            done = _new_ite((node.var, high, low))
+        memo[id(node)] = done
+    return done
 
 
 def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
@@ -129,15 +158,20 @@ def plain_inverse_bdd(b: Bdd) -> int:
 
     Exact inverse of :func:`plain_bdd` on complete trees.  On reduced trees
     the result is some natural but not in general the original table; use
-    :func:`ev` there.
+    :func:`ev` there.  Each distinct node object is paired once.
     """
-    return _inverse_node(b.root)
+    return _inverse_node(b.root, {})
 
 
-def _inverse_node(node: Node) -> int:
+# memo as in _reduce_node: id(node) -> its fold
+def _inverse_node(node: Node, memo: dict[int, int]) -> int:
     if isinstance(node, Leaf):
         return node.bit
-    return bitmerge_pair(_inverse_node(node.high), _inverse_node(node.low))
+    z = memo.get(id(node))
+    if z is None:
+        z = bitmerge_pair(_inverse_node(node.high, memo), _inverse_node(node.low, memo))
+        memo[id(node)] = z
+    return z
 
 
 def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:

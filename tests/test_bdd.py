@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from natbdd.bdd import (
 )
 from natbdd.cli import parse_json, parse_sexpr, render_json, render_sexpr
 from natbdd.oracle import truth_table_of
-from natbdd.pairing import bitmerge_unpair
+from natbdd.pairing import bitmerge_pair, bitmerge_unpair
 from natbdd.ranking import enumerate_bdds, nat2plain_bdd, plain_bdd2nat
 from natbdd.truthtab import var_tt
 
@@ -77,6 +78,85 @@ def test_plain_bdd_equals_recursive_unpairing():
             assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), (nv, tt)
     tt = rng.getrandbits(1 << 16)
     assert plain_bdd(16, tt) == Bdd(16, unpair_tree(16, tt))
+
+
+def strided_subtables(nv, tt, v):
+    """The distinct tables under the level-v positions of a complete tree:
+    position p covers rows p, p + s, p + 2s, ... with s = 2**(nv-1-v)."""
+    bits = [(tt >> row) & 1 for row in range(1 << nv)]
+    s = 1 << (nv - 1 - v)
+    return {tuple(bits[p::s]) for p in range(s)}
+
+
+def ite_objects(root):
+    """The distinct Ite objects of a tree, by identity."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Ite) and id(node) not in seen:
+            seen[id(node)] = node
+            stack += (node.high, node.low)
+    return list(seen.values())
+
+
+def small_and_random_tables(seed):
+    tables = [(nv, tt) for nv in range(4) for tt in range(1 << (1 << nv))]
+    rng = random.Random(seed)
+    return tables + [(nv, rng.getrandbits(1 << nv)) for nv in range(4, 13) for _ in range(3)]
+
+
+def test_plain_and_reduced_trees_share_equal_subtrees():
+    for nv, tt in small_and_random_tables(6):
+        plain = plain_bdd(nv, tt)
+        subtables = {v: strided_subtables(nv, tt, v) for v in range(nv)}
+        # a level-v table depends on variable v when its even and odd rows differ
+        wanted = (
+            (plain, {v: len(tables) for v, tables in subtables.items()}),
+            (reduce(plain), {v: sum(t[0::2] != t[1::2] for t in tables)
+                             for v, tables in subtables.items()}),
+        )
+        for b, per_var in wanted:
+            nodes = ite_objects(b.root)
+            assert len(set(nodes)) == len(nodes), (nv, tt)  # no two equal objects
+            assert Counter(node.var for node in nodes) == +Counter(per_var), (nv, tt)
+
+
+def reduce_reference(node):
+    """Unmemoized recursive reduction: the reference for reduce."""
+    if isinstance(node, Leaf):
+        return node
+    high, low = reduce_reference(node.high), reduce_reference(node.low)
+    return high if high == low else Ite(node.var, high, low)
+
+
+def fold_reference(node):
+    """Unmemoized recursive pairing fold: the reference for plain_inverse_bdd."""
+    if isinstance(node, Leaf):
+        return node.bit
+    return bitmerge_pair(fold_reference(node.high), fold_reference(node.low))
+
+
+def test_memoized_walks_equal_unmemoized_references(monkeypatch):
+    trees = []
+    for nv, tt in small_and_random_tables(8):
+        plain = plain_bdd(nv, tt)
+        # reparsed trees and reduced_bdd's are unshared but for the leaves
+        trees += (plain, reduced_bdd(nv, tt), parse_sexpr(render_sexpr(plain)))
+    for shared in (ite(0, c(1), c(0)), ite(0, c(1), c(1))):
+        # one node object under parents of variables 2 and 1
+        trees.append(Bdd(3, ite(2, ite(1, shared, c(0)), shared)))
+    calls = []
+
+    def counting_pair(x, y):
+        calls.append(1)
+        return bitmerge_pair(x, y)
+
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", counting_pair)
+    for i, b in enumerate(trees):
+        assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), i
+        calls.clear()
+        assert plain_inverse_bdd(b) == fold_reference(b.root), i
+        assert len(calls) == len(ite_objects(b.root)), i
 
 
 def test_plain_trees_are_built_without_unpairing(monkeypatch):
@@ -228,6 +308,7 @@ def test_ev_builds_only_the_columns_it_tests(monkeypatch):
 
 def test_ev_and_validate_leave_no_reference_cycles():
     # garbage cycles would be freed by the collector during some later call
+    # the memos of reduce and plain_inverse_bdd must not be such cycles
     tt = random.Random(3).getrandbits(1 << 12)
     b = reduced_bdd(12, tt)
     enabled = gc.isenabled()
@@ -236,6 +317,9 @@ def test_ev_and_validate_leave_no_reference_cycles():
         gc.collect()
         assert ev(b) == tt
         validate(b)
+        plain = plain_bdd(12, tt)
+        assert reduce(plain) == b
+        assert plain_inverse_bdd(plain) == tt
         assert gc.collect() == 0
     finally:
         if enabled:
