@@ -21,10 +21,15 @@ The encoding and its inverses:
   unpairing, skipping levels whose halves are equal and stopping at
   constant tables, so its cost scales with the reduced tree, not 2**nv;
 * :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
-  paper's structural fold, independent of the level build; it and
-  :func:`reduce` handle each distinct node object once;
-* :func:`ev` evaluates a tree as a boolean function over the variable
-  column encodings.
+  paper's structural fold, independent of the level build;
+* :func:`ev` evaluates a tree as a boolean function: each node's table at
+  its own width of 2**(var+1) bits, rows in bit-reversed order so that a
+  node's table is its Shannon expansion as a concatenation,
+  ``H | L << 2**var``, with one bit reversal of the rows at the root.  It
+  handles O(nv * 2**nv) bits, whatever the tree's size, and never pairs.
+
+:func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
+distinct node object once.
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -38,7 +43,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
-from .truthtab import DEFAULT_MAX_VARS, all_ones_mask, check_var_count, ite_tt, size_text, var_tt
+from .truthtab import DEFAULT_MAX_VARS, check_var_count, reverse_rows, size_text
 
 
 class Leaf(NamedTuple):
@@ -150,7 +155,7 @@ def _reduced_node(nv: int, tt: int) -> Node:
     hi, lo = bitmerge_unpair(tt)
     if hi == lo:
         return _reduced_node(nv - 1, hi)
-    return Ite(nv - 1, _reduced_node(nv - 1, hi), _reduced_node(nv - 1, lo))
+    return _new_ite((nv - 1, _reduced_node(nv - 1, hi), _reduced_node(nv - 1, lo)))
 
 
 def plain_inverse_bdd(b: Bdd) -> int:
@@ -177,24 +182,49 @@ def _inverse_node(node: Node, memo: dict[int, int]) -> int:
 def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Boolean evaluation: the truth table a tree denotes.
 
-    Leaves map to the constant tables, and each ite node applies the
-    rowwise if-then-else with its variable's column as the condition.
+    Each distinct node object is evaluated once, at its own width: a node
+    testing variable v gets a table of 2**(v+1) bits whose row bit k means
+    "variable k is 0".  In that bit-reversed order variable v is the top row
+    bit, so the node's table is its Shannon expansion written as a
+    concatenation, ``H | L << 2**v``.  A child testing a lower variable is
+    widened by repeating its table; a leaf is all zeros or all ones.  One
+    bit reversal of the root's 2**nv-bit table
+    (:func:`natbdd.truthtab.reverse_rows`, leaving out the swaps of variable
+    pairs the tree never tests) gives this module's row order.
+
+    At most 2**(nv-1-v) nodes test variable v, one per path from the root,
+    so each level's tables hold at most 2**nv bits and an evaluation
+    handles O(nv * 2**nv) bits, not a 2**nv-bit table per position.
     Recovers the original table from plain and reduced trees alike.
+    Variable order and range are checked as :func:`validate` checks them,
+    raising ``ValueError``; leaf bits are not.
     """
-    columns: list[int | None] = [None] * b.nv  # each built when a node first tests it
-    return _ev_node(b.root, b.nv, all_ones_mask(b.nv, max_nv), columns, max_nv)
+    nv = check_var_count(b.nv, max_nv)
+    tested = [False] * nv
+    table = _ev_node(b.root, nv, {}, tested)
+    return reverse_rows(table, nv, [k for k in range(nv // 2) if tested[k] or tested[nv - 1 - k]])
 
 
-# a module-level walk: a recursive closure would leave a reference cycle,
-# holding its columns, for the collector to free during some later call
-def _ev_node(node: Node, nv: int, mask: int, columns: list[int | None], max_nv: int) -> int:
+# memo: id(node) -> its table at its own width, as in _reduce_node; a
+# module-level walk, as a recursive closure would leave a reference cycle,
+# holding the memo, for the collector to free during some later call
+def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool]) -> int:
+    """``node``'s table widened to 2**bound bits, in bit-reversed row order."""
     if isinstance(node, Leaf):
-        return mask if node.bit else 0
-    column = columns[node.var]
-    if column is None:
-        column = columns[node.var] = var_tt(nv, node.var, max_nv)
-    return ite_tt(column, _ev_node(node.high, nv, mask, columns, max_nv),
-                  _ev_node(node.low, nv, mask, columns, max_nv))
+        return (1 << (1 << bound)) - 1 if node.bit else 0
+    v = node.var
+    if not 0 <= v < bound:
+        raise _order_error(v, bound)
+    table = memo.get(id(node))
+    if table is None:
+        table = _ev_node(node.high, v, memo, tested) | _ev_node(node.low, v, memo, tested) << (1 << v)
+        memo[id(node)] = table
+        tested[v] = True
+    v += 1
+    while v < bound:  # repeat the table: it ignores the variables above its own
+        table |= table << (1 << v)
+        v += 1
+    return table
 
 
 def validate(b: Bdd) -> Bdd:
@@ -216,9 +246,10 @@ def _validate_node(node: Node, bound: int) -> None:
             raise ValueError(f"leaf bit must be 0 or 1, got {node.bit!r}")
         return
     if not 0 <= node.var < bound:
-        raise ValueError(
-            f"variable {node.var} breaks the strictly decreasing order "
-            f"(must lie in [0, {bound}))"
-        )
+        raise _order_error(node.var, bound)
     _validate_node(node.high, node.var)
     _validate_node(node.low, node.var)
+
+
+def _order_error(var: int, bound: int) -> ValueError:
+    return ValueError(f"variable {var} breaks the strictly decreasing order (must lie in [0, {bound}))")

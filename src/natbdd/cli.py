@@ -379,8 +379,10 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
             return [format_nat(ev(b, args.max_vars), args.hex)]
         if cmd == "reduce":
             return [render_bdd(reduce_bdd(b), args.format)]
-        n = bdd2nat(b, args.max_vars) if args.reduced else plain_bdd2nat(b)
-        return [format_nat(n, args.hex)]
+        if args.reduced:
+            return [format_nat(bdd2nat(b, args.max_vars), args.hex)]
+        _check_complete(b.root, b.nv)
+        return [format_nat(plain_bdd2nat(b), args.hex)]
 
     if cmd == "unrank":
         unrank = nat2bdd if args.reduced else nat2plain_bdd
@@ -407,6 +409,20 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
         return [format_nat(column, args.hex)]
 
     raise AssertionError(f"unhandled command {cmd!r}")
+
+
+def _check_complete(node: Node, bound: int) -> None:
+    """Refuse a tree that is not complete: the fold of ``rank --plain`` gives
+    some natural for any tree, but the rank of complete trees only.  A leaf
+    counts as variable -1, so it may stand only below variable 0."""
+    var = node.var if isinstance(node, Ite) else -1
+    if var != bound - 1:
+        found = f"variable {var}" if var >= 0 else "a leaf"
+        raise ValueError(
+            f"rank --plain takes complete trees only: {found} stands where variable {bound - 1} belongs")
+    if var >= 0:
+        _check_complete(node.high, var)
+        _check_complete(node.low, var)
 
 
 def _write(lines: Iterable[str], out: IO[str]) -> None:

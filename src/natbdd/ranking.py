@@ -73,7 +73,13 @@ def nat2bdd(n: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
 
 
 def plain_bdd2nat(b: Bdd) -> int:
-    """Rank of a plain tree: block start plus its structural fold."""
+    """Rank of a plain tree: block start plus its structural fold.
+
+    The tree must be complete, as :func:`plain_bdd` builds it: every node
+    tests the variable one below its parent's and leaves stand only below
+    variable 0.  This is not checked; the fold of any other tree is some
+    natural, not a rank that unranks to it.
+    """
     return _rank(b.nv, plain_inverse_bdd(b))
 
 

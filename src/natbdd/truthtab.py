@@ -8,6 +8,9 @@ column encoding (see :func:`var_tt`).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Iterable
+
 # masks occupy 2**nv bits, so an unchecked var count allocates gigabit
 # integers; callers can raise the ceiling explicitly where they mean it
 DEFAULT_MAX_VARS = 20
@@ -65,6 +68,40 @@ def var_tt(nv: int, k: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
 def ite_tt(x: int, t: int, e: int) -> int:
     """Rowwise if-then-else on truth tables, in three bitwise operations."""
     return (x & (t ^ e)) ^ e
+
+
+def reverse_rows(t: int, nv: int, swaps: Iterable[int]) -> int:
+    """Table ``t`` on ``nv`` variables with its rows in bit-reversed order.
+
+    Row r moves to the row whose ``nv``-bit index is r's read backwards, by
+    one delta swap per bit pair: for each k in ``swaps``, bits k and
+    nv-1-k of every row index trade places.  All of ``range(nv // 2)``
+    reverse the index; a table that depends on neither bit of a pair is
+    unchanged by its swap, so a caller that knows this may leave it out.
+    The permutation is its own inverse.
+    """
+    for k in swaps:
+        d, mask = (_cached_row_swap if nv <= 16 else _row_swap)(nv, k)
+        s = ((t >> d) ^ t) & mask
+        t ^= s | s << d
+    return t
+
+
+def _row_swap(nv: int, k: int) -> tuple[int, int]:
+    # (d, mask): mask marks the rows with bit k set and bit j = nv-1-k clear,
+    # each d rows below the partner it trades with; built by repeating
+    # blocks, not through the pairing kernels
+    j = nv - 1 - k
+    mask = ((1 << (1 << k)) - 1) << (1 << k)  # bit k set, in a 2**(k+1)-row block
+    for i in (*range(k + 1, j), *range(j + 1, nv)):  # rows with bit j set stay 0
+        mask |= mask << (1 << i)
+    return (1 << j) - (1 << k), mask
+
+
+# masks up to nv=16 (8 KiB each, under 120 KiB in all) are kept; a wider one
+# costs about as much to build as the swap that uses it, a small share of
+# the evaluation that needs it, and is not kept
+_cached_row_swap = lru_cache(maxsize=None)(_row_swap)
 
 
 def shannon_split(nv: int, x: int, max_nv: int = DEFAULT_MAX_VARS) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import natbdd.bdd
+import natbdd.truthtab
 from natbdd.bdd import (
     LEAVES,
     Bdd,
@@ -292,18 +294,95 @@ def test_ev_never_folds_through_pairing(monkeypatch):
         assert ev(b) == tt
 
 
-def test_ev_builds_only_the_columns_it_tests(monkeypatch):
+def test_ev_builds_no_full_width_column(monkeypatch):
+    # each node's table is built at its own width, so no variable's
+    # 2**nv-bit column is ever made
     calls = []
 
-    def counting_var_tt(nv, k, max_nv):
+    def counting_var_tt(nv, k, max_nv=natbdd.truthtab.DEFAULT_MAX_VARS):
         calls.append(k)
         return var_tt(nv, k, max_nv)
 
-    monkeypatch.setattr(natbdd.bdd, "var_tt", counting_var_tt)
+    monkeypatch.setattr(natbdd.bdd, "var_tt", counting_var_tt, raising=False)
+    monkeypatch.setattr(natbdd.truthtab, "var_tt", counting_var_tt)
     # variables 5 and 2 are tested on two paths each
     b = Bdd(10, ite(9, ite(5, ite(2, c(1), c(0)), c(0)), ite(5, c(0), ite(2, c(0), c(1)))))
     assert ev(b) == truth_table_of(b)
-    assert sorted(calls) == [2, 5, 9]
+    assert calls == []
+
+
+def test_ev_agrees_with_the_oracle_on_every_table_up_to_4_variables():
+    for nv in range(5):
+        for tt in range(1 << (1 << nv)):
+            plain = plain_bdd(nv, tt)
+            # the shared and unshared reduced trees are equal values, so
+            # the oracle, a function of the value, is asked once for both
+            reduced = reduced_bdd(nv, tt)
+            assert truth_table_of(plain) == truth_table_of(reduced) == tt
+            assert ev(plain) == ev(reduced) == ev(reduce(plain)) == tt
+
+
+def test_ev_agrees_with_the_oracle_on_random_tables():
+    rng = random.Random(512)
+    for nv in range(5, 13):
+        for _ in range(3):
+            tt = rng.getrandbits(1 << nv)
+            plain = plain_bdd(nv, tt)
+            want = truth_table_of(plain)
+            assert want == tt
+            for b in (plain, reduced_bdd(nv, tt), reduce(plain)):
+                assert ev(b) == want
+
+
+def test_ev_on_hand_built_trees():
+    shared = ite(1, c(0), c(1))
+    trees = [
+        Bdd(5, c(0)),
+        Bdd(5, c(1)),
+        Bdd(6, ite(3, ite(1, c(1), c(0)), ite(0, c(0), c(1)))),  # root below nv-1
+        Bdd(7, ite(5, ite(3, c(1), c(0)), ite(1, c(0), c(1)))),  # skips 1 and 3 variables
+        Bdd(7, ite(6, ite(4, shared, c(1)), ite(2, c(0), shared))),  # one node, two parents
+        Bdd(1, ite(0, c(0), c(1))),
+    ]
+    for b in trees:
+        assert ev(b) == truth_table_of(b), b
+    assert ev(trees[0]) == 0
+    assert ev(trees[1]) == (1 << 32) - 1
+
+
+@pytest.mark.parametrize("b", [
+    Bdd(3, ite(3, c(0), c(1))),  # variable at nv
+    Bdd(3, ite(2, ite(5, c(0), c(1)), c(0))),  # variable above nv below the root
+    Bdd(3, ite(2, ite(2, c(0), c(1)), c(0))),  # repeated variable
+    Bdd(4, ite(1, ite(3, c(0), c(1)), c(0))),  # increasing variables
+    Bdd(3, ite(2, ite(-1, c(0), c(1)), c(0))),  # negative variable
+    Bdd(0, ite(0, c(0), c(1))),
+])
+def test_ev_rejects_trees_out_of_order_or_range(b):
+    with pytest.raises(ValueError, match="strictly decreasing order"):
+        validate(b)
+    with pytest.raises(ValueError, match="strictly decreasing order"):
+        ev(b)
+
+
+def test_ev_checks_every_parent_of_a_shared_node():
+    # the second parent of the shared node tests a variable below it
+    shared = ite(2, c(0), c(1))
+    with pytest.raises(ValueError, match="strictly decreasing order"):
+        ev(Bdd(5, ite(4, shared, ite(1, shared, c(0)))))
+
+
+def test_ev_memory_stays_near_the_table_width():
+    # a full-width table per distinct node would hold about 68 MB at nv=16
+    tt = random.Random(16).getrandbits(1 << 16)
+    b = reduce(plain_bdd(16, tt))
+    tracemalloc.start()
+    try:
+        assert ev(b) == tt
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_ev_and_validate_leave_no_reference_cycles():

@@ -329,6 +329,19 @@ def test_pipe_unrank_to_rank(cli):
     assert cli(["rank"], stdin_text=text) == (0, "42\n", "")
 
 
+@pytest.mark.parametrize("text", [
+    REDUCED_42_TEXT,
+    "(bdd 3 (ite 1 (ite 0 (c 1) (c 0)) (ite 0 (c 0) (c 1))))",  # root below variable 2
+    "(bdd 2 (ite 1 (ite 0 (c 1) (c 0)) (c 1)))",  # a leaf below variable 1
+    "(bdd 3 (ite 2 (ite 0 (c 1) (c 0)) (ite 1 (ite 0 (c 0) (c 1)) (ite 0 (c 1) (c 1)))))",  # skips 1
+    "(bdd 2 (c 0))",
+])
+def test_rank_plain_refuses_trees_that_are_not_complete(cli, text):
+    code, out, err = cli(["rank", "--plain"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err.startswith("natbdd: error: rank --plain takes complete trees only") and err.count("\n") == 1
+
+
 def test_reduce_command(cli):
     _, plain_text, _ = cli(["tt2bdd", "--vars", "3", "--tt", "42", "--plain"])
     assert cli(["reduce"], stdin_text=plain_text) == (0, REDUCED_42_TEXT + "\n", "")
@@ -544,6 +557,17 @@ def test_real_shell_pipe():
     proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "4242\n"
+
+
+def test_real_pipe_rank_plain_refuses_a_reduced_tree():
+    me = sys.executable
+    cmd = f"{me} -m natbdd unrank 5 | {me} -m natbdd rank --plain"
+    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("natbdd: error: ") and proc.stderr.count("\n") == 1
+    cmd = f"{me} -m natbdd unrank 5 --plain | {me} -m natbdd rank --plain"
+    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "")
 
 
 def test_enum_streams_and_stops_quietly_on_a_closed_pipe():

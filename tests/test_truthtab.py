@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natbdd.truthtab import all_ones_mask, ite_tt, shannon_fuse, shannon_split, var_tt
+from natbdd.truthtab import all_ones_mask, ite_tt, reverse_rows, shannon_fuse, shannon_split, var_tt
 
 
 def test_all_ones_mask_examples():
@@ -141,3 +141,29 @@ def test_shannon_fuse_errors():
         shannon_fuse(2, 4, 0)
     with pytest.raises(ValueError):
         shannon_fuse(2, 0, 4)
+
+
+def reversed_index(r, nv):
+    return int(format(r, f"0{nv}b")[::-1], 2) if nv else 0
+
+
+@given(nv=st.integers(0, 9), data=st.data())
+def test_reverse_rows_moves_each_row_to_its_reversed_index(nv, data):
+    t = data.draw(st.integers(0, all_ones_mask(nv)))
+    want = sum(1 << reversed_index(r, nv) for r in range(1 << nv) if t >> r & 1)
+    assert reverse_rows(t, nv, range(nv // 2)) == want
+    assert reverse_rows(want, nv, range(nv // 2)) == t
+
+
+def test_reverse_rows_may_skip_the_pairs_a_table_ignores():
+    # the column of variable 5 of 18 depends on bit 12 of the row index only,
+    # so only the swap of bits 5 and 12 moves it; masks past nv=16 are not
+    # cached, and both kinds must agree
+    for nv in (7, 16, 18):
+        for k in range(nv):
+            column = var_tt(nv, k)
+            pair = min(k, nv - 1 - k)
+            only = [pair] if pair < nv // 2 else []  # the middle bit of odd nv stays
+            assert reverse_rows(column, nv, only) == reverse_rows(column, nv, range(nv // 2))
+            others = [j for j in range(nv // 2) if j != pair]
+            assert reverse_rows(column, nv, others) == column
