@@ -175,7 +175,7 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
                 break
             stack[-1].append(built)
         else:
-            stack[-1].append(_numeral(tok) if tok.isdecimal() else tok)
+            stack[-1].append(_numeral(tok) if tok.isascii() and tok.isdigit() else tok)
     else:
         raise BddTextError("unexpected end of BDD text")
     extra = next(tokens, None)
@@ -188,17 +188,14 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
 
 
 def render_json(b: Bdd) -> str:
-    return json.dumps({"vars": b.nv, "root": _node_json(b.root)})
+    """The text ``json.dumps`` gives for the tree as nested dicts, written directly."""
+    return f'{{"vars": {b.nv}, "root": {_node_json(b.root)}}}'
 
 
-def _node_json(node: Node) -> dict:
+def _node_json(node: Node) -> str:
     if isinstance(node, Leaf):
-        return {"leaf": node.bit}
-    return {
-        "var": node.var,
-        "then": _node_json(node.high),
-        "else": _node_json(node.low),
-    }
+        return f'{{"leaf": {node.bit}}}'
+    return f'{{"var": {node.var}, "then": {_node_json(node.high)}, "else": {_node_json(node.low)}}}'
 
 
 # JSON key set -> the form it stands for: its kind, then the keys in member order
@@ -244,7 +241,7 @@ def parse_bdd(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
 # ------------------------------------------------------------------ parser
 
 def _max_vars(text: str) -> int:
-    if not (text.isdecimal() and int(text) <= MAX_VARS_CEILING):
+    if not (text.isascii() and text.isdigit() and int(text) <= MAX_VARS_CEILING):
         raise argparse.ArgumentTypeError(
             f"expected a natural number up to {MAX_VARS_CEILING}, got {text!r}")
     return int(text)
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", default="0", metavar="N")
     p.add_argument("--count", required=True, metavar="C")
 
-    p = sub.add_parser("shannon", parents=[common], help="split or fuse a table on its top variable")
+    p = sub.add_parser("shannon", help="split or fuse a table on variable 0")
     shannon_sub = p.add_subparsers(dest="mode", required=True, metavar="mode")
     p = shannon_sub.add_parser("split", parents=[common])
     p.add_argument("--vars", required=True, metavar="N")

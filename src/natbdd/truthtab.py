@@ -105,10 +105,12 @@ _cached_row_swap = lru_cache(maxsize=None)(_row_swap)
 
 
 def shannon_split(nv: int, x: int, max_nv: int = DEFAULT_MAX_VARS) -> tuple[int, int]:
-    """Split table ``x`` on its top variable into (hi, lo) half tables.
+    """Split table ``x`` on variable 0, the top bit of the row index, into
+    (hi, lo) half tables.
 
-    ``hi`` is the cofactor with variable nv-1 set, ``lo`` with it clear; each
-    half is a table on nv-1 variables.
+    ``hi`` is the cofactor with variable 0 = 0 (the upper rows), ``lo`` the
+    one with variable 0 = 1; each half is a table on variables 1..nv-1,
+    renumbered 0..nv-2.  (``bitmerge_unpair`` splits on variable nv-1.)
     """
     if nv < 1:
         raise ValueError("cannot split a 1-bit table (no variables left)")

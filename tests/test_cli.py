@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import json
 import os
 import random
 import signal
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natbdd.bdd import Bdd, Ite, Leaf
+from natbdd.bdd import Bdd, Ite, Leaf, plain_bdd, reduced_bdd
+from natbdd.bdd import reduce as reduce_bdd
 from natbdd.cli import (
     BddTextError,
     format_nat,
@@ -167,6 +169,7 @@ def test_sexpr_accepts_loose_whitespace():
         "(bdd 1 (c 0) (c 1))",
         "(bdd 1 (bdd 1 (c 0)))",
         "(bdd 1 (ite (c 0) (c 0) (c 1)))",
+        "(bdd \u0661 (ite \u0660 (c \u0661) (c \u0660)))",  # Arabic-Indic digits: ASCII only
         pytest.param(LONG_NUMERAL_SEXPR, id="5000-digit-bit"),
     ],
 )
@@ -178,6 +181,29 @@ def test_sexpr_rejects_malformed(bad):
 def test_json_shape_exact():
     want = '{"vars": 1, "root": {"var": 0, "then": {"leaf": 1}, "else": {"leaf": 0}}}'
     assert render_json(Bdd(1, Ite(0, Leaf(1), Leaf(0)))) == want
+
+
+def _reference_json_node(node):
+    """A node as the nested dicts whose ``json.dumps`` text ``render_json`` writes."""
+    if isinstance(node, Leaf):
+        return {"leaf": node.bit}
+    return {
+        "var": node.var,
+        "then": _reference_json_node(node.high),
+        "else": _reference_json_node(node.low),
+    }
+
+
+def test_json_text_is_json_dumps_of_the_dict_tree():
+    rng = random.Random(1990)
+    tables = [(nv, rng.getrandbits(1 << nv)) for nv in range(11) for _ in range(6)]
+    tables += [(nv, var_tt(nv, nv // 2)) for nv in range(1, 11)]
+    tables.append((14, rng.getrandbits(1 << 14)))
+    for nv, tt in tables:
+        for built in (plain_bdd(nv, tt), reduced_bdd(nv, tt), reduce_bdd(plain_bdd(nv, tt))):
+            for b in (built, parse_sexpr(render_sexpr(built))):
+                want = json.dumps({"vars": b.nv, "root": _reference_json_node(b.root)})
+                assert render_json(b) == want, (nv, tt)
 
 
 def test_json_roundtrip():
@@ -423,6 +449,7 @@ SIZE_NAMED_ERRORS = {
         (["pair", "--scheme", "pepis", "--hex", str(2**20 + 1), "0"], ""),
         (["enum", "--from", "5", "--count", "2", "--max-vars", "2"], ""),
         *SIZE_NAMED_ERRORS,
+        (["bdd2tt"], "(bdd \u0661 (ite \u0660 (c \u0661) (c \u0660)))"),  # Arabic-Indic digits
     ],
 )
 def test_domain_errors_exit_1(cli, argv, stdin_text):
@@ -449,6 +476,11 @@ def test_domain_errors_exit_1(cli, argv, stdin_text):
         # pass the header guard and overflow the recursion limit in validate
         ["reduce", "--max-vars", "5000"],
         ["reduce", "--max-vars", str(MAX_VARS_CEILING + 1)],
+        ["reduce", "--max-vars", "\u0662\u0660"],  # Arabic-Indic 20: ASCII digits only
+        # shannon's options go after its mode, never between the two
+        ["shannon", "--max-vars", "2", "split", "--vars", "3", "42"],
+        ["shannon", "--hex", "split", "--vars", "3", "42"],
+        ["shannon", "--out", "no-such-dir/out.txt", "split", "--vars", "3", "42"],
     ],
 )
 def test_usage_errors_exit_2(cli, argv, capsys):

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from natbdd.oracle import row_assignment
 from natbdd.truthtab import all_ones_mask, ite_tt, reverse_rows, shannon_fuse, shannon_split, var_tt
 
 
@@ -121,6 +124,21 @@ def test_shannon_roundtrip_random(nv, data):
     x = data.draw(st.integers(0, all_ones_mask(nv)))
     hi, lo = shannon_split(nv, x)
     assert shannon_fuse(nv, hi, lo) == x
+
+
+def test_shannon_split_halves_are_the_cofactors_of_variable_0():
+    # a table's bit at an assignment's row is the function's value there, so
+    # each half must hold, at every assignment of variables 1..nv-1, the
+    # value with variable 0 fixed: 0 for hi, 1 for lo
+    rng = random.Random(2008)
+    for nv in range(1, 6):
+        half_row = {row_assignment(nv - 1, r): r for r in range(1 << (nv - 1))}
+        for _ in range(20):
+            x = rng.getrandbits(1 << nv)
+            halves = shannon_split(nv, x)
+            for row in range(1 << nv):
+                first, *rest = row_assignment(nv, row)
+                assert (halves[first] >> half_row[tuple(rest)]) & 1 == (x >> row) & 1, (nv, x, row)
 
 
 def test_shannon_split_errors():
