@@ -43,7 +43,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
-from .truthtab import DEFAULT_MAX_VARS, check_var_count, reverse_rows, size_text
+from .truthtab import DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows
 
 
 class Leaf(NamedTuple):
@@ -88,7 +88,7 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     per distinct key.  So the build makes one node per distinct strided
     sub-table, and a walk memoized on node identity visits each once.
     """
-    _check_table(nv, tt, max_nv)
+    check_table(nv, tt, max_nv, "truth table")
     codes = format(tt, "b")[::-1].ljust(1 << nv, "0").encode().translate(_BIT_OF_DIGIT)
     nodes = LEAVES
     for v in range(nv):
@@ -98,13 +98,6 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
         nodes = [_new_ite((v, nodes[k // n], nodes[k % n])) for k in code_of]
         codes = list(map(code_of.__getitem__, keys))
     return Bdd(nv, nodes[codes[0]])
-
-
-def _check_table(nv: int, tt: int, max_nv: int) -> None:
-    check_var_count(nv, max_nv)
-    if not 0 <= tt < (1 << (1 << nv)):
-        raise ValueError(
-            f"truth table out of range for {nv} variables ({1 << nv} bits), got {size_text(tt)}")
 
 
 def reduce(b: Bdd) -> Bdd:
@@ -143,7 +136,7 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     constant table is a leaf at once, and a level whose two halves are equal
     tables adds no node, so the cost follows the reduced tree, not 2**nv.
     """
-    _check_table(nv, tt, max_nv)
+    check_table(nv, tt, max_nv, "truth table")
     return Bdd(nv, _reduced_node(nv, tt))
 
 

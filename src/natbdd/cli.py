@@ -378,8 +378,12 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
             return [render_bdd(reduce_bdd(b), args.format)]
         if args.reduced:
             return [format_nat(bdd2nat(b, args.max_vars), args.hex)]
-        _check_complete(b.root, b.nv)
-        return [format_nat(plain_bdd2nat(b), args.hex)]
+        # complete exactly when it is the plain tree of its table (shared, so folded fast)
+        plain = plain_bdd(b.nv, ev(b, args.max_vars), args.max_vars)
+        if plain != b:
+            raise ValueError("rank --plain takes complete trees only: every node must test the "
+                             "variable one below its parent's, with leaves below variable 0 only")
+        return [format_nat(plain_bdd2nat(plain), args.hex)]
 
     if cmd == "unrank":
         unrank = nat2bdd if args.reduced else nat2plain_bdd
@@ -406,20 +410,6 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
         return [format_nat(column, args.hex)]
 
     raise AssertionError(f"unhandled command {cmd!r}")
-
-
-def _check_complete(node: Node, bound: int) -> None:
-    """Refuse a tree that is not complete: the fold of ``rank --plain`` gives
-    some natural for any tree, but the rank of complete trees only.  A leaf
-    counts as variable -1, so it may stand only below variable 0."""
-    var = node.var if isinstance(node, Ite) else -1
-    if var != bound - 1:
-        found = f"variable {var}" if var >= 0 else "a leaf"
-        raise ValueError(
-            f"rank --plain takes complete trees only: {found} stands where variable {bound - 1} belongs")
-    if var >= 0:
-        _check_complete(node.high, var)
-        _check_complete(node.low, var)
 
 
 def _write(lines: Iterable[str], out: IO[str]) -> None:

@@ -78,7 +78,9 @@ def plain_bdd2nat(b: Bdd) -> int:
     The tree must be complete, as :func:`plain_bdd` builds it: every node
     tests the variable one below its parent's and leaves stand only below
     variable 0.  This is not checked; the fold of any other tree is some
-    natural, not a rank that unranks to it.
+    natural, not a rank that unranks to it.  The CLI's ``rank --plain``
+    refuses such a tree by a round trip: a tree is complete exactly when it
+    equals the :func:`plain_bdd` of its own :func:`ev` table.
     """
     return _rank(b.nv, plain_inverse_bdd(b))
 

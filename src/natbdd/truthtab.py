@@ -40,6 +40,15 @@ def check_var_count(nv: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     return nv
 
 
+def check_table(nv: int, t: int, max_nv: int = DEFAULT_MAX_VARS, name: str = "table") -> None:
+    """Check that ``t`` is a table on ``nv`` variables: a natural of at most
+    2**nv bits, told by its bit length, so no mask is built.  ``name`` is
+    the noun of the error message."""
+    check_var_count(nv, max_nv)
+    if not (t >= 0 and t.bit_length() <= 1 << nv):
+        raise ValueError(f"{name} out of range for {nv} variables ({1 << nv} bits), got {size_text(t)}")
+
+
 def all_ones_mask(nv: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Truth table of constant true on ``nv`` variables: 2**(2**nv) - 1."""
     check_var_count(nv, max_nv)
@@ -51,18 +60,21 @@ def var_tt(nv: int, k: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
     The column, read LSB-first, is the exact quotient
     (2**(2**nv) - 1) // (2**(2**(nv-k-1)) + 1): blocks of 2**(nv-k-1) ones
-    alternating with equally long blocks of zeros.  It is built by repeating
-    one period of bytes, in time linear in the table, not by the division.
+    alternating with equally long blocks of zeros.  It is built as the
+    masks of :func:`reverse_rows` are: the first two blocks, repeated by
+    doubling over the row-index bits above them, in time linear in the table.
     """
-    mask = all_ones_mask(nv, max_nv)
+    check_var_count(nv, max_nv)
     if not 0 <= k < nv:
         raise ValueError(f"variable index out of range for {nv} variables, got {size_text(k)}")
     j = nv - k - 1
-    if j < 3:  # a period fits in a byte: 01010101, 00110011 or 00001111, LSB first
-        period = (b"\x55", b"\x33", b"\x0f")[j]
-    else:
-        period = b"\xff" * (1 << (j - 3)) + b"\x00" * (1 << (j - 3))
-    return int.from_bytes(period * max(1, (1 << nv) // (8 * len(period))), "little") & mask
+    return _repeat_rows((1 << (1 << j)) - 1, range(j + 1, nv))
+
+
+def _repeat_rows(block: int, bits: Iterable[int]) -> int:
+    for i in bits:  # a copy 2**i rows up: the table then ignores row-index bit i
+        block |= block << (1 << i)
+    return block
 
 
 def ite_tt(x: int, t: int, e: int) -> int:
@@ -89,13 +101,12 @@ def reverse_rows(t: int, nv: int, swaps: Iterable[int]) -> int:
 
 def _row_swap(nv: int, k: int) -> tuple[int, int]:
     # (d, mask): mask marks the rows with bit k set and bit j = nv-1-k clear,
-    # each d rows below the partner it trades with; built by repeating
-    # blocks, not through the pairing kernels
+    # each d rows below the partner it trades with: a 2**(k+1)-row block with
+    # bit k set, repeated over every bit above k but j, not through the
+    # pairing kernels
     j = nv - 1 - k
-    mask = ((1 << (1 << k)) - 1) << (1 << k)  # bit k set, in a 2**(k+1)-row block
-    for i in (*range(k + 1, j), *range(j + 1, nv)):  # rows with bit j set stay 0
-        mask |= mask << (1 << i)
-    return (1 << j) - (1 << k), mask
+    block = ((1 << (1 << k)) - 1) << (1 << k)
+    return (1 << j) - (1 << k), _repeat_rows(block, (*range(k + 1, j), *range(j + 1, nv)))
 
 
 # masks up to nv=16 (8 KiB each, under 120 KiB in all) are kept; a wider one
@@ -112,21 +123,18 @@ def shannon_split(nv: int, x: int, max_nv: int = DEFAULT_MAX_VARS) -> tuple[int,
     one with variable 0 = 1; each half is a table on variables 1..nv-1,
     renumbered 0..nv-2.  (``bitmerge_unpair`` splits on variable nv-1.)
     """
+    check_table(nv, x, max_nv)
     if nv < 1:
         raise ValueError("cannot split a 1-bit table (no variables left)")
-    mask = all_ones_mask(nv, max_nv)
-    if not 0 <= x <= mask:
-        raise ValueError(f"table out of range for {nv} variables ({1 << nv} bits), got {size_text(x)}")
-    return x >> (1 << (nv - 1)), x & all_ones_mask(nv - 1)
+    return x >> (1 << (nv - 1)), x & all_ones_mask(nv - 1, max_nv)
 
 
 def shannon_fuse(nv: int, hi: int, lo: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
-    """Inverse of :func:`shannon_split`: rebuild the table from its halves."""
+    """Inverse of :func:`shannon_split`: rebuild the table from its halves.
+    The result has 2**nv bits, so ``nv`` itself is held to the guard."""
+    check_var_count(nv, max_nv)
     if nv < 1:
         raise ValueError("cannot fuse into a 1-bit table (no variables left)")
-    half_mask = all_ones_mask(nv - 1, max_nv)
-    if not 0 <= hi <= half_mask:
-        raise ValueError(f"hi half out of range for the {1 << (nv - 1)}-bit width, got {size_text(hi)}")
-    if not 0 <= lo <= half_mask:
-        raise ValueError(f"lo half out of range for the {1 << (nv - 1)}-bit width, got {size_text(lo)}")
+    check_table(nv - 1, hi, max_nv, "hi half")
+    check_table(nv - 1, lo, max_nv, "lo half")
     return (hi << (1 << (nv - 1))) | lo

@@ -27,7 +27,7 @@ from natbdd.cli import (
     run,
 )
 from natbdd.ranking import nat2bdd, nat2plain_bdd
-from natbdd.truthtab import MAX_VARS_CEILING, var_tt
+from natbdd.truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, var_tt
 
 REDUCED_42_TEXT = "(bdd 3 (ite 2 (c 0) (ite 1 (c 1) (ite 0 (c 1) (c 0)))))"
 # a leaf bit of 5000 digits, past Python's 4300-digit int/str cap
@@ -391,6 +391,23 @@ def test_shannon_commands(cli):
 def test_varbits_command(cli):
     assert cli(["varbits", "--vars", "2", "--index", "0"]) == (0, "3\n", "")
     assert cli(["varbits", "--vars", "2", "--index", "1"]) == (0, "5\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tt2bdd", "--tt", "1"],
+    ["varbits", "--index", "0", "--hex"],
+    ["shannon", "split", "1", "--hex"],
+    ["shannon", "fuse", "1", "1", "--hex"],  # its result has 2**N bits: N itself is guarded
+], ids=["tt2bdd", "varbits", "shannon-split", "shannon-fuse"])
+@pytest.mark.parametrize("guard", [5, DEFAULT_MAX_VARS, MAX_VARS_CEILING])
+def test_every_vars_count_is_held_to_the_guard(cli, argv, guard):
+    argv = argv if guard == DEFAULT_MAX_VARS else [*argv, "--max-vars", str(guard)]
+    code, out, err = cli([*argv, "--vars", str(guard)])
+    assert (code, err) == (0, "") and out.count("\n") == 1
+    code, out, err = cli([*argv, "--vars", str(guard + 1)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"natbdd: error: variable count exceeds the guard of {guard} ")
+    assert err.count("\n") == 1
 
 
 def test_hex_io(cli):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from natbdd.oracle import row_assignment
-from natbdd.truthtab import all_ones_mask, ite_tt, reverse_rows, shannon_fuse, shannon_split, var_tt
+from natbdd.bdd import plain_bdd, reduced_bdd
+from natbdd.truthtab import (
+    all_ones_mask, check_table, ite_tt, reverse_rows, shannon_fuse, shannon_split, var_tt,
+)
 
 
 def test_all_ones_mask_examples():
@@ -22,6 +26,38 @@ def test_all_ones_mask_guard():
         all_ones_mask(-1)
     # the ceiling is adjustable where the caller means it
     assert all_ones_mask(21, max_nv=21) == (1 << (1 << 21)) - 1
+
+
+def test_check_table_takes_the_naturals_of_2_to_the_nv_bits():
+    for nv in range(4):
+        for t in range(1 << (1 << nv)):
+            check_table(nv, t)
+        with pytest.raises(ValueError, match=f"table out of range for {nv} variables"):
+            check_table(nv, 1 << (1 << nv))
+        with pytest.raises(ValueError, match="out of range"):
+            check_table(nv, -1)
+    with pytest.raises(ValueError, match="^hi half out of range for 1 variables [(]2 bits[)], got 4$"):
+        check_table(1, 4, name="hi half")
+    with pytest.raises(ValueError, match="exceeds the guard of 5"):
+        check_table(6, 0, max_nv=5)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        check_table(-1, 0)
+
+
+def test_table_checks_build_no_mask():
+    # a 2**24-bit mask takes 2 MiB; the checks of the widest table the
+    # guard allows, and a reduced tree with one node per level, need far less
+    top_row, past_the_top = 1 << (1 << 24) - 1, 1 << (1 << 24)
+    tracemalloc.start()
+    try:
+        check_table(24, top_row, 24)
+        with pytest.raises(ValueError, match="truth table out of range"):
+            plain_bdd(24, past_the_top, 24)
+        assert reduced_bdd(24, 1, 24).nv == 24
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_var_tt_examples():
@@ -41,8 +77,7 @@ def test_var_tt_divides_the_mask_exactly():
 
 
 def test_var_tt_equals_the_quotient_at_every_width():
-    # the byte-period construction against the defining division, through
-    # the byte-sized periods (nv - k - 1 < 3) and multi-byte ones
+    # the construction by doubling against the defining division
     for nv in range(1, 17):
         mask = all_ones_mask(nv)
         for k in range(nv):
@@ -150,6 +185,10 @@ def test_shannon_split_errors():
         shannon_split(2, -1)
     with pytest.raises(ValueError):
         shannon_split(21, 0)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        shannon_split(-1, 0)
+    # the low half is masked under the caller's guard, not the default one
+    assert shannon_split(22, 0, max_nv=24) == (0, 0)
 
 
 def test_shannon_fuse_errors():
@@ -157,8 +196,10 @@ def test_shannon_fuse_errors():
         shannon_fuse(0, 0, 0)
     with pytest.raises(ValueError):
         shannon_fuse(2, 4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lo half out of range for 1 variables [(]2 bits[)], got 4$"):
         shannon_fuse(2, 0, 4)
+    with pytest.raises(ValueError, match="exceeds the guard of 20"):
+        shannon_fuse(21, 0, 0)  # the result would have 2**21 bits
 
 
 def reversed_index(r, nv):
