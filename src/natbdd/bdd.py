@@ -4,12 +4,11 @@ A ``Bdd`` is a variable count plus a tree of ``Ite`` nodes over ``Leaf(0)``
 and ``Leaf(1)``.  Variable indices strictly decrease from root to leaf.
 Reduction trims ite nodes whose branches are structurally equal.  Nodes are
 immutable NamedTuples, equal to plain tuples of the same fields.  The two
-leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd`
-also share subtrees, as an ROBDD's unique table does: equal subtrees are
-one object.  :func:`reduce` keeps the sharing of its input, so equal
-subtrees of ``reduce(plain_bdd(...))`` are one object too.  Trees from
-:func:`reduced_bdd` and trees parsed from text share only the leaves.
-Sharing never shows in output or equality.
+leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
+:func:`reduced_bdd` also share subtrees, as an ROBDD's unique table does:
+equal subtrees are one object.  :func:`reduce` keeps the sharing of its
+input.  Only trees parsed from text share only the leaves.  Sharing never
+shows in output or equality.
 
 The encoding and its inverses:
 
@@ -19,7 +18,7 @@ The encoding and its inverses:
   distinct subtree;
 * :func:`reduced_bdd` builds the reduced tree top-down by the same
   unpairing, skipping levels whose halves are equal and stopping at
-  constant tables, so its cost scales with the reduced tree, not 2**nv;
+  constant tables: one node per distinct sub-table whose halves differ;
 * :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
   paper's structural fold, independent of the level build;
 * :func:`ev` evaluates a tree as a boolean function: each node's table at
@@ -133,22 +132,27 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     """The reduced tree of truth table ``tt`` on ``nv`` variables.
 
     Equal to ``reduce(plain_bdd(nv, tt, max_nv))`` but built top-down: a
-    constant table is a leaf at once, and a level whose two halves are equal
-    tables adds no node, so the cost follows the reduced tree, not 2**nv.
+    constant table is a leaf at once, a level whose two halves are equal
+    tables adds no node, and one node, shared by all its parents, is made per
+    distinct sub-table whose halves differ (a bead), not per tree position.
     """
     check_table(nv, tt, max_nv, "truth table")
-    return Bdd(nv, _reduced_node(nv, tt))
+    return Bdd(nv, _reduced_node(nv, tt, {}))
 
 
-def _reduced_node(nv: int, tt: int) -> Node:
-    # a reduced tree is unique to its table, so two halves reduce to equal
-    # trees exactly when they are equal tables
-    if tt == 0 or tt.bit_count() == 1 << nv:
-        return LEAVES[1 if tt else 0]
-    hi, lo = bitmerge_unpair(tt)
-    if hi == lo:
-        return _reduced_node(nv - 1, hi)
-    return _new_ite((nv - 1, _reduced_node(nv - 1, hi), _reduced_node(nv - 1, lo)))
+# a reduced tree is unique to its table, so halves give equal trees exactly when
+# they are equal; memo: (nv, table) -> node, kept where they differ, one per bead
+def _reduced_node(nv: int, tt: int, memo: dict[tuple[int, int], Node]) -> Node:
+    while tt and tt.bit_count() != 1 << nv:
+        hi, lo = bitmerge_unpair(tt)
+        if hi != lo:
+            node = memo.get((nv, tt))
+            if node is None:
+                high, low = _reduced_node(nv - 1, hi, memo), _reduced_node(nv - 1, lo, memo)
+                node = memo[nv, tt] = _new_ite((nv - 1, high, low))
+            return node
+        nv, tt = nv - 1, hi
+    return LEAVES[1 if tt else 0]
 
 
 def plain_inverse_bdd(b: Bdd) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bdd import Bdd, Leaf, Node
-from .truthtab import DEFAULT_MAX_VARS, check_var_count
+from .truthtab import DEFAULT_MAX_VARS, check_var_count, count_text
 
 Assignment = Sequence[int]
 
@@ -19,7 +19,7 @@ def semantic_eval(b: Bdd, assignment: Assignment) -> int:
     """Output bit of ``b`` on one assignment (``assignment[k]`` = variable k)."""
     if len(assignment) != b.nv:
         raise ValueError(
-            f"assignment has {len(assignment)} values for {b.nv} variables"
+            f"assignment has {count_text(len(assignment), 'value')} for {count_text(b.nv, 'variable')}"
         )
     node: Node = b.root
     while not isinstance(node, Leaf):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .bdd import Bdd, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
-from .truthtab import DEFAULT_MAX_VARS, size_text
+from .truthtab import DEFAULT_MAX_VARS, count_text, size_text
 
 
 class RankPair(NamedTuple):
@@ -99,7 +99,7 @@ def _rank(nv: int, index: int) -> int:
         )
     if index >= _block_size(nv):
         raise ValueError(
-            f"not in the enumeration: the block for {nv} variables holds the "
+            f"not in the enumeration: the block for {count_text(nv, 'variable')} holds the "
             f"tables below 2**{1 << (nv - 1)}, got {size_text(index)}"
         )
     return bsum(nv - 1) + index

@@ -28,6 +28,11 @@ def size_text(value: int) -> str:
     return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit number"
 
 
+def count_text(n: int, noun: str) -> str:
+    """``n`` with ``noun`` pluralised by count: "1 variable", "0 variables"."""
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def check_var_count(nv: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Validate a variable count against the resource guard and return it."""
     if nv < 0:
@@ -46,7 +51,8 @@ def check_table(nv: int, t: int, max_nv: int = DEFAULT_MAX_VARS, name: str = "ta
     the noun of the error message."""
     check_var_count(nv, max_nv)
     if not (t >= 0 and t.bit_length() <= 1 << nv):
-        raise ValueError(f"{name} out of range for {nv} variables ({1 << nv} bits), got {size_text(t)}")
+        raise ValueError(f"{name} out of range for {count_text(nv, 'variable')} "
+                         f"({count_text(1 << nv, 'bit')}), got {size_text(t)}")
 
 
 def all_ones_mask(nv: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
@@ -66,7 +72,7 @@ def var_tt(nv: int, k: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """
     check_var_count(nv, max_nv)
     if not 0 <= k < nv:
-        raise ValueError(f"variable index out of range for {nv} variables, got {size_text(k)}")
+        raise ValueError(f"variable index out of range for {count_text(nv, 'variable')}, got {size_text(k)}")
     j = nv - k - 1
     return _repeat_rows((1 << (1 << j)) - 1, range(j + 1, nv))
 

@@ -112,15 +112,30 @@ def test_plain_and_reduced_trees_share_equal_subtrees():
         plain = plain_bdd(nv, tt)
         subtables = {v: strided_subtables(nv, tt, v) for v in range(nv)}
         # a level-v table depends on variable v when its even and odd rows differ
+        beads = {v: sum(t[0::2] != t[1::2] for t in tables) for v, tables in subtables.items()}
         wanted = (
             (plain, {v: len(tables) for v, tables in subtables.items()}),
-            (reduce(plain), {v: sum(t[0::2] != t[1::2] for t in tables)
-                             for v, tables in subtables.items()}),
+            (reduce(plain), beads),
+            (reduced_bdd(nv, tt), beads),
         )
         for b, per_var in wanted:
             nodes = ite_objects(b.root)
             assert len(set(nodes)) == len(nodes), (nv, tt)  # no two equal objects
             assert Counter(node.var for node in nodes) == +Counter(per_var), (nv, tt)
+
+
+def test_reduced_parity_has_two_nodes_per_variable_but_the_top():
+    # parity's sub-tables at each variable below the top are the parity
+    # function and its complement, so 2*20 - 1 distinct nodes, not 2**20 - 1
+    nv = 20
+    tt = 0
+    for k in range(nv):
+        tt ^= var_tt(nv, k)
+    b = reduced_bdd(nv, tt)
+    nodes = ite_objects(b.root)
+    assert len(nodes) == 2 * nv - 1
+    assert Counter(node.var for node in nodes) == {v: 1 if v == nv - 1 else 2 for v in range(nv)}
+    assert ev(b) == tt
 
 
 def reduce_reference(node):
@@ -142,8 +157,9 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
     trees = []
     for nv, tt in small_and_random_tables(8):
         plain = plain_bdd(nv, tt)
-        # reparsed trees and reduced_bdd's are unshared but for the leaves
-        trees += (plain, reduced_bdd(nv, tt), parse_sexpr(render_sexpr(plain)))
+        # reparsed trees are unshared but for the leaves
+        reduced = reduced_bdd(nv, tt)
+        trees += (plain, reduced, parse_sexpr(render_sexpr(plain)), parse_sexpr(render_sexpr(reduced)))
     for shared in (ite(0, c(1), c(0)), ite(0, c(1), c(1))):
         # one node object under parents of variables 2 and 1
         trees.append(Bdd(3, ite(2, ite(1, shared, c(0)), shared)))
@@ -315,11 +331,13 @@ def test_ev_agrees_with_the_oracle_on_every_table_up_to_4_variables():
     for nv in range(5):
         for tt in range(1 << (1 << nv)):
             plain = plain_bdd(nv, tt)
-            # the shared and unshared reduced trees are equal values, so
-            # the oracle, a function of the value, is asked once for both
+            # reduced_bdd's shared tree, reduce's, and its reparse, which
+            # shares only the leaves, are equal values, so the oracle, a
+            # function of the value, is asked once for all of them
             reduced = reduced_bdd(nv, tt)
+            unshared = parse_sexpr(render_sexpr(reduced))
             assert truth_table_of(plain) == truth_table_of(reduced) == tt
-            assert ev(plain) == ev(reduced) == ev(reduce(plain)) == tt
+            assert ev(plain) == ev(reduced) == ev(reduce(plain)) == ev(unshared) == tt
 
 
 def test_ev_agrees_with_the_oracle_on_random_tables():
@@ -330,7 +348,8 @@ def test_ev_agrees_with_the_oracle_on_random_tables():
             plain = plain_bdd(nv, tt)
             want = truth_table_of(plain)
             assert want == tt
-            for b in (plain, reduced_bdd(nv, tt), reduce(plain)):
+            reduced = reduced_bdd(nv, tt)
+            for b in (plain, reduced, reduce(plain), parse_sexpr(render_sexpr(reduced))):
                 assert ev(b) == want
 
 

@@ -479,6 +479,16 @@ def test_domain_errors_exit_1(cli, argv, stdin_text):
         assert err == f"natbdd: error: {want}\n"
 
 
+@pytest.mark.parametrize("argv,stdin_text,want", [
+    (["shannon", "split", "--vars", "0", "2"], "", "table out of range for 0 variables (1 bit), got 2"),
+    (["shannon", "fuse", "--vars", "2", "4", "0"], "", "hi half out of range for 1 variable (2 bits), got 4"),
+    (["rank"], "(bdd 1 (c 1))",
+     "not in the enumeration: the block for 1 variable holds the tables below 2**1, got 3"),
+], ids=["0-variables", "1-variable", "rank-1-variable"])
+def test_range_messages_count_in_the_singular_or_plural(cli, argv, stdin_text, want):
+    assert cli(argv, stdin_text=stdin_text) == (1, "", f"natbdd: error: {want}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

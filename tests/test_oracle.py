@@ -20,10 +20,12 @@ def test_semantic_eval_walks_reduced_tree():
 
 
 def test_semantic_eval_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^assignment has 1 value for 2 variables$"):
         semantic_eval(reduced_bdd(2, 3), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^assignment has 3 values for 2 variables$"):
         semantic_eval(reduced_bdd(2, 3), (1, 0, 1))
+    with pytest.raises(ValueError, match="^assignment has 0 values for 1 variable$"):
+        semantic_eval(reduced_bdd(1, 1), ())
 
 
 def test_row_assignment_convention_pinned():

@@ -29,14 +29,17 @@ def test_all_ones_mask_guard():
 
 
 def test_check_table_takes_the_naturals_of_2_to_the_nv_bits():
+    # the message counts variables and bits in the singular or plural by count
+    sizes = ["0 variables [(]1 bit[)]", "1 variable [(]2 bits[)]",
+             "2 variables [(]4 bits[)]", "3 variables [(]8 bits[)]"]
     for nv in range(4):
         for t in range(1 << (1 << nv)):
             check_table(nv, t)
-        with pytest.raises(ValueError, match=f"table out of range for {nv} variables"):
+        with pytest.raises(ValueError, match=f"^table out of range for {sizes[nv]}, got "):
             check_table(nv, 1 << (1 << nv))
         with pytest.raises(ValueError, match="out of range"):
             check_table(nv, -1)
-    with pytest.raises(ValueError, match="^hi half out of range for 1 variables [(]2 bits[)], got 4$"):
+    with pytest.raises(ValueError, match="^hi half out of range for 1 variable [(]2 bits[)], got 4$"):
         check_table(1, 4, name="hi half")
     with pytest.raises(ValueError, match="exceeds the guard of 5"):
         check_table(6, 0, max_nv=5)
@@ -89,8 +92,10 @@ def test_var_tt_index_errors():
         var_tt(2, 2)
     with pytest.raises(ValueError):
         var_tt(2, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^variable index out of range for 0 variables, got 0$"):
         var_tt(0, 0)
+    with pytest.raises(ValueError, match="^variable index out of range for 1 variable, got 1$"):
+        var_tt(1, 1)
 
 
 def test_ite_tt_examples():
@@ -196,7 +201,7 @@ def test_shannon_fuse_errors():
         shannon_fuse(0, 0, 0)
     with pytest.raises(ValueError):
         shannon_fuse(2, 4, 0)
-    with pytest.raises(ValueError, match="^lo half out of range for 1 variables [(]2 bits[)], got 4$"):
+    with pytest.raises(ValueError, match="^lo half out of range for 1 variable [(]2 bits[)], got 4$"):
         shannon_fuse(2, 0, 4)
     with pytest.raises(ValueError, match="exceeds the guard of 20"):
         shannon_fuse(21, 0, 0)  # the result would have 2**21 bits
