@@ -8,7 +8,7 @@ that inverts the construction, and a ranking of all such trees onto the
 naturals.
 """
 
-from .bdd import Bdd, Ite, Leaf, Node, ev, plain_bdd, plain_inverse_bdd, reduce, reduced_bdd, validate
+from .bdd import Bdd, Ite, Leaf, Node, ev, plain_bdd, plain_inverse_bdd, reduce, reduced_bdd
 from .oracle import row_assignment, semantic_eval, truth_table_of
 from .pairing import (
     SCHEMES,
@@ -77,6 +77,5 @@ __all__ = [
     "to_bsum",
     "truth_table_of",
     "two_adic_valuation",
-    "validate",
     "var_tt",
 ]

@@ -8,7 +8,8 @@ leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 :func:`reduced_bdd` also share subtrees, as an ROBDD's unique table does:
 equal subtrees are one object.  :func:`reduce` keeps the sharing of its
 input.  Only trees parsed from text share only the leaves.  Sharing never
-shows in output or equality.
+shows in output or equality.  The text parsers of :mod:`natbdd.cli` check
+each node as they build it; :func:`ev` checks variable order on any tree.
 
 The encoding and its inverses:
 
@@ -42,7 +43,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
-from .truthtab import DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows
+from .truthtab import DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows, size_text
 
 
 class Leaf(NamedTuple):
@@ -193,8 +194,9 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     so each level's tables hold at most 2**nv bits and an evaluation
     handles O(nv * 2**nv) bits, not a 2**nv-bit table per position.
     Recovers the original table from plain and reduced trees alike.
-    Variable order and range are checked as :func:`validate` checks them,
-    raising ``ValueError``; leaf bits are not.
+    Every ite variable must lie below its parent's, and the root's below
+    ``nv``, or ``ValueError`` is raised with the message the text parsers
+    give; leaf bits are not checked.
     """
     nv = check_var_count(b.nv, max_nv)
     tested = [False] * nv
@@ -224,29 +226,6 @@ def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool]) -
     return table
 
 
-def validate(b: Bdd) -> Bdd:
-    """Check the structural invariants of ``b`` and return it.
-
-    Leaf bits must be 0 or 1, every ite variable must be below the tree's
-    variable count, and variable indices must strictly decrease along every
-    root-to-leaf path.
-    """
-    if b.nv < 0:
-        raise ValueError(f"variable count must be >= 0, got {b.nv}")
-    _validate_node(b.root, b.nv)
-    return b
-
-
-def _validate_node(node: Node, bound: int) -> None:
-    if isinstance(node, Leaf):
-        if node.bit not in (0, 1):
-            raise ValueError(f"leaf bit must be 0 or 1, got {node.bit!r}")
-        return
-    if not 0 <= node.var < bound:
-        raise _order_error(node.var, bound)
-    _validate_node(node.high, node.var)
-    _validate_node(node.low, node.var)
-
-
 def _order_error(var: int, bound: int) -> ValueError:
-    return ValueError(f"variable {var} breaks the strictly decreasing order (must lie in [0, {bound}))")
+    return ValueError(f"variable {size_text(var)} breaks the strictly decreasing order "
+                      f"(must lie in [0, {size_text(bound)}))")

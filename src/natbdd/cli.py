@@ -21,12 +21,12 @@ import re
 import sys
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .bdd import LEAVES, Bdd, Ite, Leaf, Node, ev, plain_bdd, reduced_bdd, validate
+from .bdd import LEAVES, Bdd, Ite, Leaf, Node, _order_error, ev, plain_bdd, reduced_bdd
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
 from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2nat, to_bsum
 from .truthtab import (
-    DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, shannon_fuse, shannon_split, var_tt,
+    DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, shannon_fuse, shannon_split, size_text, var_tt,
 )
 
 if TYPE_CHECKING:
@@ -133,19 +133,37 @@ def _numeral(text: str) -> int:
 def _form(form: list) -> Node | Bdd:
     """Build ``(c BIT)``, ``(ite VAR THEN ELSE)`` or ``(bdd NV ROOT)`` from a
     parsed form ``[kind, *members]``, members already built; both text formats
-    build here.  Leaf bits and variable order are left to ``validate``."""
+    build here.  Each node is checked as it is built: a leaf's bit is 0 or 1,
+    and an ite's children test variables below its own.  So every subtree
+    built is ordered, by transitivity, and only the root is left to check
+    against NV, by :func:`_checked_header`."""
     n = len(form)
     if n > 1 and type(form[1]) is int and form[1] >= 0:
-        kind = form[0]
-        if n == 2 and kind == "c":  # any bit but 0 or 1 is left for validate to reject
-            return LEAVES[form[1]] if form[1] < 2 else Leaf(form[1])
+        kind, k = form[0], form[1]
+        if n == 2 and kind == "c":
+            if k > 1:
+                raise BddTextError(f"leaf bit must be 0 or 1, got {size_text(k)}")
+            return LEAVES[k]
         if n == 4 and kind == "ite" and type(form[2]) in (Leaf, Ite) and type(form[3]) in (Leaf, Ite):
-            return Ite(form[1], form[2], form[3])
+            for child in form[2:]:
+                if type(child) is Ite and child.var >= k:
+                    raise _order_error(child.var, k)
+            return Ite(k, form[2], form[3])
         if n == 3 and kind == "bdd" and type(form[2]) in (Leaf, Ite):
-            return Bdd(form[1], form[2])
+            return Bdd(k, form[2])
     head = form[0] if n and type(form[0]) is str else "?"
     raise BddTextError(
         f"malformed ({head} ...) of {n} items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)")
+
+
+def _checked_header(b: Bdd, max_vars: int) -> Bdd:
+    """``b``, once its variable count passes the guard and its root tests a
+    variable below that count.  Its other nodes were checked as :func:`_form`
+    built them, so ``b`` is ordered and at most NV deep."""
+    check_var_count(b.nv, max_vars)
+    if type(b.root) is Ite and b.root.var >= b.nv:
+        raise _order_error(b.root.var, b.nv)
+    return b
 
 
 def render_sexpr(b: Bdd) -> str:
@@ -183,8 +201,7 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
         raise BddTextError(f"trailing content after BDD: {extra!r}")
     if type(built) is not Bdd:
         raise BddTextError("expected (bdd NV ROOT) at the top")
-    check_var_count(built.nv, max_vars)  # a valid tree is at most nv deep: bounds validate
-    return validate(built)
+    return _checked_header(built, max_vars)
 
 
 def render_json(b: Bdd) -> str:
@@ -220,8 +237,7 @@ def parse_json(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
         raise BddTextError(f"invalid JSON: {exc}") from None
     if type(b) is not Bdd:
         raise BddTextError('expected an object with keys "vars" and "root"')
-    check_var_count(b.nv, max_vars)  # a valid tree is at most nv deep: bounds validate
-    return validate(b)
+    return _checked_header(b, max_vars)
 
 
 def render_bdd(b: Bdd, fmt: str = "sexpr") -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .truthtab import size_text
+
 
 def cantor_pair(x: int, y: int) -> int:
     _check_pair(x, y)
@@ -24,7 +26,7 @@ def cantor_unpair(z: int) -> tuple[int, int]:
     # isqrt keeps the inverse exact; floating-point sqrt drifts once z
     # outgrows a double's mantissa
     if z < 0:
-        raise ValueError(f"expected a natural number, got {z}")
+        raise ValueError(f"expected a natural number, got {size_text(z)}")
     w = (isqrt(8 * z + 1) - 1) // 2
     y = z - w * (w + 1) // 2
     return w - y, y
@@ -37,14 +39,14 @@ def pepis_pair(x: int, y: int) -> int:
 
 def pepis_unpair(z: int) -> tuple[int, int]:
     if z < 0:
-        raise ValueError(f"expected a natural number, got {z}")
+        raise ValueError(f"expected a natural number, got {size_text(z)}")
     return two_adic_valuation(z + 1), (odd_part(z + 1) - 1) >> 1
 
 
 def two_adic_valuation(n: int) -> int:
     """Largest t such that 2**t divides ``n``.  Undefined (an error) for 0."""
     if n <= 0:
-        raise ValueError(f"2-adic valuation needs n >= 1, got {n}")
+        raise ValueError(f"2-adic valuation needs n >= 1, got {size_text(n)}")
     return (n & -n).bit_length() - 1
 
 
@@ -80,7 +82,7 @@ def bitmerge_pair(x: int, y: int) -> int:
 def bitmerge_unpair(z: int) -> tuple[int, int]:
     """Split ``z`` into its even-position bits and its odd-position bits."""
     if z < 0:
-        raise ValueError(f"expected a natural number, got {z}")
+        raise ValueError(f"expected a natural number, got {size_text(z)}")
     if z < 256:
         return _EVEN[z], _ODD[z]
     src = z.to_bytes((z.bit_length() + 7) >> 3, "little")
@@ -92,7 +94,7 @@ def bitmerge_unpair(z: int) -> tuple[int, int]:
 
 def _check_pair(x: int, y: int) -> None:
     if x < 0 or y < 0:
-        raise ValueError(f"expected natural numbers, got ({x}, {y})")
+        raise ValueError(f"expected natural numbers, got ({size_text(x)}, {size_text(y)})")
 
 
 #: scheme tag -> (pair, unpair)

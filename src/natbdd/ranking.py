@@ -28,7 +28,7 @@ class RankPair(NamedTuple):
 def bsum(n: int) -> int:
     """Cumulative size of the rank blocks for variable counts below ``n``."""
     if n < 0:
-        raise ValueError(f"expected a natural number, got {n}")
+        raise ValueError(f"expected a natural number, got {size_text(n)}")
     if n == 0:
         return 0
     total = 2
@@ -49,7 +49,7 @@ def to_bsum(n: int) -> RankPair:
     block sizes grow doubly exponentially, so this takes O(log log n) steps.
     """
     if n < 0:
-        raise ValueError(f"expected a natural number, got {n}")
+        raise ValueError(f"expected a natural number, got {size_text(n)}")
     k = 1
     start = 0
     while True:
@@ -95,7 +95,7 @@ def _rank(nv: int, index: int) -> int:
     # back a rank that unranks to something else
     if nv < 1:
         raise ValueError(
-            f"not in the enumeration: blocks start at 1 variable, got {nv}"
+            f"not in the enumeration: blocks start at 1 variable, got {size_text(nv)}"
         )
     if index >= _block_size(nv):
         raise ValueError(

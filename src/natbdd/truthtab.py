@@ -15,8 +15,8 @@ from typing import Iterable
 # integers; callers can raise the ceiling explicitly where they mean it
 DEFAULT_MAX_VARS = 20
 # the highest guard the CLI accepts: tables of 2**24 bits (2 MiB), and tree
-# walks (validate, ev, reduce, rendering, tuple equality) at most 25 calls
-# deep, far below Python's recursion limit of 1000
+# walks (ev, reduce, rendering, tuple equality) at most 25 calls deep, far
+# below Python's recursion limit of 1000
 MAX_VARS_CEILING = 24
 
 

@@ -19,13 +19,12 @@ from natbdd.bdd import (
     plain_inverse_bdd,
     reduce,
     reduced_bdd,
-    validate,
 )
-from natbdd.cli import parse_json, parse_sexpr, render_json, render_sexpr
+from natbdd.cli import parse_bdd, parse_json, parse_sexpr, render_json, render_sexpr
 from natbdd.oracle import truth_table_of
 from natbdd.pairing import bitmerge_pair, bitmerge_unpair
 from natbdd.ranking import enumerate_bdds, nat2plain_bdd, plain_bdd2nat
-from natbdd.truthtab import var_tt
+from natbdd.truthtab import size_text, var_tt
 
 
 def c(bit):
@@ -144,6 +143,34 @@ def reduce_reference(node):
         return node
     high, low = reduce_reference(node.high), reduce_reference(node.low)
     return high if high == low else Ite(node.var, high, low)
+
+
+def tree_faults(b):
+    """Every broken invariant of ``b``, one message per tree position, in
+    depth-first order: leaf bits 0 or 1, each variable below its parent's and
+    the root's below the variable count, which is a natural."""
+    if b.nv < 0:
+        yield f"variable count must be >= 0, got {size_text(b.nv)}"
+        return
+    stack = [(b.root, b.nv)]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, Leaf):
+            if node.bit not in (0, 1):
+                yield f"leaf bit must be 0 or 1, got {size_text(node.bit)}"
+            continue
+        if not 0 <= node.var < bound:
+            yield (f"variable {size_text(node.var)} breaks the strictly decreasing order "
+                   f"(must lie in [0, {size_text(bound)}))")
+        stack += ((node.low, node.var), (node.high, node.var))
+
+
+def validate_reference(b):
+    """The first fault of ``b`` raised as ``ValueError``, else ``b``: the
+    reference for the checks the text parsers make as they build."""
+    for fault in tree_faults(b):
+        raise ValueError(fault)
+    return b
 
 
 def fold_reference(node):
@@ -378,8 +405,13 @@ def test_ev_on_hand_built_trees():
     Bdd(0, ite(0, c(0), c(1))),
 ])
 def test_ev_rejects_trees_out_of_order_or_range(b):
-    with pytest.raises(ValueError, match="strictly decreasing order"):
-        validate(b)
+    with pytest.raises(ValueError, match="strictly decreasing order") as reference:
+        validate_reference(b)
+    for text in (render_sexpr(b), render_json(b)):
+        with pytest.raises(ValueError) as parsed:
+            parse_bdd(text)
+        if "-" not in text:  # a negative numeral makes its form malformed instead
+            assert str(parsed.value) == str(reference.value), text
     with pytest.raises(ValueError, match="strictly decreasing order"):
         ev(b)
 
@@ -406,15 +438,18 @@ def test_ev_memory_stays_near_the_table_width():
 
 def test_ev_and_validate_leave_no_reference_cycles():
     # garbage cycles would be freed by the collector during some later call
-    # the memos of reduce and plain_inverse_bdd must not be such cycles
+    # the memos of reduce and plain_inverse_bdd must not be such cycles, and
+    # neither must the parsers' stacks of forms checked as they are built
     tt = random.Random(3).getrandbits(1 << 12)
     b = reduced_bdd(12, tt)
+    texts = (render_sexpr(b), render_json(b))
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         assert ev(b) == tt
-        validate(b)
+        for text in texts:
+            assert parse_bdd(text) == b
         plain = plain_bdd(12, tt)
         assert reduce(plain) == b
         assert plain_inverse_bdd(plain) == tt
@@ -476,16 +511,64 @@ def test_node_kinds_never_compare_equal():
 
 def test_validate_accepts_library_trees():
     for n in (0, 1, 42, 255):
-        validate(plain_bdd(4, n))
-        validate(reduced_bdd(4, n))
+        for b in (plain_bdd(4, n), reduced_bdd(4, n)):
+            assert validate_reference(b) is b
+            assert parse_bdd(render_sexpr(b)) == b
+            assert parse_bdd(render_json(b)) == b
+
+
+# injected faults: numerals just past their bound and past 64 bits, which a
+# message names by bit length
+FAULTY_BITS = st.sampled_from([2, 3, 2**64 - 1, 2**64, 10**40])
+
+
+@st.composite
+def faulty_trees(draw):
+    """A random tree on at most 6 variables, ordered but for faults injected
+    at random positions: a leaf bit above 1, or an ite variable at or above
+    its parent's, or at or above the variable count at the root."""
+
+    def node(bound):  # a subtree meant to test only variables below bound
+        pick = draw(st.integers(0, 19))
+        if pick == 18:
+            return c(draw(FAULTY_BITS))
+        if pick == 19:  # its children test variables below bound, so below it
+            var = bound + draw(st.sampled_from([0, 1, 2**64]))
+            return ite(var, node(bound), node(bound))
+        if bound == 0 or pick < 6:
+            return c(pick % 2)
+        var = draw(st.integers(0, bound - 1))
+        return ite(var, node(var), node(var))
+
+    nv = draw(st.integers(0, 6))
+    return Bdd(nv, node(nv))
+
+
+@given(faulty_trees())
+def test_parsers_reject_exactly_the_trees_the_reference_rejects(b):
+    faults = list(tree_faults(b))
+    for text in (render_sexpr(b), render_json(b)):
+        if not faults:
+            parsed = parse_bdd(text)
+            assert parsed == b
+            assert leaf_ids(parsed.root) <= {id(leaf) for leaf in LEAVES}
+            continue
+        with pytest.raises(ValueError) as exc:
+            parse_bdd(text)
+        # one of the faults, so with one fault, the reference's message
+        assert str(exc.value) in faults, text
 
 
 def test_validate_rejects_broken_trees():
-    with pytest.raises(ValueError):
-        validate(Bdd(1, c(2)))
-    with pytest.raises(ValueError):
-        validate(Bdd(1, ite(1, c(0), c(1))))
-    with pytest.raises(ValueError):
-        validate(Bdd(2, ite(1, ite(1, c(0), c(1)), c(0))))
-    with pytest.raises(ValueError):
-        validate(Bdd(-1, c(0)))
+    broken = (
+        Bdd(1, c(2)),
+        Bdd(1, ite(1, c(0), c(1))),
+        Bdd(2, ite(1, ite(1, c(0), c(1)), c(0))),
+        Bdd(-1, c(0)),
+    )
+    for b in broken:
+        with pytest.raises(ValueError):
+            validate_reference(b)
+        for text in (render_sexpr(b), render_json(b)):
+            with pytest.raises(ValueError):
+                parse_bdd(text)

@@ -244,6 +244,22 @@ def test_long_numerals_in_bdd_text_exit_1(cli, text):
     assert err == "natbdd: error: numeral of 5000 digits in BDD text: too long for a variable or a bit\n"
 
 
+LONG_VAR = "9" * 4000  # a 13288-bit numeral, under the 4096-digit cap of BDD text
+LONG_ORDER_ERROR = "variable a 13288-bit number breaks the strictly decreasing order (must lie in [0, 3))"
+LONG_BIT_ERROR = "leaf bit must be 0 or 1, got a 13288-bit number"
+
+
+@pytest.mark.parametrize("text,want", [
+    (f"(bdd 3 (ite {LONG_VAR} (c 0) (c 1)))", LONG_ORDER_ERROR),
+    (f'{{"vars": 3, "root": {{"var": {LONG_VAR}, "then": {{"leaf": 0}}, "else": {{"leaf": 1}}}}}}',
+     LONG_ORDER_ERROR),
+    (f"(bdd 3 (ite 2 (c {LONG_VAR}) (c 1)))", LONG_BIT_ERROR),
+    (f'{{"vars": 3, "root": {{"leaf": {LONG_VAR}}}}}', LONG_BIT_ERROR),
+], ids=["sexpr-var", "json-var", "sexpr-bit", "json-bit"])
+def test_tree_errors_name_long_numerals_by_bit_length(cli, text, want):
+    assert cli(["bdd2tt"], stdin_text=text) == (1, "", f"natbdd: error: {want}\n")
+
+
 def test_bdd_text_header_is_guarded():
     for text in ("(bdd 3 (c 0))", '{"vars": 3, "root": {"leaf": 0}}'):
         assert parse_bdd(text, max_vars=3) == Bdd(3, Leaf(0))
@@ -500,7 +516,8 @@ def test_range_messages_count_in_the_singular_or_plural(cli, argv, stdin_text, w
         ["enum"],                        # --count is required
         ["pair", "--scheme", "cantor", "1", "2", "--max-vars", "-5"],
         # past the ceiling; with 5000, the valid 2000-deep CHAIN_2000 would
-        # pass the header guard and overflow the recursion limit in validate
+        # pass the header guard and overflow the recursion limit in the
+        # walks of ev, reduce and rendering
         ["reduce", "--max-vars", "5000"],
         ["reduce", "--max-vars", str(MAX_VARS_CEILING + 1)],
         ["reduce", "--max-vars", "\u0662\u0660"],  # Arabic-Indic 20: ASCII digits only

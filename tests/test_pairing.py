@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from natbdd.bdd import LEAVES, Bdd
 from natbdd.pairing import (
     SCHEMES,
     bitmerge_pair,
@@ -15,6 +16,7 @@ from natbdd.pairing import (
     pepis_unpair,
     two_adic_valuation,
 )
+from natbdd.ranking import bsum, plain_bdd2nat, to_bsum
 
 for_each_scheme = pytest.mark.parametrize(
     "pair,unpair", list(SCHEMES.values()), ids=list(SCHEMES)
@@ -158,6 +160,31 @@ def test_negative_arguments_are_rejected(pair, unpair):
         pair(0, -1)
     with pytest.raises(ValueError):
         unpair(-1)
+
+
+HUGE_NEGATIVE = -10**5000  # past 4300 digits, Python will not print it in decimal
+HUGE_TEXT = "a negative 16610-bit number"
+HUGE_NEGATIVE_ERRORS = [
+    (bitmerge_pair, (HUGE_NEGATIVE, 1), f"expected natural numbers, got ({HUGE_TEXT}, 1)"),
+    (cantor_pair, (0, HUGE_NEGATIVE), f"expected natural numbers, got (0, {HUGE_TEXT})"),
+    (bitmerge_unpair, (HUGE_NEGATIVE,), f"expected a natural number, got {HUGE_TEXT}"),
+    (cantor_unpair, (HUGE_NEGATIVE,), f"expected a natural number, got {HUGE_TEXT}"),
+    (pepis_unpair, (HUGE_NEGATIVE,), f"expected a natural number, got {HUGE_TEXT}"),
+    (two_adic_valuation, (HUGE_NEGATIVE,), f"2-adic valuation needs n >= 1, got {HUGE_TEXT}"),
+    (odd_part, (HUGE_NEGATIVE,), f"2-adic valuation needs n >= 1, got {HUGE_TEXT}"),
+    (bsum, (HUGE_NEGATIVE,), f"expected a natural number, got {HUGE_TEXT}"),
+    (to_bsum, (HUGE_NEGATIVE,), f"expected a natural number, got {HUGE_TEXT}"),
+    (plain_bdd2nat, (Bdd(HUGE_NEGATIVE, LEAVES[0]),),
+     f"not in the enumeration: blocks start at 1 variable, got {HUGE_TEXT}"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,want", HUGE_NEGATIVE_ERRORS, ids=[fn.__name__ for fn, _, _ in HUGE_NEGATIVE_ERRORS])
+def test_huge_negative_arguments_are_named_by_bit_length(fn, args, want):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    assert str(exc.value) == want
 
 
 def test_two_adic_valuation_examples():
