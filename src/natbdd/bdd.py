@@ -14,14 +14,13 @@ each node as they build it; :func:`ev` checks variable order on any tree.
 The encoding and its inverses:
 
 * :func:`plain_bdd` unfolds a truth table into the complete tree that
-  recursive unpairing with the bit-interleaving bijection gives, built
-  bottom-up one level at a time from the table's bits, one node per
-  distinct subtree;
+  recursive unpairing with the bit-interleaving bijection gives, one node
+  per distinct subtree;
 * :func:`reduced_bdd` builds the reduced tree top-down by the same
   unpairing, skipping levels whose halves are equal and stopping at
   constant tables: one node per distinct sub-table whose halves differ;
 * :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
-  paper's structural fold, independent of the level build;
+  paper's structural fold, independent of the plain build;
 * :func:`ev` evaluates a tree as a boolean function: each node's table at
   its own width of 2**(var+1) bits, rows in bit-reversed order so that a
   node's table is its Shannon expansion as a concatenation,
@@ -38,8 +37,6 @@ For every plain tree the two inverses agree with the original table, and
 from __future__ import annotations
 
 from functools import partial
-from itertools import count, repeat
-from operator import add, mul
 from typing import NamedTuple
 
 from .pairing import bitmerge_pair, bitmerge_unpair
@@ -65,7 +62,6 @@ class Bdd(NamedTuple):
     root: Node
 
 
-_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 # Ite from a (var, high, low) tuple without NamedTuple's Python-level __new__
 _new_ite = partial(tuple.__new__, Ite)
 
@@ -73,31 +69,29 @@ _new_ite = partial(tuple.__new__, Ite)
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     """Unfold truth table ``tt`` into the complete depth-``nv`` tree.
 
-    The tree is the one recursive unpairing gives.  There each level unpairs
-    the table into (even-bits, odd-bits) halves and the even half becomes
-    the high branch, so the path to row p's leaf reads p's bits LSB first,
-    0 taking the high branch; variable v reads bit nv-1-v.  The tree is
-    built bottom-up on that: first the leaves in row order, then, for
-    v = 0 .. nv-1, nodes p and p + half of the level become
-    ``Ite(v, node p, node p + half)``, as their indices differ only in the
-    bit variable v reads.  A 0-variable table is a bare leaf.
-
-    Equal subtrees are one object, as in a unique table: each position
-    carries the code of its distinct subtree (a leaf's code is its bit), a
-    level keys position p on its two children's codes, and one node is made
-    per distinct key.  So the build makes one node per distinct strided
-    sub-table, and a walk memoized on node identity visits each once.
+    The tree is the one recursive unpairing gives: the path to row p's leaf
+    reads p's bits LSB first, 0 taking the high branch, and variable v reads
+    bit nv-1-v.  It is built as :func:`ev` runs backwards: the rows are put
+    in bit-reversed order once, and then a node testing variable v splits
+    its 2**(v+1)-bit table into the halves of ``H | L << 2**v``.  A
+    0-variable table is a bare leaf.  Equal subtrees are one object, as in a
+    unique table: one node per distinct sub-table of each level.
     """
     check_table(nv, tt, max_nv, "truth table")
-    codes = format(tt, "b")[::-1].ljust(1 << nv, "0").encode().translate(_BIT_OF_DIGIT)
-    nodes = LEAVES
-    for v in range(nv):
-        n, half = len(nodes), len(codes) >> 1
-        keys = list(map(add, map(mul, codes[:half], repeat(n)), codes[half:]))
-        code_of = dict(zip(dict.fromkeys(keys), count()))  # distinct keys, first seen first
-        nodes = [_new_ite((v, nodes[k // n], nodes[k % n])) for k in code_of]
-        codes = list(map(code_of.__getitem__, keys))
-    return Bdd(nv, nodes[codes[0]])
+    memo: list[dict[int, Node]] = [{} for _ in range(nv + 1)]
+    return Bdd(nv, _plain_node(nv, reverse_rows(tt, nv, range(nv // 2)), memo))
+
+
+# memo[v]: table of 2**v bits, in bit-reversed row order -> its node
+def _plain_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
+    if not v:
+        return LEAVES[t]
+    node = memo[v].get(t)
+    if node is None:
+        w = 1 << (v - 1)
+        high, low = _plain_node(v - 1, t & ((1 << w) - 1), memo), _plain_node(v - 1, t >> w, memo)
+        node = memo[v][t] = _new_ite((v - 1, high, low))
+    return node
 
 
 def reduce(b: Bdd) -> Bdd:

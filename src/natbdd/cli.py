@@ -134,19 +134,19 @@ def _form(form: list) -> Node | Bdd:
     """Build ``(c BIT)``, ``(ite VAR THEN ELSE)`` or ``(bdd NV ROOT)`` from a
     parsed form ``[kind, *members]``, members already built; both text formats
     build here.  Each node is checked as it is built: a leaf's bit is 0 or 1,
-    and an ite's children test variables below its own.  So every subtree
-    built is ordered, by transitivity, and only the root is left to check
-    against NV, by :func:`_checked_header`."""
+    and an ite's children test natural variables below its own.  So every
+    subtree built is ordered, by transitivity, and only the root is left to
+    check against NV, by :func:`_checked_header`."""
     n = len(form)
-    if n > 1 and type(form[1]) is int and form[1] >= 0:
+    if n > 1 and type(form[1]) is int:
         kind, k = form[0], form[1]
         if n == 2 and kind == "c":
-            if k > 1:
+            if not 0 <= k <= 1:
                 raise BddTextError(f"leaf bit must be 0 or 1, got {size_text(k)}")
             return LEAVES[k]
         if n == 4 and kind == "ite" and type(form[2]) in (Leaf, Ite) and type(form[3]) in (Leaf, Ite):
             for child in form[2:]:
-                if type(child) is Ite and child.var >= k:
+                if type(child) is Ite and not 0 <= child.var < k:
                     raise _order_error(child.var, k)
             return Ite(k, form[2], form[3])
         if n == 3 and kind == "bdd" and type(form[2]) in (Leaf, Ite):
@@ -161,7 +161,7 @@ def _checked_header(b: Bdd, max_vars: int) -> Bdd:
     variable below that count.  Its other nodes were checked as :func:`_form`
     built them, so ``b`` is ordered and at most NV deep."""
     check_var_count(b.nv, max_vars)
-    if type(b.root) is Ite and b.root.var >= b.nv:
+    if type(b.root) is Ite and not 0 <= b.root.var < b.nv:
         raise _order_error(b.root.var, b.nv)
     return b
 

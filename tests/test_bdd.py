@@ -77,8 +77,9 @@ def test_plain_bdd_equals_recursive_unpairing():
         ones = (1 << (1 << nv)) - 1
         for tt in (0, 1, ones, ones >> 1, ones ^ 1, *(rng.getrandbits(1 << nv) for _ in range(4))):
             assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), (nv, tt)
-    tt = rng.getrandbits(1 << 16)
-    assert plain_bdd(16, tt) == Bdd(16, unpair_tree(16, tt))
+    for nv in (16, 17):  # reverse_rows keeps its row-swap masks up to nv=16 only
+        tt = rng.getrandbits(1 << nv)
+        assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), nv
 
 
 def strided_subtables(nv, tt, v):
@@ -410,7 +411,7 @@ def test_ev_rejects_trees_out_of_order_or_range(b):
     for text in (render_sexpr(b), render_json(b)):
         with pytest.raises(ValueError) as parsed:
             parse_bdd(text)
-        if "-" not in text:  # a negative numeral makes its form malformed instead
+        if text.startswith("{") or "-" not in text:  # "-1" is no s-expression numeral: malformed
             assert str(parsed.value) == str(reference.value), text
     with pytest.raises(ValueError, match="strictly decreasing order"):
         ev(b)
@@ -434,6 +435,20 @@ def test_ev_memory_stays_near_the_table_width():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_plain_bdd_memory_stays_under_6_mib_at_nv18():
+    # one memo entry per distinct sub-table of each level: about 4.6 MiB at
+    # nv=18, 6.3 MiB when the memo is keyed on (level, table) tuples
+    tt = random.Random(18).getrandbits(1 << 18)
+    tracemalloc.start()
+    try:
+        b = plain_bdd(18, tt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    assert ev(b) == tt
 
 
 def test_ev_and_validate_leave_no_reference_cycles():

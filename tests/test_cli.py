@@ -255,7 +255,12 @@ LONG_BIT_ERROR = "leaf bit must be 0 or 1, got a 13288-bit number"
      LONG_ORDER_ERROR),
     (f"(bdd 3 (ite 2 (c {LONG_VAR}) (c 1)))", LONG_BIT_ERROR),
     (f'{{"vars": 3, "root": {{"leaf": {LONG_VAR}}}}}', LONG_BIT_ERROR),
-], ids=["sexpr-var", "json-var", "sexpr-bit", "json-bit"])
+    ('{"vars": 1, "root": {"var": -1, "then": {"leaf": 0}, "else": {"leaf": 1}}}',
+     "variable -1 breaks the strictly decreasing order (must lie in [0, 1))"),
+    ('{"vars": 1, "root": {"leaf": -1}}', "leaf bit must be 0 or 1, got -1"),
+    ('{"vars": -1, "root": {"leaf": 0}}', "variable count must be >= 0, got -1"),
+], ids=["sexpr-var", "json-var", "sexpr-bit", "json-bit", "json-negative-var", "json-negative-bit",
+        "json-negative-vars"])
 def test_tree_errors_name_long_numerals_by_bit_length(cli, text, want):
     assert cli(["bdd2tt"], stdin_text=text) == (1, "", f"natbdd: error: {want}\n")
 
