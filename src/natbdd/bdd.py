@@ -6,10 +6,12 @@ Reduction trims ite nodes whose branches are structurally equal.  Nodes are
 immutable NamedTuples, equal to plain tuples of the same fields.  The two
 leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 :func:`reduced_bdd` also share subtrees, as an ROBDD's unique table does:
-equal subtrees are one object.  :func:`reduce` keeps the sharing of its
-input.  Only trees parsed from text share only the leaves.  Sharing never
-shows in output or equality.  The text parsers of :mod:`natbdd.cli` check
-each node as they build it; :func:`ev` checks variable order on any tree.
+equal subtrees are one object.  Both builders keep that table per call in one
+layout, nv + 1 dicts with ``memo[v]`` mapping a 2**v-bit table to its node.
+:func:`reduce` keeps the sharing of its input.  Only trees parsed from text
+share only the leaves.  Sharing never shows in output or equality.  The text
+parsers of :mod:`natbdd.cli` check each node as they build it; :func:`ev`
+checks variable order on any tree.
 
 The encoding and its inverses:
 
@@ -82,7 +84,7 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     return Bdd(nv, _plain_node(nv, reverse_rows(tt, nv, range(nv // 2)), memo))
 
 
-# memo[v]: table of 2**v bits, in bit-reversed row order -> its node
+# memo: the builders' layout (module docstring), tables in bit-reversed row order
 def _plain_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
     if not v:
         return LEAVES[t]
@@ -130,24 +132,26 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     constant table is a leaf at once, a level whose two halves are equal
     tables adds no node, and one node, shared by all its parents, is made per
     distinct sub-table whose halves differ (a bead), not per tree position.
+    Beads are kept as :func:`plain_bdd` keeps its sub-tables: ``memo[v]``
+    maps a 2**v-bit table to its node.
     """
     check_table(nv, tt, max_nv, "truth table")
-    return Bdd(nv, _reduced_node(nv, tt, {}))
+    return Bdd(nv, _reduced_node(nv, tt, [{} for _ in range(nv + 1)]))
 
 
-# a reduced tree is unique to its table, so halves give equal trees exactly when
-# they are equal; memo: (nv, table) -> node, kept where they differ, one per bead
-def _reduced_node(nv: int, tt: int, memo: dict[tuple[int, int], Node]) -> Node:
-    while tt and tt.bit_count() != 1 << nv:
-        hi, lo = bitmerge_unpair(tt)
+# memo: the builders' layout (module docstring), filled only at beads, so skipped
+# levels are never hashed; equal halves, and only they, give equal reduced trees
+def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
+    while t and t.bit_count() != 1 << v:
+        hi, lo = bitmerge_unpair(t)
         if hi != lo:
-            node = memo.get((nv, tt))
+            node = memo[v].get(t)
             if node is None:
-                high, low = _reduced_node(nv - 1, hi, memo), _reduced_node(nv - 1, lo, memo)
-                node = memo[nv, tt] = _new_ite((nv - 1, high, low))
+                high, low = _reduced_node(v - 1, hi, memo), _reduced_node(v - 1, lo, memo)
+                node = memo[v][t] = _new_ite((v - 1, high, low))
             return node
-        nv, tt = nv - 1, hi
-    return LEAVES[1 if tt else 0]
+        v, t = v - 1, hi
+    return LEAVES[1 if t else 0]
 
 
 def plain_inverse_bdd(b: Bdd) -> int:

@@ -4,7 +4,7 @@ Every library operation is exposed as a subcommand.  BDDs travel as
 single-line s-expressions, ``(bdd NV NODE)`` with ``(c BIT)`` leaves and
 ``(ite VAR THEN ELSE)`` nodes, or as JSON via ``--format json``; input
 format is auto-detected from the first character.  Numbers are decimal,
-with ``0x`` accepted on input and ``--hex`` switching output.
+with ``0x`` accepted on input; the commands that print numbers take ``--hex``.
 
 Exit status: 0 on success, 1 on domain errors (out-of-range values,
 unparseable input), 2 on usage errors.
@@ -273,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--hex", action="store_true", help="print numbers in hexadecimal"
-    )
-    common.add_argument(
         "--max-vars",
         type=_max_vars,
         default=DEFAULT_MAX_VARS,
@@ -286,6 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", metavar="FILE", help="write output to FILE instead of stdout"
     )
+
+    # only for the commands that print numbers, not trees
+    numeric = argparse.ArgumentParser(add_help=False, parents=[common])
+    numeric.add_argument("--hex", action="store_true", help="print numbers in hexadecimal")
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -310,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     variant.set_defaults(reduced=True)
 
-    p = sub.add_parser("pair", parents=[common], help="combine two naturals into one")
+    p = sub.add_parser("pair", parents=[numeric], help="combine two naturals into one")
     p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
     p.add_argument("x")
     p.add_argument("y")
 
-    p = sub.add_parser("unpair", parents=[common], help="split a natural into two")
+    p = sub.add_parser("unpair", parents=[numeric], help="split a natural into two")
     p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
     p.add_argument("z")
 
@@ -324,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tt", required=True, metavar="T")
 
     p = sub.add_parser(
-        "bdd2tt", parents=[common, infile], help="evaluate a BDD back to its truth table"
+        "bdd2tt", parents=[numeric, infile], help="evaluate a BDD back to its truth table"
     )
 
     p = sub.add_parser("reduce", parents=[common, fmt, infile], help="reduce a BDD")
 
-    p = sub.add_parser("rank", parents=[common, infile, variant], help="rank a BDD onto the naturals")
+    p = sub.add_parser("rank", parents=[numeric, infile, variant], help="rank a BDD onto the naturals")
 
     p = sub.add_parser("unrank", parents=[common, fmt, variant], help="unrank a natural to a BDD")
     p.add_argument("n")
@@ -340,15 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shannon", help="split or fuse a table on variable 0")
     shannon_sub = p.add_subparsers(dest="mode", required=True, metavar="mode")
-    p = shannon_sub.add_parser("split", parents=[common])
+    p = shannon_sub.add_parser("split", parents=[numeric])
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("x")
-    p = shannon_sub.add_parser("fuse", parents=[common])
+    p = shannon_sub.add_parser("fuse", parents=[numeric])
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("hi")
     p.add_argument("lo")
 
-    p = sub.add_parser("varbits", parents=[common], help="print a variable's truth-table column")
+    p = sub.add_parser("varbits", parents=[numeric], help="print a variable's truth-table column")
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("--index", required=True, metavar="K")
 

@@ -29,12 +29,7 @@ def bsum(n: int) -> int:
     """Cumulative size of the rank blocks for variable counts below ``n``."""
     if n < 0:
         raise ValueError(f"expected a natural number, got {size_text(n)}")
-    if n == 0:
-        return 0
-    total = 2
-    for m in range(1, n):
-        total += 1 << (1 << m)
-    return total
+    return sum(map(_block_size, range(1, n + 1)))
 
 
 def _block_size(k: int) -> int:

@@ -451,6 +451,20 @@ def test_plain_bdd_memory_stays_under_6_mib_at_nv18():
     assert ev(b) == tt
 
 
+def test_reduced_bdd_memory_stays_under_5_5_mib_at_nv18():
+    # beads in one dict per level, as plain_bdd keeps its sub-tables: about
+    # 4.6 MiB at nv=18, 6.2-6.4 MiB when the memo is keyed on (level, table)
+    tt = random.Random(18).getrandbits(1 << 18)
+    tracemalloc.start()
+    try:
+        b = reduced_bdd(18, tt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 << 19
+    assert ev(b) == tt
+
+
 def test_ev_and_validate_leave_no_reference_cycles():
     # garbage cycles would be freed by the collector during some later call
     # the memos of reduce and plain_inverse_bdd must not be such cycles, and

@@ -434,6 +434,23 @@ def test_every_vars_count_is_held_to_the_guard(cli, argv, guard):
 def test_hex_io(cli):
     assert cli(["pair", "--scheme", "bitmerge", "--hex", "0x3c", "26"]) == (0, "0x7d8\n", "")
     assert cli(["unpair", "--scheme", "bitmerge", "--hex", "0x7d8"]) == (0, "0x3c 0x1a\n", "")
+    assert cli(["bdd2tt", "--hex"], stdin_text=REDUCED_42_TEXT) == (0, "0x2a\n", "")
+    assert cli(["rank", "--hex"], stdin_text=cli(["unrank", "200"])[1]) == (0, "0xc8\n", "")
+    assert cli(["varbits", "--vars", "3", "--index", "0", "--hex"]) == (0, "0xf\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tt2bdd", "--vars", "2", "--tt", "3"],
+    ["reduce"],
+    ["unrank", "42"],
+    ["enum", "--count", "2"],
+], ids=["tt2bdd", "reduce", "unrank", "enum"])
+def test_tree_printers_refuse_hex(cli, argv, capsys):
+    assert cli(argv, stdin_text=REDUCED_42_TEXT)[0] == 0
+    with pytest.raises(SystemExit) as excinfo:
+        cli([*argv, "--hex"], stdin_text=REDUCED_42_TEXT)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --hex" in capsys.readouterr().err
 
 
 def test_out_file(cli, tmp_path):
