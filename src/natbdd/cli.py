@@ -21,7 +21,7 @@ import re
 import sys
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .bdd import LEAVES, Bdd, Ite, Leaf, Node, _order_error, ev, plain_bdd, reduced_bdd
+from .bdd import LEAVES, Bdd, Ite, Leaf, Node, _new_ite, _order_error, ev, plain_bdd, reduced_bdd
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
 from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2nat, to_bsum
@@ -130,13 +130,18 @@ def _numeral(text: str) -> int:
     return int(text)
 
 
+_NODE_TYPES = frozenset((Leaf, Ite))
+
+
 def _form(form: list) -> Node | Bdd:
     """Build ``(c BIT)``, ``(ite VAR THEN ELSE)`` or ``(bdd NV ROOT)`` from a
     parsed form ``[kind, *members]``, members already built; both text formats
-    build here.  Each node is checked as it is built: a leaf's bit is 0 or 1,
-    and an ite's children test natural variables below its own.  So every
-    subtree built is ordered, by transitivity, and only the root is left to
-    check against NV, by :func:`_checked_header`."""
+    build here, and make ite nodes through :func:`natbdd.bdd._new_ite`, as the
+    builders do.  Each form is checked as it is built, the header as one more:
+    a leaf's bit is 0 or 1, an ite's children test natural variables below its
+    own, and the root one below NV.  So every tree built is ordered, by
+    transitivity, and at most NV deep; the parsers' last check is NV against
+    the guard."""
     n = len(form)
     if n > 1 and type(form[1]) is int:
         kind, k = form[0], form[1]
@@ -144,26 +149,16 @@ def _form(form: list) -> Node | Bdd:
             if not 0 <= k <= 1:
                 raise BddTextError(f"leaf bit must be 0 or 1, got {size_text(k)}")
             return LEAVES[k]
-        if n == 4 and kind == "ite" and type(form[2]) in (Leaf, Ite) and type(form[3]) in (Leaf, Ite):
-            for child in form[2:]:
+        children = form[2:]  # an ite's two, or the root
+        if ((n == 4 and kind == "ite" or n == 3 and kind == "bdd")
+                and _NODE_TYPES.issuperset(map(type, children))):
+            for child in children:
                 if type(child) is Ite and not 0 <= child.var < k:
                     raise _order_error(child.var, k)
-            return Ite(k, form[2], form[3])
-        if n == 3 and kind == "bdd" and type(form[2]) in (Leaf, Ite):
-            return Bdd(k, form[2])
+            return _new_ite(form[1:]) if n == 4 else Bdd(k, form[2])
     head = form[0] if n and type(form[0]) is str else "?"
     raise BddTextError(
         f"malformed ({head} ...) of {n} items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)")
-
-
-def _checked_header(b: Bdd, max_vars: int) -> Bdd:
-    """``b``, once its variable count passes the guard and its root tests a
-    variable below that count.  Its other nodes were checked as :func:`_form`
-    built them, so ``b`` is ordered and at most NV deep."""
-    check_var_count(b.nv, max_vars)
-    if type(b.root) is Ite and not 0 <= b.root.var < b.nv:
-        raise _order_error(b.root.var, b.nv)
-    return b
 
 
 def render_sexpr(b: Bdd) -> str:
@@ -201,7 +196,8 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
         raise BddTextError(f"trailing content after BDD: {extra!r}")
     if type(built) is not Bdd:
         raise BddTextError("expected (bdd NV ROOT) at the top")
-    return _checked_header(built, max_vars)
+    check_var_count(built.nv, max_vars)
+    return built
 
 
 def render_json(b: Bdd) -> str:
@@ -237,7 +233,8 @@ def parse_json(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
         raise BddTextError(f"invalid JSON: {exc}") from None
     if type(b) is not Bdd:
         raise BddTextError('expected an object with keys "vars" and "root"')
-    return _checked_header(b, max_vars)
+    check_var_count(b.nv, max_vars)
+    return b
 
 
 def render_bdd(b: Bdd, fmt: str = "sexpr") -> str:
@@ -263,8 +260,20 @@ def _max_vars(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses its own leftover arguments.  ``add_subparsers`` makes every
+    subcommand's parser of this class too, so an option a subcommand does not
+    take is reported with that subcommand's usage line, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="natbdd",
         description="Treat naturals as truth tables: pair/unpair, build and "
         "evaluate BDDs, rank and unrank them.",

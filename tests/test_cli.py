@@ -274,6 +274,12 @@ def test_bdd_text_header_is_guarded():
         parse_sexpr("(bdd 21 (c 0))")
     with pytest.raises(ValueError, match="exceeds the guard of 20"):
         parse_json('{"vars": 21, "root": {"leaf": 0}}')
+    # the header is one more form: its root's order is checked before the guard
+    order_30 = r"variable 30 breaks the strictly decreasing order \(must lie in \[0, 30\)\)"
+    with pytest.raises(ValueError, match=order_30):
+        parse_sexpr("(bdd 30 (ite 30 (c 0) (c 1)))")
+    with pytest.raises(ValueError, match=order_30):
+        parse_json('{"vars": 30, "root": {"var": 30, "then": {"leaf": 0}, "else": {"leaf": 1}}}')
 
 
 DEEP_SEXPR = "(bdd 1 " + "(ite 0 " * 100000 + "(c 0)" + " (c 1))" * 100000 + ")"
@@ -450,7 +456,20 @@ def test_tree_printers_refuse_hex(cli, argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli([*argv, "--hex"], stdin_text=REDUCED_42_TEXT)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --hex" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --hex" in err
+    # the subcommand's own parser refuses it, with its own usage line
+    assert err.startswith(f"usage: natbdd {argv[0]} [-h]")
+    assert err.endswith(f"\nnatbdd {argv[0]}: error: unrecognized arguments: --hex\n")
+
+
+def test_unknown_argument_names_the_nested_subcommand(cli, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli(["shannon", "split", "--vars", "2", "3", "--bogus"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: natbdd shannon split [-h]")
+    assert err.endswith("\nnatbdd shannon split: error: unrecognized arguments: --bogus\n")
 
 
 def test_out_file(cli, tmp_path):
