@@ -11,7 +11,9 @@ layout, nv + 1 dicts with ``memo[v]`` mapping a 2**v-bit table to its node.
 :func:`reduce` keeps the sharing of its input.  Only trees parsed from text
 share only the leaves.  Sharing never shows in output or equality.  The text
 parsers of :mod:`natbdd.cli` check each node as they build it; :func:`ev`
-checks variable order on any tree.
+and :func:`plain_inverse_bdd` check any tree alike, with the parsers'
+messages: the variable count against the ``max_nv`` guard, and each ite
+variable below its parent's, the root's below ``nv``.
 
 The encoding and its inverses:
 
@@ -22,7 +24,11 @@ The encoding and its inverses:
   unpairing, skipping levels whose halves are equal and stopping at
   constant tables: one node per distinct sub-table whose halves differ;
 * :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
-  paper's structural fold, independent of the plain build;
+  paper's structural fold.  It runs as ``ev`` does, in bit-reversed row
+  order, where pairing two folds of height h is the concatenation
+  ``X | Y << 2**h``; a child shorter than its sibling is first widened by
+  pairing it with 0 per missing level, and one bit reversal of the rows at
+  the root gives the fold.  Its cost follows the tree's height;
 * :func:`ev` evaluates a tree as a boolean function: each node's table at
   its own width of 2**(var+1) bits, rows in bit-reversed order so that a
   node's table is its Shannon expansion as a concatenation,
@@ -154,25 +160,45 @@ def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
     return LEAVES[1 if t else 0]
 
 
-def plain_inverse_bdd(b: Bdd) -> int:
+def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Fold a tree back into a natural by recursive bit interleaving.
 
     Exact inverse of :func:`plain_bdd` on complete trees.  On reduced trees
     the result is some natural but not in general the original table; use
-    :func:`ev` there.  Each distinct node object is paired once.
+    :func:`ev` there.  Each distinct node object is folded once.
+
+    The fold runs in bit-reversed row order, as the module docstring says,
+    padding a child shorter than its sibling by pairing it with 0, which
+    complete trees never need; its cost follows the tree's height, not its
+    variables.  ``b`` is checked as :func:`ev` checks it, with the same
+    messages, so nothing wider than 2**max_nv bits is built.  Leaf bits
+    are not checked.
     """
-    return _inverse_node(b.root, {})
+    nv = check_var_count(b.nv, max_nv)
+    h, z = _inverse_node(b.root, nv, {})
+    return reverse_rows(z, h, range(h // 2))
 
 
-# memo as in _reduce_node: id(node) -> its fold
-def _inverse_node(node: Node, memo: dict[int, int]) -> int:
+# memo as in _reduce_node: id(node) -> (height h, fold in bit-reversed order
+# at 2**h bits); a node's height is its own, whatever its parents
+def _inverse_node(node: Node, bound: int, memo: dict[int, tuple[int, int]]) -> tuple[int, int]:
     if isinstance(node, Leaf):
-        return node.bit
-    z = memo.get(id(node))
-    if z is None:
-        z = bitmerge_pair(_inverse_node(node.high, memo), _inverse_node(node.low, memo))
-        memo[id(node)] = z
-    return z
+        return 0, node.bit
+    v = node.var
+    if not 0 <= v < bound:
+        raise _order_error(v, bound)
+    done = memo.get(id(node))
+    if done is None:
+        hx, x = _inverse_node(node.high, v, memo)
+        hy, y = _inverse_node(node.low, v, memo)
+        while hx < hy:  # widening by a level is pairing with 0, in reversed order
+            x = bitmerge_pair(x, 0)
+            hx += 1
+        while hy < hx:
+            y = bitmerge_pair(y, 0)
+            hy += 1
+        done = memo[id(node)] = (hx + 1, x | y << (1 << hx))
+    return done
 
 
 def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:

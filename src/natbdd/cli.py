@@ -409,7 +409,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
         if plain != b:
             raise ValueError("rank --plain takes complete trees only: every node must test the "
                              "variable one below its parent's, with leaves below variable 0 only")
-        return [format_nat(plain_bdd2nat(plain), args.hex)]
+        return [format_nat(plain_bdd2nat(plain, args.max_vars), args.hex)]
 
     if cmd == "unrank":
         unrank = nat2bdd if args.reduced else nat2plain_bdd

@@ -67,7 +67,7 @@ def nat2bdd(n: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     return reduced_bdd(k, r, max_nv)
 
 
-def plain_bdd2nat(b: Bdd) -> int:
+def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Rank of a plain tree: block start plus its structural fold.
 
     The tree must be complete, as :func:`plain_bdd` builds it: every node
@@ -75,9 +75,13 @@ def plain_bdd2nat(b: Bdd) -> int:
     variable 0.  This is not checked; the fold of any other tree is some
     natural, not a rank that unranks to it.  The CLI's ``rank --plain``
     refuses such a tree by a round trip: a tree is complete exactly when it
-    equals the :func:`plain_bdd` of its own :func:`ev` table.
+    equals the :func:`plain_bdd` of its own :func:`ev` table.  What is
+    checked, in this order: the variable count lies in the enumeration,
+    then within the ``max_nv`` guard, then the fold checks variable order
+    as :func:`ev` does.
     """
-    return _rank(b.nv, plain_inverse_bdd(b))
+    _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
+    return _rank(b.nv, plain_inverse_bdd(b, max_nv))
 
 
 def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
@@ -87,17 +91,22 @@ def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
 def _rank(nv: int, index: int) -> int:
     # fail fast on trees outside the enumeration's image rather than hand
-    # back a rank that unranks to something else
-    if nv < 1:
-        raise ValueError(
-            f"not in the enumeration: blocks start at 1 variable, got {size_text(nv)}"
-        )
-    if index >= _block_size(nv):
+    # back a rank that unranks to something else; the index is told by its
+    # bit length, as check_table tells a table, so no 2**(nv-1)-bit bound is built
+    _check_block(nv)
+    if not (index >= 0 and index.bit_length() <= 1 << (nv - 1)):
         raise ValueError(
             f"not in the enumeration: the block for {count_text(nv, 'variable')} holds the "
             f"tables below 2**{1 << (nv - 1)}, got {size_text(index)}"
         )
     return bsum(nv - 1) + index
+
+
+def _check_block(nv: int) -> None:
+    if nv < 1:
+        raise ValueError(
+            f"not in the enumeration: blocks start at 1 variable, got {size_text(nv)}"
+        )
 
 
 def enumerate_bdds(

@@ -192,22 +192,26 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         # one node object under parents of variables 2 and 1
         trees.append(Bdd(3, ite(2, ite(1, shared, c(0)), shared)))
     calls = []
+    inverse_node = natbdd.bdd._inverse_node
 
-    def counting_pair(x, y):
+    def counting_inverse_node(node, bound, memo):
         calls.append(1)
-        return bitmerge_pair(x, y)
+        return inverse_node(node, bound, memo)
 
-    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", counting_pair)
+    # the fold enters the root, then the two children of each distinct ite
+    # object once; without its memo it would enter each tree position
+    monkeypatch.setattr(natbdd.bdd, "_inverse_node", counting_inverse_node)
     for i, b in enumerate(trees):
         assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), i
         calls.clear()
         assert plain_inverse_bdd(b) == fold_reference(b.root), i
-        assert len(calls) == len(ite_objects(b.root)), i
+        assert len(calls) == 1 + 2 * len(ite_objects(b.root)), i
 
 
 def test_plain_trees_are_built_without_unpairing(monkeypatch):
-    # the fold still pairs, so plain_inverse_bdd(plain_bdd(tt)) == tt checks
-    # the fold against an independent construction, not pair against unpair
+    # plain_bdd never unpairs; the round trip through the fold checks it, but
+    # the fold shares reverse_rows with plain_bdd, so the fold's independent
+    # check is fold_reference, recursive pairing (the fold tests below)
     rng = random.Random(16)
     tables = [(nv, rng.getrandbits(1 << nv)) for nv in range(13) for _ in range(3)]
 
@@ -219,6 +223,108 @@ def test_plain_trees_are_built_without_unpairing(monkeypatch):
         assert plain_inverse_bdd(plain_bdd(nv, tt)) == tt
     for n, b in enumerate(enumerate_bdds("plain", 0, 40)):
         assert b == nat2plain_bdd(n)
+        assert plain_bdd2nat(b) == n
+
+
+OUT_OF_ORDER_TREES = [
+    Bdd(3, ite(3, c(0), c(1))),  # variable at nv
+    Bdd(3, ite(2, ite(5, c(0), c(1)), c(0))),  # variable above nv below the root
+    Bdd(3, ite(2, ite(2, c(0), c(1)), c(0))),  # repeated variable
+    Bdd(4, ite(1, ite(3, c(0), c(1)), c(0))),  # increasing variables
+    Bdd(3, ite(2, ite(-1, c(0), c(1)), c(0))),  # negative variable
+    Bdd(0, ite(0, c(0), c(1))),
+]
+
+
+def test_fold_equals_recursive_pairing_on_random_plain_trees():
+    rng = random.Random(9)
+    for nv in range(9, 13):
+        for _ in range(2):
+            tt = rng.getrandbits(1 << nv)
+            plain = plain_bdd(nv, tt)
+            for b in (plain, parse_sexpr(render_sexpr(plain)), reduced_bdd(nv, tt)):
+                assert plain_inverse_bdd(b) == fold_reference(b.root), (nv, tt)
+            assert plain_inverse_bdd(plain) == tt
+
+
+def chain(var, depth, bit=1):
+    """A tree of ``depth`` levels testing var, var - 1, ...: height ``depth``."""
+    node = c(bit)
+    for v in range(var - depth + 1, var + 1):
+        node = ite(v, node, c(1 - bit))
+    return node
+
+
+def test_fold_pads_short_children():
+    # each tree has a child shorter than its sibling by 1 level, or by more
+    full = plain_bdd(3, 0x5A).root  # height 3
+    trees = [
+        Bdd(3, ite(2, chain(1, 1), chain(1, 2))),  # high short by 1
+        Bdd(3, ite(2, chain(1, 2, 0), chain(0, 1))),  # low short by 1
+        Bdd(4, ite(3, c(1), full)),  # high short by 3
+        Bdd(5, ite(4, full, chain(1, 1))),  # low short by 2
+        Bdd(6, ite(5, chain(2, 1), ite(4, full, c(0)))),  # high short by 3, variables skipped
+        Bdd(8, ite(7, chain(6, 7, 0), ite(3, chain(2, 3), c(1)))),  # low short by 3, and its low by 3
+    ]
+    for b in trees:
+        assert plain_inverse_bdd(b) == fold_reference(b.root), b
+
+
+def test_fold_of_a_node_shared_under_parents_of_different_heights():
+    shared = ite(1, ite(0, c(0), c(1)), c(1))  # height 2
+    b = Bdd(5, ite(4, ite(3, ite(2, shared, c(0)), shared), ite(2, c(1), shared)))
+    assert plain_inverse_bdd(b) == fold_reference(b.root)
+    # one object, padded by 1 level under one parent and by 2 under another
+    b = Bdd(5, ite(4, ite(3, shared, chain(2, 3)), shared))
+    assert plain_inverse_bdd(b) == fold_reference(b.root)
+
+
+def shared_under_a_lower_parent():
+    """One node object under two parents, the second testing a variable below it."""
+    shared = ite(2, c(0), c(1))
+    return Bdd(5, ite(4, shared, ite(1, shared, c(0))))
+
+
+@pytest.mark.parametrize("b,max_nv", [
+    *((b, 20) for b in OUT_OF_ORDER_TREES),
+    (shared_under_a_lower_parent(), 20),
+    (Bdd(21, c(0)), 20),
+    (Bdd(5, ite(4, c(0), c(1))), 4),
+    (Bdd(-1, c(0)), 20),
+])
+def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
+    with pytest.raises(ValueError) as want:
+        ev(b, max_nv)
+    with pytest.raises(ValueError) as got:
+        plain_inverse_bdd(b, max_nv)
+    assert str(got.value) == str(want.value)
+
+
+def test_fold_width_follows_the_height_not_the_variables():
+    # a one-node tree on variable 23 folds at 2 bits; widths of 2**(var+1)
+    # bits would reverse 2 MiB masks here
+    tracemalloc.start()
+    try:
+        assert plain_inverse_bdd(Bdd(24, ite(23, c(1), c(0))), 24) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_complete_trees_fold_without_pairing(monkeypatch):
+    # a complete tree has no short child, so its fold is concatenation alone
+    rng = random.Random(13)
+    tables = [(nv, rng.getrandbits(1 << nv)) for nv in range(13)]
+    plains = list(enumerate_bdds("plain", 0, 60))
+
+    def refuse(*args):
+        raise AssertionError("a complete tree was folded through bitmerge_pair")
+
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", refuse)
+    for nv, tt in tables:
+        assert plain_inverse_bdd(plain_bdd(nv, tt)) == tt
+    for n, b in enumerate(plains):
         assert plain_bdd2nat(b) == n
 
 
@@ -397,14 +503,7 @@ def test_ev_on_hand_built_trees():
     assert ev(trees[1]) == (1 << 32) - 1
 
 
-@pytest.mark.parametrize("b", [
-    Bdd(3, ite(3, c(0), c(1))),  # variable at nv
-    Bdd(3, ite(2, ite(5, c(0), c(1)), c(0))),  # variable above nv below the root
-    Bdd(3, ite(2, ite(2, c(0), c(1)), c(0))),  # repeated variable
-    Bdd(4, ite(1, ite(3, c(0), c(1)), c(0))),  # increasing variables
-    Bdd(3, ite(2, ite(-1, c(0), c(1)), c(0))),  # negative variable
-    Bdd(0, ite(0, c(0), c(1))),
-])
+@pytest.mark.parametrize("b", OUT_OF_ORDER_TREES)
 def test_ev_rejects_trees_out_of_order_or_range(b):
     with pytest.raises(ValueError, match="strictly decreasing order") as reference:
         validate_reference(b)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natbdd.bdd import Bdd, Ite, Leaf, plain_bdd, reduced_bdd
+from natbdd.bdd import LEAVES, Bdd, Ite, Leaf, plain_bdd, plain_inverse_bdd, reduced_bdd
 from natbdd.ranking import (
     RankPair,
     bdd2nat,
@@ -13,6 +15,7 @@ from natbdd.ranking import (
     plain_bdd2nat,
     to_bsum,
 )
+from natbdd.ranking import _rank
 
 
 def is_reduced(node):
@@ -92,6 +95,9 @@ def test_rank_rejects_trees_outside_the_stream():
     # table 2 on one variable lies beyond that block's 2 entries
     with pytest.raises(ValueError):
         plain_bdd2nat(plain_bdd(1, 2))
+    # a negative leaf bit folds to a negative index, which no block holds
+    with pytest.raises(ValueError, match="not in the enumeration"):
+        plain_bdd2nat(Bdd(1, Ite(0, Leaf(-1), Leaf(0))))
     # constant true never occurs in the reduced stream
     with pytest.raises(ValueError):
         bdd2nat(Bdd(1, Leaf(1)))
@@ -135,3 +141,33 @@ def test_enumerate_rejects_bad_arguments():
         list(enumerate_bdds("plain", -1, 1))
     with pytest.raises(ValueError):
         list(enumerate_bdds("plain", 0, -1))
+
+
+def test_rank_resource_guard():
+    # the rank of an nv=40 tree lies past 2**(2**38), gigabytes wide: the
+    # guard refuses the tree first, with ev's message
+    b = Bdd(40, LEAVES[0])
+    want = "variable count exceeds the guard of 20 (a table on n variables needs 2**n bits), got 40"
+    for rank in (plain_bdd2nat, plain_inverse_bdd, bdd2nat):
+        with pytest.raises(ValueError) as exc:
+            rank(b)
+        assert str(exc.value) == want, rank
+    with pytest.raises(ValueError, match="exceeds the guard of 5"):
+        plain_bdd2nat(plain_bdd(6, 0, 6), 5)
+
+
+def test_rank_checks_the_block_by_bit_length():
+    # constant true on 24 variables lies past its block, the tables below
+    # 2**(2**23); a bound built to compare with would take 1 MiB
+    index = (1 << (1 << 24)) - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"holds the tables below 2\*\*8388608, got a 16777216-bit"):
+            _rank(24, index)
+        assert _rank(3, 15) == bsum(2) + 15
+        with pytest.raises(ValueError, match=r"below 2\*\*4, got 16$"):
+            _rank(3, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
