@@ -13,7 +13,8 @@ share only the leaves.  Sharing never shows in output or equality.  The text
 parsers of :mod:`natbdd.cli` check each node as they build it; :func:`ev`
 and :func:`plain_inverse_bdd` check any tree alike, with the parsers'
 messages: the variable count against the ``max_nv`` guard, and each ite
-variable below its parent's, the root's below ``nv``.
+variable below its parent's, the root's below ``nv``.  The fold also
+refuses any tree that is not complete, and any leaf bit but 0 and 1.
 
 The encoding and its inverses:
 
@@ -23,12 +24,12 @@ The encoding and its inverses:
 * :func:`reduced_bdd` builds the reduced tree top-down by the same
   unpairing, skipping levels whose halves are equal and stopping at
   constant tables: one node per distinct sub-table whose halves differ;
-* :func:`plain_inverse_bdd` folds a tree back by recursive pairing, the
-  paper's structural fold.  It runs as ``ev`` does, in bit-reversed row
-  order, where pairing two folds of height h is the concatenation
-  ``X | Y << 2**h``; a child shorter than its sibling is first widened by
-  pairing it with 0 per missing level, and one bit reversal of the rows at
-  the root gives the fold.  Its cost follows the tree's height;
+* :func:`plain_inverse_bdd` folds a complete tree back by recursive
+  pairing, the paper's structural fold, and refuses any other tree.  It
+  runs as ``ev`` does, in bit-reversed row order, where pairing the two
+  folds under a node testing variable v is the concatenation
+  ``X | Y << 2**v``, and one bit reversal of the rows at the root gives
+  the fold.  It never pairs;
 * :func:`ev` evaluates a tree as a boolean function: each node's table at
   its own width of 2**(var+1) bits, rows in bit-reversed order so that a
   node's table is its Shannon expansion as a concatenation,
@@ -47,7 +48,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .pairing import bitmerge_pair, bitmerge_unpair
+from .pairing import bitmerge_unpair
 from .truthtab import DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows, size_text
 
 
@@ -161,43 +162,40 @@ def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
 
 
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
-    """Fold a tree back into a natural by recursive bit interleaving.
+    """Fold a complete tree back into its table by recursive bit interleaving.
 
-    Exact inverse of :func:`plain_bdd` on complete trees.  On reduced trees
-    the result is some natural but not in general the original table; use
-    :func:`ev` there.  Each distinct node object is folded once.
-
-    The fold runs in bit-reversed row order, as the module docstring says,
-    padding a child shorter than its sibling by pairing it with 0, which
-    complete trees never need; its cost follows the tree's height, not its
-    variables.  ``b`` is checked as :func:`ev` checks it, with the same
-    messages, so nothing wider than 2**max_nv bits is built.  Leaf bits
-    are not checked.
+    Exact inverse of :func:`plain_bdd`: the paper's structural fold, which
+    is defined on complete trees only, so any other tree is refused as the
+    walk meets it.  Each distinct node object is folded once, in
+    bit-reversed row order at its own width of 2**(var+1) bits, as the
+    module docstring says.  What is checked, in this order: the variable
+    count against the ``max_nv`` guard, with :func:`ev`'s message; then
+    each node as the walk from the root meets it.  An ite's variable lies
+    in [0, parent's), with :func:`ev`'s message, and is the one just below
+    its parent's, the root's nv - 1; a leaf's bit is 0 or 1, with the
+    parsers' message, and the leaf lies below variable 0.  So nothing wider
+    than 2**max_nv bits is built.
     """
     nv = check_var_count(b.nv, max_nv)
-    h, z = _inverse_node(b.root, nv, {})
-    return reverse_rows(z, h, range(h // 2))
+    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(nv // 2))
 
 
-# memo as in _reduce_node: id(node) -> (height h, fold in bit-reversed order
-# at 2**h bits); a node's height is its own, whatever its parents
-def _inverse_node(node: Node, bound: int, memo: dict[int, tuple[int, int]]) -> tuple[int, int]:
+# memo as in _reduce_node: id(node) -> its fold in bit-reversed row order at
+# 2**(var+1) bits; checked before the lookup, a node is checked under each parent
+def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     if isinstance(node, Leaf):
-        return 0, node.bit
+        if not 0 <= node.bit <= 1:
+            raise _leaf_error(node.bit)
+        if bound:
+            raise ValueError(_INCOMPLETE)
+        return node.bit
     v = node.var
-    if not 0 <= v < bound:
-        raise _order_error(v, bound)
+    if v != bound - 1:
+        raise _order_error(v, bound) if not 0 <= v < bound else ValueError(_INCOMPLETE)
     done = memo.get(id(node))
-    if done is None:
-        hx, x = _inverse_node(node.high, v, memo)
-        hy, y = _inverse_node(node.low, v, memo)
-        while hx < hy:  # widening by a level is pairing with 0, in reversed order
-            x = bitmerge_pair(x, 0)
-            hx += 1
-        while hy < hx:
-            y = bitmerge_pair(y, 0)
-            hy += 1
-        done = memo[id(node)] = (hx + 1, x | y << (1 << hx))
+    if done is None:  # in reversed order, pairing two folds of 2**v bits is concatenation
+        done = _inverse_node(node.high, v, memo) | _inverse_node(node.low, v, memo) << (1 << v)
+        memo[id(node)] = done
     return done
 
 
@@ -253,3 +251,11 @@ def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool]) -
 def _order_error(var: int, bound: int) -> ValueError:
     return ValueError(f"variable {size_text(var)} breaks the strictly decreasing order "
                       f"(must lie in [0, {size_text(bound)}))")
+
+
+def _leaf_error(bit: int) -> ValueError:
+    return ValueError(f"leaf bit must be 0 or 1, got {size_text(bit)}")
+
+
+_INCOMPLETE = ("not a complete tree: every node must test the variable one below its parent's, "
+               "with leaves below variable 0 only")

@@ -21,12 +21,14 @@ import re
 import sys
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .bdd import LEAVES, Bdd, Ite, Leaf, Node, _new_ite, _order_error, ev, plain_bdd, reduced_bdd
+from .bdd import (
+    LEAVES, Bdd, Ite, Leaf, Node, _leaf_error, _new_ite, _order_error, ev, plain_bdd, reduced_bdd,
+)
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
 from .ranking import bdd2nat, enumerate_bdds, nat2bdd, nat2plain_bdd, plain_bdd2nat, to_bsum
 from .truthtab import (
-    DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, shannon_fuse, shannon_split, size_text, var_tt,
+    DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, shannon_fuse, shannon_split, var_tt,
 )
 
 if TYPE_CHECKING:
@@ -147,7 +149,7 @@ def _form(form: list) -> Node | Bdd:
         kind, k = form[0], form[1]
         if n == 2 and kind == "c":
             if not 0 <= k <= 1:
-                raise BddTextError(f"leaf bit must be 0 or 1, got {size_text(k)}")
+                raise _leaf_error(k)
             return LEAVES[k]
         children = form[2:]  # an ite's two, or the root
         if ((n == 4 and kind == "ite" or n == 3 and kind == "bdd")
@@ -402,14 +404,8 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
             return [format_nat(ev(b, args.max_vars), args.hex)]
         if cmd == "reduce":
             return [render_bdd(reduce_bdd(b), args.format)]
-        if args.reduced:
-            return [format_nat(bdd2nat(b, args.max_vars), args.hex)]
-        # complete exactly when it is the plain tree of its table (shared, so folded fast)
-        plain = plain_bdd(b.nv, ev(b, args.max_vars), args.max_vars)
-        if plain != b:
-            raise ValueError("rank --plain takes complete trees only: every node must test the "
-                             "variable one below its parent's, with leaves below variable 0 only")
-        return [format_nat(plain_bdd2nat(plain, args.max_vars), args.hex)]
+        rank = bdd2nat if args.reduced else plain_bdd2nat
+        return [format_nat(rank(b, args.max_vars), args.hex)]
 
     if cmd == "unrank":
         unrank = nat2bdd if args.reduced else nat2plain_bdd

@@ -67,8 +67,6 @@ _ODD = bytes(_EVEN[b >> 1] for b in range(256))
 def bitmerge_pair(x: int, y: int) -> int:
     """Interleave: bit i of ``x`` lands at position 2i, bit i of ``y`` at 2i+1."""
     _check_pair(x, y)
-    if x < 256 and y < 256:
-        return _SPREAD_LO[x] | _SPREAD_HI[x] << 8 | (_SPREAD_LO[y] | _SPREAD_HI[y] << 8) << 1
     n = ((x | y).bit_length() + 7) >> 3
     # spread the bytes of x, then of y, in one pass, each onto the even bits of two bytes
     src = x.to_bytes(n, "little") + y.to_bytes(n, "little")

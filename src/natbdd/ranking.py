@@ -72,13 +72,11 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
     The tree must be complete, as :func:`plain_bdd` builds it: every node
     tests the variable one below its parent's and leaves stand only below
-    variable 0.  This is not checked; the fold of any other tree is some
-    natural, not a rank that unranks to it.  The CLI's ``rank --plain``
-    refuses such a tree by a round trip: a tree is complete exactly when it
-    equals the :func:`plain_bdd` of its own :func:`ev` table.  What is
-    checked, in this order: the variable count lies in the enumeration,
-    then within the ``max_nv`` guard, then the fold checks variable order
-    as :func:`ev` does.
+    variable 0.  What is checked, in this order: the variable count lies in
+    the enumeration, then the fold's checks (:func:`plain_inverse_bdd`:
+    the ``max_nv`` guard, then variable order, completeness and leaf bits
+    node by node), then the fold lies in the block.  So any tree without a
+    plain rank is refused, never given a rank that unranks to another tree.
     """
     _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
     return _rank(b.nv, plain_inverse_bdd(b, max_nv))

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import natbdd.bdd
+import natbdd.pairing
 import natbdd.truthtab
 from natbdd.bdd import (
     LEAVES,
@@ -181,16 +182,28 @@ def fold_reference(node):
     return bitmerge_pair(fold_reference(node.high), fold_reference(node.low))
 
 
+INCOMPLETE = ("not a complete tree: every node must test the variable one below its parent's, "
+              "with leaves below variable 0 only")
+
+
+def assert_fold_refuses_as_incomplete(b):
+    with pytest.raises(ValueError) as exc:
+        plain_inverse_bdd(b)
+    assert str(exc.value) == INCOMPLETE, b
+
+
 def test_memoized_walks_equal_unmemoized_references(monkeypatch):
-    trees = []
+    complete, incomplete = [], []
     for nv, tt in small_and_random_tables(8):
         plain = plain_bdd(nv, tt)
         # reparsed trees are unshared but for the leaves
         reduced = reduced_bdd(nv, tt)
-        trees += (plain, reduced, parse_sexpr(render_sexpr(plain)), parse_sexpr(render_sexpr(reduced)))
+        complete += (plain, parse_sexpr(render_sexpr(plain)))
+        # a reduced tree is complete only when no level reduced away
+        (complete if reduced == plain else incomplete).extend((reduced, parse_sexpr(render_sexpr(reduced))))
     for shared in (ite(0, c(1), c(0)), ite(0, c(1), c(1))):
         # one node object under parents of variables 2 and 1
-        trees.append(Bdd(3, ite(2, ite(1, shared, c(0)), shared)))
+        incomplete.append(Bdd(3, ite(2, ite(1, shared, c(0)), shared)))
     calls = []
     inverse_node = natbdd.bdd._inverse_node
 
@@ -201,11 +214,14 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
     # the fold enters the root, then the two children of each distinct ite
     # object once; without its memo it would enter each tree position
     monkeypatch.setattr(natbdd.bdd, "_inverse_node", counting_inverse_node)
-    for i, b in enumerate(trees):
+    for i, b in enumerate(complete + incomplete):
         assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), i
+    for i, b in enumerate(complete):
         calls.clear()
         assert plain_inverse_bdd(b) == fold_reference(b.root), i
         assert len(calls) == 1 + 2 * len(ite_objects(b.root)), i
+    for b in incomplete:
+        assert_fold_refuses_as_incomplete(b)
 
 
 def test_plain_trees_are_built_without_unpairing(monkeypatch):
@@ -242,9 +258,12 @@ def test_fold_equals_recursive_pairing_on_random_plain_trees():
         for _ in range(2):
             tt = rng.getrandbits(1 << nv)
             plain = plain_bdd(nv, tt)
-            for b in (plain, parse_sexpr(render_sexpr(plain)), reduced_bdd(nv, tt)):
+            for b in (plain, parse_sexpr(render_sexpr(plain))):
                 assert plain_inverse_bdd(b) == fold_reference(b.root), (nv, tt)
             assert plain_inverse_bdd(plain) == tt
+            reduced = reduced_bdd(nv, tt)
+            assert reduced != plain
+            assert_fold_refuses_as_incomplete(reduced)
 
 
 def chain(var, depth, bit=1):
@@ -255,8 +274,9 @@ def chain(var, depth, bit=1):
     return node
 
 
-def test_fold_pads_short_children():
-    # each tree has a child shorter than its sibling by 1 level, or by more
+def test_fold_refuses_short_children():
+    # each tree has a child shorter than its sibling by 1 level, or by more;
+    # recursive pairing would pad it, but no such tree is a plain tree
     full = plain_bdd(3, 0x5A).root  # height 3
     trees = [
         Bdd(3, ite(2, chain(1, 1), chain(1, 2))),  # high short by 1
@@ -267,16 +287,18 @@ def test_fold_pads_short_children():
         Bdd(8, ite(7, chain(6, 7, 0), ite(3, chain(2, 3), c(1)))),  # low short by 3, and its low by 3
     ]
     for b in trees:
-        assert plain_inverse_bdd(b) == fold_reference(b.root), b
+        assert_fold_refuses_as_incomplete(b)
 
 
 def test_fold_of_a_node_shared_under_parents_of_different_heights():
     shared = ite(1, ite(0, c(0), c(1)), c(1))  # height 2
-    b = Bdd(5, ite(4, ite(3, ite(2, shared, c(0)), shared), ite(2, c(1), shared)))
-    assert plain_inverse_bdd(b) == fold_reference(b.root)
-    # one object, padded by 1 level under one parent and by 2 under another
-    b = Bdd(5, ite(4, ite(3, shared, chain(2, 3)), shared))
-    assert plain_inverse_bdd(b) == fold_reference(b.root)
+    trees = [
+        Bdd(5, ite(4, ite(3, ite(2, shared, c(0)), shared), ite(2, c(1), shared))),
+        # one object, 1 level short under one parent and 2 under another
+        Bdd(5, ite(4, ite(3, shared, chain(2, 3)), shared)),
+    ]
+    for b in trees:
+        assert_fold_refuses_as_incomplete(b)
 
 
 def shared_under_a_lower_parent():
@@ -285,35 +307,69 @@ def shared_under_a_lower_parent():
     return Bdd(5, ite(4, shared, ite(1, shared, c(0))))
 
 
+def complete_node_shared(lower):
+    """A complete node on variable 1, folded first under a node on variable 2,
+    then shared under a node on variable 1 (``lower``) or 3: the fold checks
+    it under each parent, not only when it first folds it."""
+    shared = plain_bdd(2, 6).root
+    if lower:
+        return Bdd(3, ite(2, shared, ite(1, shared, shared)))
+    return Bdd(4, ite(3, ite(2, shared, shared), shared))
+
+
 @pytest.mark.parametrize("b,max_nv", [
     *((b, 20) for b in OUT_OF_ORDER_TREES),
     (shared_under_a_lower_parent(), 20),
     (Bdd(21, c(0)), 20),
     (Bdd(5, ite(4, c(0), c(1))), 4),
     (Bdd(-1, c(0)), 20),
+    (complete_node_shared(lower=True), 20),
 ])
 def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
     with pytest.raises(ValueError) as want:
         ev(b, max_nv)
     with pytest.raises(ValueError) as got:
         plain_inverse_bdd(b, max_nv)
-    assert str(got.value) == str(want.value)
+    # these break completeness above their misordered node, and the fold,
+    # walking from the root, meets that first
+    if b in (OUT_OF_ORDER_TREES[3], shared_under_a_lower_parent()):
+        assert str(got.value) == INCOMPLETE
+    else:
+        assert str(got.value) == str(want.value)
 
 
-def test_fold_width_follows_the_height_not_the_variables():
-    # a one-node tree on variable 23 folds at 2 bits; widths of 2**(var+1)
-    # bits would reverse 2 MiB masks here
-    tracemalloc.start()
-    try:
-        assert plain_inverse_bdd(Bdd(24, ite(23, c(1), c(0))), 24) == 1
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+@pytest.mark.parametrize("b,max_nv,want", [
+    (reduced_bdd(3, 42), 20, INCOMPLETE),
+    (Bdd(2, ite(1, ite(0, c(1), c(0)), c(1))), 20, INCOMPLETE),
+    (Bdd(3, ite(2, ite(0, c(1), c(0)), plain_bdd(2, 9).root)), 20, INCOMPLETE),
+    (Bdd(24, ite(23, c(1), c(0))), 24, INCOMPLETE),
+    (complete_node_shared(lower=False), 20, INCOMPLETE),
+    (reduced_bdd(24, 1, 24), 24, INCOMPLETE),
+    (Bdd(1, ite(0, c(2), c(0))), 20, "leaf bit must be 0 or 1, got 2"),
+    (Bdd(2, ite(1, plain_bdd(1, 1).root, ite(0, c(0), c(2**64)))), 20,
+     "leaf bit must be 0 or 1, got a 65-bit number"),
+], ids=["reduced-42", "leaf-above-variable-0", "skips-variable-1", "one-node-on-variable-23",
+        "shared-under-a-higher-parent", "chain-of-24", "leaf-bit-2", "leaf-bit-65-bits"])
+def test_fold_and_plain_rank_refuse_trees_without_a_plain_rank(b, max_nv, want):
+    # refused as the walk meets them, before any table as wide as 2**(var+1)
+    # bits is built: 2 MiB masks at variable 23, 7.5 MiB traced when a
+    # full-height chain was folded by padding
+    for fold in (plain_inverse_bdd, plain_bdd2nat):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                fold(b, max_nv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == want, fold
+        assert peak < 1 << 20, (fold, peak)
 
 
 def test_complete_trees_fold_without_pairing(monkeypatch):
-    # a complete tree has no short child, so its fold is concatenation alone
+    # in bit-reversed row order the fold of a complete tree is concatenation
+    # alone; both names are patched, so a fold that pairs fails however it
+    # reaches bitmerge_pair
     rng = random.Random(13)
     tables = [(nv, rng.getrandbits(1 << nv)) for nv in range(13)]
     plains = list(enumerate_bdds("plain", 0, 60))
@@ -321,7 +377,8 @@ def test_complete_trees_fold_without_pairing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a complete tree was folded through bitmerge_pair")
 
-    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", refuse)
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", refuse, raising=False)
+    monkeypatch.setattr(natbdd.pairing, "bitmerge_pair", refuse)
     for nv, tt in tables:
         assert plain_inverse_bdd(plain_bdd(nv, tt)) == tt
     for n, b in enumerate(plains):
@@ -438,7 +495,8 @@ def test_ev_never_folds_through_pairing(monkeypatch):
     def refuse(*args):
         raise AssertionError("ev went through the pairing fold")
 
-    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", refuse)
+    monkeypatch.setattr(natbdd.bdd, "bitmerge_pair", refuse, raising=False)
+    monkeypatch.setattr(natbdd.pairing, "bitmerge_pair", refuse)
     monkeypatch.setattr(natbdd.bdd, "bitmerge_unpair", refuse)
     for tt, b in trees:
         assert ev(b) == tt

@@ -392,7 +392,7 @@ def test_pipe_unrank_to_rank(cli):
 def test_rank_plain_refuses_trees_that_are_not_complete(cli, text):
     code, out, err = cli(["rank", "--plain"], stdin_text=text)
     assert (code, out) == (1, "")
-    assert err.startswith("natbdd: error: rank --plain takes complete trees only") and err.count("\n") == 1
+    assert err.startswith("natbdd: error: not a complete tree") and err.count("\n") == 1
 
 
 def test_reduce_command(cli):

@@ -95,8 +95,8 @@ def test_rank_rejects_trees_outside_the_stream():
     # table 2 on one variable lies beyond that block's 2 entries
     with pytest.raises(ValueError):
         plain_bdd2nat(plain_bdd(1, 2))
-    # a negative leaf bit folds to a negative index, which no block holds
-    with pytest.raises(ValueError, match="not in the enumeration"):
+    # a leaf bit other than 0 and 1 is refused by the fold, with the parsers' message
+    with pytest.raises(ValueError, match=r"^leaf bit must be 0 or 1, got -1$"):
         plain_bdd2nat(Bdd(1, Ite(0, Leaf(-1), Leaf(0))))
     # constant true never occurs in the reduced stream
     with pytest.raises(ValueError):
