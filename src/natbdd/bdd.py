@@ -6,8 +6,10 @@ Reduction trims ite nodes whose branches are structurally equal.  Nodes are
 immutable NamedTuples, equal to plain tuples of the same fields.  The two
 leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 :func:`reduced_bdd` also share subtrees, as an ROBDD's unique table does:
-equal subtrees are one object.  Both builders keep that table per call in one
-layout, nv + 1 dicts with ``memo[v]`` mapping a 2**v-bit table to its node.
+equal subtrees are one object.  Its bottom, every complete and reduced tree
+on at most 3 variables, is built once at import and shared by every call;
+above it both builders keep the table per call in one layout, nv + 1 dicts
+with ``memo[v]`` mapping a 2**v-bit table to its node.
 :func:`reduce` keeps the sharing of its input.  Only trees parsed from text
 share only the leaves.  Sharing never shows in output or equality.  The text
 parsers of :mod:`natbdd.cli` check each node as they build it; :func:`ev`
@@ -37,7 +39,7 @@ The encoding and its inverses:
   handles O(nv * 2**nv) bits, whatever the tree's size, and never pairs.
 
 :func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
-distinct node object once.
+distinct node object once, a bottom node's by lookup after its checks.
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -46,6 +48,7 @@ For every plain tree the two inverses agree with the original table, and
 from __future__ import annotations
 
 from functools import partial
+from itertools import count, product, repeat
 from typing import NamedTuple
 
 from .pairing import bitmerge_unpair
@@ -74,6 +77,44 @@ class Bdd(NamedTuple):
 # Ite from a (var, high, low) tuple without NamedTuple's Python-level __new__
 _new_ite = partial(tuple.__new__, Ite)
 
+# The bottom (module docstring): _PLAIN_BOTTOM[v] by bit-reversed 2**v-bit table,
+# _REDUCED_BOTTOM[v] by natural-order table.  Its nodes live as long as the module,
+# so their ids name them: the dicts map each to a walk's result, the fold (complete
+# nodes only), the table in ev's order with the variables tested, the reduced tree.
+_BOTTOM_NV = 3
+
+
+def _build_bottom():
+    plain, reduced = [LEAVES], [LEAVES]  # reduced[v] by bit-reversed table while built
+    # tables: a node's table in ev's order and a mask of the variables it tests
+    folds, tables, reductions = {}, {id(leaf): (leaf.bit, 0) for leaf in LEAVES}, {}
+    for v in range(1, _BOTTOM_NV + 1):
+        # pair t of the product is table t = hi | lo << 2**(v-1), split as in _plain_node,
+        # and reduced as in _reduce_node, where equal reduced halves are one object
+        ps = [_new_ite((v - 1, high, low)) for low, high in product(plain[-1], repeat=2)]
+        rs = [high if high is low else p if high is p.high and low is p.low else _new_ite((v - 1, high, low))
+              for p, (low, high) in zip(ps, product(reduced[-1], repeat=2))]
+        ids = [*map(id, ps)]
+        folds.update(zip(ids, count()))
+        tables.update(zip(ids, zip(count(), repeat((1 << v) - 1))))
+        reductions.update(zip(ids, rs))
+        for t, r in enumerate(rs):
+            if id(r) not in tables:  # a reduced node that is not complete
+                tables[id(r)] = (t, 1 << (v - 1) | tables[id(r.high)][1] | tables[id(r.low)][1])
+                reductions[id(r)] = r
+        plain.append(tuple(ps))
+        reduced.append(rs)
+    variables = [tuple(k for k in range(_BOTTOM_NV) if m >> k & 1) for m in range(1 << _BOTTOM_NV)]
+    tables = {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
+    # natural table n is bit-reversed table reverse_rows(n, v, [0]): one swap, by d rows
+    for v, d, mask in ((2, 1, 0b10), (3, 3, 0b1010)):
+        swaps = [((n >> d) ^ n) & mask for n in range(len(reduced[v]))]
+        reduced[v] = [reduced[v][n ^ s ^ s << d] for n, s in enumerate(swaps)]
+    return tuple(plain), tuple(map(tuple, reduced)), folds, tables, reductions
+
+
+_PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_FOLDS, _BOTTOM_TABLES, _BOTTOM_REDUCTIONS = _build_bottom()
+
 
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     """Unfold truth table ``tt`` into the complete depth-``nv`` tree.
@@ -93,8 +134,8 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
 
 # memo: the builders' layout (module docstring), tables in bit-reversed row order
 def _plain_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
-    if not v:
-        return LEAVES[t]
+    if v <= _BOTTOM_NV:
+        return _PLAIN_BOTTOM[v][t]
     node = memo[v].get(t)
     if node is None:
         w = 1 << (v - 1)
@@ -118,7 +159,7 @@ def reduce(b: Bdd) -> Bdd:
 def _reduce_node(node: Node, memo: dict[int, Node]) -> Node:
     if isinstance(node, Leaf):
         return node
-    done = memo.get(id(node))
+    done = _BOTTOM_REDUCTIONS.get(id(node)) or memo.get(id(node))  # nodes are nonempty tuples
     if done is None:
         high = _reduce_node(node.high, memo)
         low = _reduce_node(node.low, memo)
@@ -149,7 +190,7 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
 # memo: the builders' layout (module docstring), filled only at beads, so skipped
 # levels are never hashed; equal halves, and only they, give equal reduced trees
 def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
-    while t and t.bit_count() != 1 << v:
+    while v > _BOTTOM_NV and t and t.bit_count() != 1 << v:
         hi, lo = bitmerge_unpair(t)
         if hi != lo:
             node = memo[v].get(t)
@@ -158,7 +199,7 @@ def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
                 node = memo[v][t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
-    return LEAVES[1 if t else 0]
+    return _REDUCED_BOTTOM[v][t] if v <= _BOTTOM_NV else LEAVES[1 if t else 0]
 
 
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
@@ -192,6 +233,8 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     v = node.var
     if v != bound - 1:
         raise _order_error(v, bound) if not 0 <= v < bound else ValueError(_INCOMPLETE)
+    if v < _BOTTOM_NV and (done := _BOTTOM_FOLDS.get(id(node))) is not None:
+        return done
     done = memo.get(id(node))
     if done is None:  # in reversed order, pairing two folds of 2**v bits is concatenation
         done = _inverse_node(node.high, v, memo) | _inverse_node(node.low, v, memo) << (1 << v)
@@ -236,8 +279,11 @@ def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool]) -
     v = node.var
     if not 0 <= v < bound:
         raise _order_error(v, bound)
-    table = memo.get(id(node))
-    if table is None:
+    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
+        table, variables = bottom
+        for k in variables:
+            tested[k] = True
+    elif (table := memo.get(id(node))) is None:
         table = _ev_node(node.high, v, memo, tested) | _ev_node(node.low, v, memo, tested) << (1 << v)
         memo[id(node)] = table
         tested[v] = True

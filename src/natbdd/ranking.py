@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .bdd import Bdd, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
-from .truthtab import DEFAULT_MAX_VARS, count_text, size_text
+from .truthtab import DEFAULT_MAX_VARS, check_var_count, count_text, size_text
 
 
 class RankPair(NamedTuple):
@@ -25,10 +25,12 @@ class RankPair(NamedTuple):
     r: int  # index within the block
 
 
-def bsum(n: int) -> int:
-    """Cumulative size of the rank blocks for variable counts below ``n``."""
+def bsum(n: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
+    """Cumulative size of the rank blocks for variable counts below ``n``:
+    about 2**(2**(n-1)), so ``n`` is held to the ``max_nv`` guard."""
     if n < 0:
         raise ValueError(f"expected a natural number, got {size_text(n)}")
+    check_var_count(n, max_nv)
     return sum(map(_block_size, range(1, n + 1)))
 
 
@@ -79,15 +81,15 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     plain rank is refused, never given a rank that unranks to another tree.
     """
     _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
-    return _rank(b.nv, plain_inverse_bdd(b, max_nv))
+    return _rank(b.nv, plain_inverse_bdd(b, max_nv), max_nv)
 
 
 def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Rank of a reduced tree: block start plus its boolean evaluation."""
-    return _rank(b.nv, ev(b, max_nv))
+    return _rank(b.nv, ev(b, max_nv), max_nv)
 
 
-def _rank(nv: int, index: int) -> int:
+def _rank(nv: int, index: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     # fail fast on trees outside the enumeration's image rather than hand
     # back a rank that unranks to something else; the index is told by its
     # bit length, as check_table tells a table, so no 2**(nv-1)-bit bound is built
@@ -97,7 +99,7 @@ def _rank(nv: int, index: int) -> int:
             f"not in the enumeration: the block for {count_text(nv, 'variable')} holds the "
             f"tables below 2**{1 << (nv - 1)}, got {size_text(index)}"
         )
-    return bsum(nv - 1) + index
+    return bsum(nv - 1, max_nv) + index
 
 
 def _check_block(nv: int) -> None:

@@ -25,7 +25,7 @@ from natbdd.cli import parse_bdd, parse_json, parse_sexpr, render_json, render_s
 from natbdd.oracle import truth_table_of
 from natbdd.pairing import bitmerge_pair, bitmerge_unpair
 from natbdd.ranking import enumerate_bdds, nat2plain_bdd, plain_bdd2nat
-from natbdd.truthtab import size_text, var_tt
+from natbdd.truthtab import reverse_rows, size_text, var_tt
 
 
 def c(bit):
@@ -193,17 +193,24 @@ def assert_fold_refuses_as_incomplete(b):
 
 
 def test_memoized_walks_equal_unmemoized_references(monkeypatch):
-    complete, incomplete = [], []
+    built, reparsed, incomplete = [], [], []
     for nv, tt in small_and_random_tables(8):
         plain = plain_bdd(nv, tt)
-        # reparsed trees are unshared but for the leaves
         reduced = reduced_bdd(nv, tt)
-        complete += (plain, parse_sexpr(render_sexpr(plain)))
         # a reduced tree is complete only when no level reduced away
-        (complete if reduced == plain else incomplete).extend((reduced, parse_sexpr(render_sexpr(reduced))))
+        for b in (plain, reduced) if reduced == plain else (plain,):
+            built.append(b)
+            # reparsed trees are unshared but for the leaves
+            reparsed.append(parse_sexpr(render_sexpr(b)))
+        if reduced != plain:
+            incomplete += (reduced, parse_sexpr(render_sexpr(reduced)))
     for shared in (ite(0, c(1), c(0)), ite(0, c(1), c(1))):
         # one node object under parents of variables 2 and 1
         incomplete.append(Bdd(3, ite(2, ite(1, shared, c(0)), shared)))
+    # the ite objects of the complete trees on at most 3 variables: the
+    # bottom that every call shares, folded once, at import
+    bottom_trees = [plain_bdd(v, t) for v in range(4) for t in range(1 << (1 << v))]
+    bottom = {id(node) for b in bottom_trees for node in ite_objects(b.root)}
     calls = []
     inverse_node = natbdd.bdd._inverse_node
 
@@ -212,11 +219,18 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         return inverse_node(node, bound, memo)
 
     # the fold enters the root, then the two children of each distinct ite
-    # object once; without its memo it would enter each tree position
+    # object above the bottom once; without its memo it would enter each
+    # tree position
     monkeypatch.setattr(natbdd.bdd, "_inverse_node", counting_inverse_node)
-    for i, b in enumerate(complete + incomplete):
+    for i, b in enumerate(built + reparsed + incomplete):
         assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), i
-    for i, b in enumerate(complete):
+    for i, b in enumerate(built):
+        nodes = ite_objects(b.root)
+        assert all(id(node) in bottom for node in nodes if node.var < 3), i
+        calls.clear()
+        assert plain_inverse_bdd(b) == fold_reference(b.root), i
+        assert len(calls) == 1 + 2 * sum(id(node) not in bottom for node in nodes), i
+    for i, b in enumerate(reparsed):
         calls.clear()
         assert plain_inverse_bdd(b) == fold_reference(b.root), i
         assert len(calls) == 1 + 2 * len(ite_objects(b.root)), i
@@ -324,6 +338,8 @@ def complete_node_shared(lower):
     (Bdd(5, ite(4, c(0), c(1))), 4),
     (Bdd(-1, c(0)), 20),
     (complete_node_shared(lower=True), 20),
+    # a shared bottom node under a parent on its own variable
+    (Bdd(4, ite(3, ite(2, plain_bdd(3, 5).root, plain_bdd(2, 1).root), plain_bdd(3, 5).root)), 20),
 ])
 def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
     with pytest.raises(ValueError) as want:
@@ -348,8 +364,14 @@ def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
     (Bdd(1, ite(0, c(2), c(0))), 20, "leaf bit must be 0 or 1, got 2"),
     (Bdd(2, ite(1, plain_bdd(1, 1).root, ite(0, c(0), c(2**64)))), 20,
      "leaf bit must be 0 or 1, got a 65-bit number"),
+    # shared bottom nodes: reduced under a hand-built parent, beside a look-alike, a level low
+    (Bdd(4, ite(3, reduced_bdd(3, 42).root, plain_bdd(3, 5).root)), 20, INCOMPLETE),
+    (Bdd(2, ite(1, plain_bdd(1, 1).root, ite(0, c(2), c(0)))), 20, "leaf bit must be 0 or 1, got 2"),
+    (Bdd(4, ite(3, plain_bdd(2, 6).root, plain_bdd(3, 1).root)), 20, INCOMPLETE),
 ], ids=["reduced-42", "leaf-above-variable-0", "skips-variable-1", "one-node-on-variable-23",
-        "shared-under-a-higher-parent", "chain-of-24", "leaf-bit-2", "leaf-bit-65-bits"])
+        "shared-under-a-higher-parent", "chain-of-24", "leaf-bit-2", "leaf-bit-65-bits",
+        "reduced-bottom-under-a-hand-built-parent", "leaf-bit-2-beside-a-bottom-node",
+        "bottom-node-a-level-low"])
 def test_fold_and_plain_rank_refuse_trees_without_a_plain_rank(b, max_nv, want):
     # refused as the walk meets them, before any table as wide as 2**(var+1)
     # bits is built: 2 MiB masks at variable 23, 7.5 MiB traced when a
@@ -383,6 +405,73 @@ def test_complete_trees_fold_without_pairing(monkeypatch):
         assert plain_inverse_bdd(plain_bdd(nv, tt)) == tt
     for n, b in enumerate(plains):
         assert plain_bdd2nat(b) == n
+
+
+def mixed_tree(rng, v, t, bottoms):
+    """The tree of table ``t`` on ``v`` variables by recursive unpairing,
+    hand-built down to where, at random at or below variable 3, it takes
+    the subtree that one of ``bottoms`` returns."""
+    if not v or v <= 3 and rng.randrange(2):
+        return rng.choice(bottoms)(v, t)
+    hi, lo = bitmerge_unpair(t)
+    return Ite(v - 1, mixed_tree(rng, v - 1, hi, bottoms), mixed_tree(rng, v - 1, lo, bottoms))
+
+
+def test_walks_on_trees_mixing_shared_bottom_nodes_and_hand_built_ones():
+    # the shared bottom nodes carry results made at import; hand-built
+    # nodes, equal to them or not, are walked as they always were
+    def plain_root(v, t):
+        return plain_bdd(v, t).root
+
+    def reduced_root(v, t):
+        return reduced_bdd(v, t).root
+
+    rng = random.Random(18)
+    for nv in range(1, 9):
+        for _ in range(6):
+            tt = rng.getrandbits(1 << nv)
+            complete = Bdd(nv, mixed_tree(rng, nv, tt, (plain_root, unpair_tree)))
+            mixed = Bdd(nv, mixed_tree(rng, nv, tt, (plain_root, reduced_root, unpair_tree)))
+            assert complete == plain_bdd(nv, tt)
+            assert plain_inverse_bdd(complete) == fold_reference(complete.root) == tt
+            for b in (complete, mixed):
+                assert ev(b) == truth_table_of(b) == tt
+                assert reduce(b) == Bdd(nv, reduce_reference(b.root))
+            if mixed == complete:
+                assert plain_inverse_bdd(mixed) == tt
+            else:
+                assert_fold_refuses_as_incomplete(mixed)
+
+
+def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatch):
+    # ev leaves out the row swap of each variable pair that the tree never
+    # tests; a shared bottom node is not walked, so the variables it tests
+    # are marked from what import recorded for it
+    rng = random.Random(19)
+    swaps = []
+
+    def recording_reverse_rows(t, nv, pairs):
+        swaps.append(list(pairs))
+        return reverse_rows(t, nv, swaps[-1])
+
+    monkeypatch.setattr(natbdd.bdd, "reverse_rows", recording_reverse_rows)
+    for nv in range(4, 13):
+        pairs = rng.sample(range(3), rng.randint(1, 2))  # both variables of row pairs k, nv-1-k
+        for chosen in (
+            rng.sample(range(4), rng.randint(1, 4)),
+            rng.sample(range(nv - 4, nv), rng.randint(1, 3)),
+            [j for k in pairs for j in (k, nv - 1 - k)],
+            [],
+        ):
+            tt = rng.getrandbits(1 << nv)
+            for k in chosen:  # made independent of variable k
+                kept = tt & var_tt(nv, k)
+                tt = kept | kept << (1 << (nv - 1 - k))
+            b = reduced_bdd(nv, tt)
+            tested = {node.var for node in ite_objects(b.root)}
+            swaps.clear()
+            assert ev(b) == truth_table_of(b) == tt, (nv, chosen)
+            assert swaps == [[k for k in range(nv // 2) if k in tested or nv - 1 - k in tested]], (nv, chosen)
 
 
 def test_plain_bdd_range_errors():

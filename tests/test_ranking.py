@@ -16,6 +16,7 @@ from natbdd.ranking import (
     to_bsum,
 )
 from natbdd.ranking import _rank
+from natbdd.truthtab import size_text
 
 
 def is_reduced(node):
@@ -32,6 +33,25 @@ def test_bsum_values():
 def test_bsum_rejects_negatives():
     with pytest.raises(ValueError):
         bsum(-1)
+
+
+def test_bsum_is_held_to_the_guard():
+    # bsum(n) is about 2**(2**(n-1)): bsum(26) is a 4 MiB number and bsum(36)
+    # would take 4 GiB, so the guard refuses n first, with check_var_count's message
+    want = "variable count exceeds the guard of {} (a table on n variables needs 2**n bits), got {}"
+    tracemalloc.start()
+    try:
+        for n, max_nv in ((21, 20), (26, 20), (36, 20), (25, 24), (2**64, 20)):
+            with pytest.raises(ValueError) as exc:
+                bsum(n, max_nv)
+            assert str(exc.value) == want.format(max_nv, size_text(n)), n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+    assert bsum(21, 21) == bsum(20) + (1 << (1 << 20))
+    # a rank calls bsum under the guard its caller was given
+    assert bdd2nat(reduced_bdd(22, 5, 22), 22) == bsum(21, 21) + 5
 
 
 def test_block_sizes():
