@@ -9,7 +9,8 @@ leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 equal subtrees are one object.  Its bottom, every complete and reduced tree
 on at most 3 variables, is built once at import and shared by every call;
 above it both builders keep the table per call in one layout, nv + 1 dicts
-with ``memo[v]`` mapping a 2**v-bit table to its node.
+with ``memo[v]`` mapping a 2**v-bit table to its node, in bit-reversed row
+order but for :func:`reduced_bdd`'s tables above 16 variables.
 :func:`reduce` keeps the sharing of its input.  Only trees parsed from text
 share only the leaves.  Sharing never shows in output or equality.  The text
 parsers of :mod:`natbdd.cli` check each node as they build it; :func:`ev`
@@ -23,9 +24,11 @@ The encoding and its inverses:
 * :func:`plain_bdd` unfolds a truth table into the complete tree that
   recursive unpairing with the bit-interleaving bijection gives, one node
   per distinct subtree;
-* :func:`reduced_bdd` builds the reduced tree top-down by the same
-  unpairing, skipping levels whose halves are equal and stopping at
-  constant tables: one node per distinct sub-table whose halves differ;
+* :func:`reduced_bdd` builds the reduced tree top-down, skipping levels
+  whose halves are equal and stopping at constant tables: one node per
+  distinct sub-table whose halves differ.  Above 16 variables it splits by
+  the same unpairing; at 16 or fewer it reverses a table's rows once and
+  splits as :func:`plain_bdd` does;
 * :func:`plain_inverse_bdd` folds a complete tree back by recursive
   pairing, the paper's structural fold, and refuses any other tree.  It
   runs as ``ev`` does, in bit-reversed row order, where pairing the two
@@ -52,7 +55,7 @@ from itertools import count, product, repeat
 from typing import NamedTuple
 
 from .pairing import bitmerge_unpair
-from .truthtab import DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows, size_text
+from .truthtab import _CACHED_SWAP_NV, DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows, size_text
 
 
 class Leaf(NamedTuple):
@@ -77,15 +80,16 @@ class Bdd(NamedTuple):
 # Ite from a (var, high, low) tuple without NamedTuple's Python-level __new__
 _new_ite = partial(tuple.__new__, Ite)
 
-# The bottom (module docstring): _PLAIN_BOTTOM[v] by bit-reversed 2**v-bit table,
-# _REDUCED_BOTTOM[v] by natural-order table.  Its nodes live as long as the module,
-# so their ids name them: the dicts map each to a walk's result, the fold (complete
-# nodes only), the table in ev's order with the variables tested, the reduced tree.
+# The bottom (module docstring): _PLAIN_BOTTOM[v] and _REDUCED_BOTTOM[v] by
+# bit-reversed 2**v-bit table, as _plain_node and _reduced_split split.  Its nodes
+# live as long as the module, so their ids name them: the dicts map each to a
+# walk's result, the fold (complete nodes only), the table in ev's order with the
+# variables tested, the reduced tree.
 _BOTTOM_NV = 3
 
 
 def _build_bottom():
-    plain, reduced = [LEAVES], [LEAVES]  # reduced[v] by bit-reversed table while built
+    plain, reduced = [LEAVES], [LEAVES]
     # tables: a node's table in ev's order and a mask of the variables it tests
     folds, tables, reductions = {}, {id(leaf): (leaf.bit, 0) for leaf in LEAVES}, {}
     for v in range(1, _BOTTOM_NV + 1):
@@ -103,14 +107,10 @@ def _build_bottom():
                 tables[id(r)] = (t, 1 << (v - 1) | tables[id(r.high)][1] | tables[id(r.low)][1])
                 reductions[id(r)] = r
         plain.append(tuple(ps))
-        reduced.append(rs)
+        reduced.append(tuple(rs))
     variables = [tuple(k for k in range(_BOTTOM_NV) if m >> k & 1) for m in range(1 << _BOTTOM_NV)]
     tables = {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
-    # natural table n is bit-reversed table reverse_rows(n, v, [0]): one swap, by d rows
-    for v, d, mask in ((2, 1, 0b10), (3, 3, 0b1010)):
-        swaps = [((n >> d) ^ n) & mask for n in range(len(reduced[v]))]
-        reduced[v] = [reduced[v][n ^ s ^ s << d] for n, s in enumerate(swaps)]
-    return tuple(plain), tuple(map(tuple, reduced)), folds, tables, reductions
+    return tuple(plain), tuple(reduced), folds, tables, reductions
 
 
 _PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_FOLDS, _BOTTOM_TABLES, _BOTTOM_REDUCTIONS = _build_bottom()
@@ -181,16 +181,24 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     tables adds no node, and one node, shared by all its parents, is made per
     distinct sub-table whose halves differ (a bead), not per tree position.
     Beads are kept as :func:`plain_bdd` keeps its sub-tables: ``memo[v]``
-    maps a 2**v-bit table to its node.
+    maps a 2**v-bit table to its node.  Above 16 variables a table is split
+    by :func:`natbdd.pairing.bitmerge_unpair`, in natural row order, so no
+    table or mask wider than it is built; at or below 16, where
+    :func:`natbdd.truthtab.reverse_rows` keeps its masks, a table that is
+    not constant has its rows reversed once and is split into contiguous
+    halves, as in :func:`plain_bdd`.
     """
     check_table(nv, tt, max_nv, "truth table")
     return Bdd(nv, _reduced_node(nv, tt, [{} for _ in range(nv + 1)]))
 
 
 # memo: the builders' layout (module docstring), filled only at beads, so skipped
-# levels are never hashed; equal halves, and only they, give equal reduced trees
+# levels are never hashed; equal halves, and only they, give equal reduced trees;
+# tables in natural row order above _CACHED_SWAP_NV variables (reduced_bdd)
 def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
-    while v > _BOTTOM_NV and t and t.bit_count() != 1 << v:
+    while t and t.bit_count() != 1 << v:
+        if v <= _CACHED_SWAP_NV:
+            return _reduced_split(v, reverse_rows(t, v, range(v // 2)), memo)
         hi, lo = bitmerge_unpair(t)
         if hi != lo:
             node = memo[v].get(t)
@@ -199,7 +207,22 @@ def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
                 node = memo[v][t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
-    return _REDUCED_BOTTOM[v][t] if v <= _BOTTOM_NV else LEAVES[1 if t else 0]
+    return LEAVES[1 if t else 0]
+
+
+# _reduced_node on a table in bit-reversed row order, split as in _plain_node
+def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
+    while v > _BOTTOM_NV:
+        w = 1 << (v - 1)
+        hi, lo = t & ((1 << w) - 1), t >> w
+        if hi != lo:
+            node = memo[v].get(t)
+            if node is None:
+                high, low = _reduced_split(v - 1, hi, memo), _reduced_split(v - 1, lo, memo)
+                node = memo[v][t] = _new_ite((v - 1, high, low))
+            return node
+        v, t = v - 1, hi
+    return _REDUCED_BOTTOM[v][t]
 
 
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
@@ -242,7 +265,7 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     return done
 
 
-def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
+def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """Boolean evaluation: the truth table a tree denotes.
 
     Each distinct node object is evaluated once, at its own width: a node
@@ -261,31 +284,40 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     Recovers the original table from plain and reduced trees alike.
     Every ite variable must lie below its parent's, and the root's below
     ``nv``, or ``ValueError`` is raised with the message the text parsers
-    give; leaf bits are not checked.
+    give; leaf bits are not checked.  With ``reduced``, the reduced rank's
+    check, it also refuses any leaf bit but 0 and 1, with the parsers'
+    message, and any node whose two branches have equal tables: one
+    comparison per distinct node, so only reduced trees pass.
     """
     nv = check_var_count(b.nv, max_nv)
     tested = [False] * nv
-    table = _ev_node(b.root, nv, {}, tested)
+    table = _ev_node(b.root, nv, {}, tested, reduced)
     return reverse_rows(table, nv, [k for k in range(nv // 2) if tested[k] or tested[nv - 1 - k]])
 
 
 # memo: id(node) -> its table at its own width, as in _reduce_node; a
 # module-level walk, as a recursive closure would leave a reference cycle,
 # holding the memo, for the collector to free during some later call
-def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool]) -> int:
+def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool], reduced: bool) -> int:
     """``node``'s table widened to 2**bound bits, in bit-reversed row order."""
     if isinstance(node, Leaf):
+        if reduced and not 0 <= node.bit <= 1:
+            raise _leaf_error(node.bit)
         return (1 << (1 << bound)) - 1 if node.bit else 0
     v = node.var
     if not 0 <= v < bound:
         raise _order_error(v, bound)
     if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
+        if reduced and _BOTTOM_REDUCTIONS[id(node)] is not node:
+            raise ValueError(_NOT_REDUCED)
         table, variables = bottom
         for k in variables:
             tested[k] = True
     elif (table := memo.get(id(node))) is None:
-        table = _ev_node(node.high, v, memo, tested) | _ev_node(node.low, v, memo, tested) << (1 << v)
-        memo[id(node)] = table
+        high, low = _ev_node(node.high, v, memo, tested, reduced), _ev_node(node.low, v, memo, tested, reduced)
+        if reduced and high == low:  # equal functions: the node is redundant
+            raise ValueError(_NOT_REDUCED)
+        table = memo[id(node)] = high | low << (1 << v)
         tested[v] = True
     v += 1
     while v < bound:  # repeat the table: it ignores the variables above its own
@@ -303,5 +335,6 @@ def _leaf_error(bit: int) -> ValueError:
     return ValueError(f"leaf bit must be 0 or 1, got {size_text(bit)}")
 
 
+_NOT_REDUCED = "not a reduced tree: a node's two branches denote the same function"
 _INCOMPLETE = ("not a complete tree: every node must test the variable one below its parent's, "
                "with leaves below variable 0 only")

@@ -85,8 +85,14 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
 
 def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
-    """Rank of a reduced tree: block start plus its boolean evaluation."""
-    return _rank(b.nv, ev(b, max_nv), max_nv)
+    """Rank of a reduced tree: block start plus its boolean evaluation.
+
+    Only reduced trees, those :func:`nat2bdd` gives, are ranked: ``ev``'s
+    ``reduced`` check refuses any other tree, such as a plain tree that
+    reduces, which would share its reduced tree's rank.  Then the table
+    must lie in the block.
+    """
+    return _rank(b.nv, ev(b, max_nv, reduced=True), max_nv)
 
 
 def _rank(nv: int, index: int, max_nv: int = DEFAULT_MAX_VARS) -> int:

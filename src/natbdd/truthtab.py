@@ -99,7 +99,7 @@ def reverse_rows(t: int, nv: int, swaps: Iterable[int]) -> int:
     The permutation is its own inverse.
     """
     for k in swaps:
-        d, mask = (_cached_row_swap if nv <= 16 else _row_swap)(nv, k)
+        d, mask = (_cached_row_swap if nv <= _CACHED_SWAP_NV else _row_swap)(nv, k)
         s = ((t >> d) ^ t) & mask
         t ^= s | s << d
     return t
@@ -118,6 +118,7 @@ def _row_swap(nv: int, k: int) -> tuple[int, int]:
 # masks up to nv=16 (8 KiB each, under 120 KiB in all) are kept; a wider one
 # costs about as much to build as the swap that uses it, a small share of
 # the evaluation that needs it, and is not kept
+_CACHED_SWAP_NV = 16
 _cached_row_swap = lru_cache(maxsize=None)(_row_swap)
 
 

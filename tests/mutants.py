@@ -1,0 +1,175 @@
+"""Mutation check: the tests must catch each of a list of known faults.
+
+    python tests/mutants.py
+
+Each mutant is an exact edit of one file under ``src/``: its old text, the
+new text it is replaced by, and the tests that must catch it.  For each
+mutant ``src/`` is copied to a temporary directory, the edit is made there,
+and the named tests are run against the copy with pytest; the run must
+fail.  The same tests must first pass on an unmutated copy.  An old text
+that is not in its file exactly once fails the script, so a refactor of the
+code restates its mutants instead of losing them.  Pytest does not collect
+this file (its name has no ``test_`` prefix).  Exit status 0 when every
+mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/natbdd
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+def bdd_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_bdd.py::{name}" for name in names)
+
+
+MUTANTS = [
+    # reduced_bdd: natural-order unpairing above 16 variables, one reversal and
+    # contiguous splits at or below, the reduced bottom by bit-reversed table
+    Mutant("reduced_bdd reverses the table at every nv", "bdd.py",
+           "        if v <= _CACHED_SWAP_NV:\n", "        if True:\n",
+           ("tests/test_truthtab.py::test_table_checks_build_no_mask",
+            *bdd_tests("test_reduced_bdd_work_follows_the_reduced_tree"))),
+    Mutant("reduced_bdd's reversal misses a swap", "bdd.py",
+           "_reduced_split(v, reverse_rows(t, v, range(v // 2)), memo)",
+           "_reduced_split(v, reverse_rows(t, v, range(1, v // 2)), memo)",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
+    Mutant("no equal-halves skip below the cutoff", "bdd.py",
+           "        hi, lo = t & ((1 << w) - 1), t >> w\n        if hi != lo:\n",
+           "        hi, lo = t & ((1 << w) - 1), t >> w\n        if True:\n",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random",
+                     "test_plain_and_reduced_trees_share_equal_subtrees")),
+    Mutant("the reduced bottom indexed by natural-order table", "bdd.py",
+           "    return tuple(plain), tuple(reduced), folds, tables, reductions\n",
+           "    for v, d, mask in ((2, 1, 0b10), (3, 3, 0b1010)):\n"
+           "        swaps = [((n >> d) ^ n) & mask for n in range(len(reduced[v]))]\n"
+           "        reduced[v] = [reduced[v][n ^ s ^ s << d] for n, s in enumerate(swaps)]\n"
+           "    return tuple(plain), tuple(reduced), folds, tables, reductions\n",
+           bdd_tests("test_reduced_bdd_examples", "test_reduced_bdd_equals_reduced_plain_tree_random")),
+    Mutant("_plain_node without the bottom", "bdd.py",
+           "    if v <= _BOTTOM_NV:\n        return _PLAIN_BOTTOM[v][t]\n",
+           "    if v == 0:\n        return LEAVES[t]\n",
+           bdd_tests("test_memoized_walks_equal_unmemoized_references")),
+    # the reduced rank: ev with reduced refuses trees that are not reduced
+    Mutant("no reduced check above the bottom", "bdd.py",
+           "        if reduced and high == low:", "        if False:",
+           ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",
+            "tests/test_cli.py::test_rank_refuses_a_plain_tree_that_reduces")),
+    Mutant("no reduced check at the bottom", "bdd.py",
+           "        if reduced and _BOTTOM_REDUCTIONS[id(node)] is not node:", "        if False:",
+           ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",)),
+    Mutant("no leaf-bit check in the reduced rank", "bdd.py",
+           "        if reduced and not 0 <= node.bit <= 1:", "        if False:",
+           ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",)),
+    # ev: checks before lookups, and the variables whose row pairs it swaps
+    Mutant("ev's order check skipped for a memoized node", "bdd.py",
+           "    if not 0 <= v < bound:\n        raise _order_error(v, bound)\n",
+           "    if not 0 <= v < bound and id(node) not in memo:\n        raise _order_error(v, bound)\n",
+           bdd_tests("test_ev_checks_every_parent_of_a_shared_node")),
+    Mutant("ev's bottom lookup before its order check", "bdd.py",
+           "    if not 0 <= v < bound:\n        raise _order_error(v, bound)\n",
+           "    if not 0 <= v < bound and id(node) not in _BOTTOM_TABLES:\n        raise _order_error(v, bound)\n",
+           bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
+                     "test_walks_on_trees_mixing_shared_bottom_nodes_and_hand_built_ones")),
+    Mutant("ev marks nothing for a bottom node", "bdd.py",
+           "        for k in variables:\n", "        for k in ():\n",
+           bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
+    Mutant("ev marks all of variables 0-2 for a bottom node", "bdd.py",
+           "        for k in variables:\n", "        for k in range(_BOTTOM_NV):\n",
+           bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
+    # the fold: complete trees only, checked before every lookup
+    Mutant("no fold memo", "bdd.py",
+           "    done = memo.get(id(node))\n    if done is None:  # in reversed order",
+           "    done = None\n    if done is None:  # in reversed order",
+           bdd_tests("test_memoized_walks_equal_unmemoized_references")),
+    Mutant("the fold's memo lookup before its checks", "bdd.py",
+           "    v = node.var\n    if v != bound - 1:\n",
+           "    v = node.var\n    if id(node) in memo:\n        return memo[id(node)]\n    if v != bound - 1:\n",
+           bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
+                     "test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
+    Mutant("the fold's bottom lookup before its checks", "bdd.py",
+           "    v = node.var\n    if v != bound - 1:\n",
+           "    v = node.var\n"
+           "    if v < _BOTTOM_NV and (done := _BOTTOM_FOLDS.get(id(node))) is not None:\n"
+           "        return done\n"
+           "    if v != bound - 1:\n",
+           bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
+                     "test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
+    Mutant("the fold vouches for reduced bottom nodes", "bdd.py",
+           "        reductions.update(zip(ids, rs))\n",
+           "        reductions.update(zip(ids, rs))\n        folds.update((id(r), t) for t, r in enumerate(rs))\n",
+           bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
+    Mutant("no leaf-place check in the fold", "bdd.py",
+           "        if bound:\n            raise ValueError(_INCOMPLETE)\n",
+           "        if False:\n            raise ValueError(_INCOMPLETE)\n",
+           bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
+    Mutant("no leaf-bit check in the fold", "bdd.py",
+           "        if not 0 <= node.bit <= 1:\n            raise _leaf_error(node.bit)\n",
+           "        if False:\n            raise _leaf_error(node.bit)\n",
+           bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
+    Mutant("no ite completeness check in the fold", "bdd.py",
+           "    if v != bound - 1:\n        raise _order_error(v, bound) if not 0 <= v < bound else ValueError(_INCOMPLETE)\n",
+           "    if not 0 <= v < bound:\n        raise _order_error(v, bound)\n",
+           bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
+    Mutant("the fold's reversal misses a swap", "bdd.py",
+           "    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(nv // 2))\n",
+           "    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(1, nv // 2))\n",
+           bdd_tests("test_fold_equals_recursive_pairing_on_random_plain_trees")),
+]
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> bool:
+    """Whether ``tests`` pass against the package under ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main() -> int:
+    started = time.perf_counter()
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src)
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
+            if not run_tests(src, tests):
+                failures.append(f"fail on the unmutated code: {' '.join(tests)}")
+        for m in MUTANTS:
+            path = src / "natbdd" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                failures.append(f"{m.name}: old text found {text.count(m.old)} times in {m.file}")
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                killed = not run_tests(src, m.tests)
+            finally:
+                path.write_text(text)
+            print(f"{'killed' if killed else 'SURVIVED'}: {m.name}", flush=True)
+            if not killed:
+                failures.append(f"{m.name}: survived {' '.join(m.tests)}")
+    for failure in failures:
+        print(f"mutants: {failure}", file=sys.stderr)
+    print(f"{len(MUTANTS)} mutants, {len(failures)} failures, {time.perf_counter() - started:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

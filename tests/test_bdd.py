@@ -86,9 +86,9 @@ def test_plain_bdd_equals_recursive_unpairing():
 def strided_subtables(nv, tt, v):
     """The distinct tables under the level-v positions of a complete tree:
     position p covers rows p, p + s, p + 2s, ... with s = 2**(nv-1-v)."""
-    bits = [(tt >> row) & 1 for row in range(1 << nv)]
+    bits = format(tt, f"0{1 << nv}b")[::-1]  # bits[row], as text, sliced in C
     s = 1 << (nv - 1 - v)
-    return {tuple(bits[p::s]) for p in range(s)}
+    return {bits[p::s] for p in range(s)}
 
 
 def ite_objects(root):
@@ -108,8 +108,31 @@ def small_and_random_tables(seed):
     return tables + [(nv, rng.getrandbits(1 << nv)) for nv in range(4, 13) for _ in range(3)]
 
 
+def independent_of(nv, tt, variables):
+    """``tt`` with the rows where each of ``variables`` is 0 copied from
+    those where it is 1, so the table no longer depends on them."""
+    for k in variables:
+        kept = tt & var_tt(nv, k)  # rows where variable k is 1
+        tt = kept | kept << (1 << (nv - 1 - k))
+    return tt
+
+
+def tables_across_the_cutoff(seed):
+    """Seeded tables on 15 to 18 variables, on both sides of the 16 up to
+    which reduced_bdd splits in bit-reversed order: random, independent of
+    some variables, and independent of all but 3."""
+    rng = random.Random(seed)
+    tables = []
+    for nv in range(15, 19):
+        tt = rng.getrandbits(1 << nv)
+        some = rng.sample(range(nv), rng.randrange(1, nv))
+        tables += [(nv, tt), (nv, independent_of(nv, tt, some)),
+                   (nv, independent_of(nv, tt, rng.sample(range(nv), nv - 3)))]
+    return tables
+
+
 def test_plain_and_reduced_trees_share_equal_subtrees():
-    for nv, tt in small_and_random_tables(6):
+    for nv, tt in small_and_random_tables(6) + tables_across_the_cutoff(6):
         plain = plain_bdd(nv, tt)
         subtables = {v: strided_subtables(nv, tt, v) for v in range(nv)}
         # a level-v table depends on variable v when its even and odd rows differ
@@ -321,14 +344,14 @@ def shared_under_a_lower_parent():
     return Bdd(5, ite(4, shared, ite(1, shared, c(0))))
 
 
-def complete_node_shared(lower):
-    """A complete node on variable 1, folded first under a node on variable 2,
-    then shared under a node on variable 1 (``lower``) or 3: the fold checks
-    it under each parent, not only when it first folds it."""
-    shared = plain_bdd(2, 6).root
+def complete_node_shared(lower, v=1):
+    """A complete node on variable v, folded first under a node on variable
+    v + 1, then shared under a node on variable v (``lower``) or v + 2: the
+    fold checks it under each parent, not only when it first folds it."""
+    shared = plain_bdd(v + 1, 6).root
     if lower:
-        return Bdd(3, ite(2, shared, ite(1, shared, shared)))
-    return Bdd(4, ite(3, ite(2, shared, shared), shared))
+        return Bdd(v + 2, ite(v + 1, shared, ite(v, shared, shared)))
+    return Bdd(v + 3, ite(v + 2, ite(v + 1, shared, shared), shared))
 
 
 @pytest.mark.parametrize("b,max_nv", [
@@ -340,6 +363,8 @@ def complete_node_shared(lower):
     (complete_node_shared(lower=True), 20),
     # a shared bottom node under a parent on its own variable
     (Bdd(4, ite(3, ite(2, plain_bdd(3, 5).root, plain_bdd(2, 1).root), plain_bdd(3, 5).root)), 20),
+    # a complete node above the bottom, checked under each parent before the memo lookup
+    (complete_node_shared(lower=True, v=4), 20),
 ])
 def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
     with pytest.raises(ValueError) as want:
@@ -368,10 +393,11 @@ def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
     (Bdd(4, ite(3, reduced_bdd(3, 42).root, plain_bdd(3, 5).root)), 20, INCOMPLETE),
     (Bdd(2, ite(1, plain_bdd(1, 1).root, ite(0, c(2), c(0)))), 20, "leaf bit must be 0 or 1, got 2"),
     (Bdd(4, ite(3, plain_bdd(2, 6).root, plain_bdd(3, 1).root)), 20, INCOMPLETE),
+    (complete_node_shared(lower=False, v=4), 20, INCOMPLETE),
 ], ids=["reduced-42", "leaf-above-variable-0", "skips-variable-1", "one-node-on-variable-23",
         "shared-under-a-higher-parent", "chain-of-24", "leaf-bit-2", "leaf-bit-65-bits",
         "reduced-bottom-under-a-hand-built-parent", "leaf-bit-2-beside-a-bottom-node",
-        "bottom-node-a-level-low"])
+        "bottom-node-a-level-low", "shared-above-the-bottom-under-a-higher-parent"])
 def test_fold_and_plain_rank_refuse_trees_without_a_plain_rank(b, max_nv, want):
     # refused as the walk meets them, before any table as wide as 2**(var+1)
     # bits is built: 2 MiB masks at variable 23, 7.5 MiB traced when a
@@ -505,11 +531,10 @@ def test_reduced_bdd_equals_reduced_plain_tree_random():
     rng = random.Random(12)
     for nv in range(13):
         for _ in range(6):
-            tt = rng.getrandbits(1 << nv)
-            for k in rng.sample(range(nv), rng.randrange(nv + 1)):
-                kept = tt & var_tt(nv, k)  # rows where variable k is 1
-                tt = kept | kept << (1 << (nv - 1 - k))
+            tt = independent_of(nv, rng.getrandbits(1 << nv), rng.sample(range(nv), rng.randrange(nv + 1)))
             assert reduced_bdd(nv, tt) == reduce(plain_bdd(nv, tt)), (nv, tt)
+    for nv, tt in tables_across_the_cutoff(12):
+        assert reduced_bdd(nv, tt) == reduce(plain_bdd(nv, tt)), nv
 
 
 @pytest.mark.parametrize(
@@ -524,21 +549,29 @@ def test_reduced_bdd_range_errors_match_plain_bdd(nv, tt, max_nv):
     assert str(reduced_error.value) == str(plain_error.value)
 
 
-@pytest.mark.parametrize("k", [5, 10, 19])
+@pytest.mark.parametrize("k", [5, 10, 19, 15, 16])
 def test_reduced_bdd_work_follows_the_reduced_tree(monkeypatch, k):
     # one variable's column at nv=20: a plain tree would take 2**20 - 1
-    # unpairings, the reduced build one per level above the variable
+    # unpairings; the reduced build unpairs once per level above both the
+    # variable and the 16 levels split in bit-reversed order, and reverses
+    # the 2**16-bit table once if the variable lies among those levels
     nv = 20
     tt = var_tt(nv, k)
-    calls = []
+    unpairs, reversals = [], []
 
     def counting_unpair(z):
-        calls.append(z.bit_length())
+        unpairs.append(z.bit_length())
         return bitmerge_unpair(z)
 
+    def counting_reverse(t, n, swaps):
+        reversals.append(n)
+        return reverse_rows(t, n, swaps)
+
     monkeypatch.setattr(natbdd.bdd, "bitmerge_unpair", counting_unpair)
+    monkeypatch.setattr(natbdd.bdd, "reverse_rows", counting_reverse)
     assert reduced_bdd(nv, tt) == Bdd(nv, ite(k, c(1), c(0)))
-    assert len(calls) == nv - k <= nv
+    assert len(unpairs) == nv - max(k, 16)
+    assert reversals == ([16] if k < 16 else [])
 
 
 def test_reduce_is_idempotent():

@@ -382,6 +382,14 @@ def test_pipe_unrank_to_rank(cli):
     assert cli(["rank"], stdin_text=text) == (0, "42\n", "")
 
 
+def test_rank_refuses_a_plain_tree_that_reduces(cli):
+    # (bdd 2 (ite 1 (ite 0 (c 1) (c 0)) (ite 0 (c 1) (c 0)))): rank 5 is its reduced tree's
+    _, text, _ = cli(["unrank", "5", "--plain"])
+    assert cli(["rank"], stdin_text=text) == (
+        1, "", "natbdd: error: not a reduced tree: a node's two branches denote the same function\n")
+    assert cli(["rank", "--plain"], stdin_text=text) == (0, "5\n", "")
+
+
 @pytest.mark.parametrize("text", [
     REDUCED_42_TEXT,
     "(bdd 3 (ite 1 (ite 0 (c 1) (c 0)) (ite 0 (c 0) (c 1))))",  # root below variable 2

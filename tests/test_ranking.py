@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natbdd.bdd import LEAVES, Bdd, Ite, Leaf, plain_bdd, plain_inverse_bdd, reduced_bdd
+from natbdd.bdd import LEAVES, Bdd, Ite, Leaf, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
+from natbdd.cli import parse_sexpr, render_sexpr
 from natbdd.ranking import (
     RankPair,
     bdd2nat,
@@ -126,6 +127,80 @@ def test_rank_rejects_trees_outside_the_stream():
         plain_bdd2nat(Bdd(0, Leaf(0)))
     with pytest.raises(ValueError):
         bdd2nat(Bdd(0, Leaf(1)))
+
+
+NOT_REDUCED = "not a reduced tree: a node's two branches denote the same function"
+
+
+def test_reduced_rank_refuses_trees_that_are_not_reduced():
+    # a plain tree that reduces shares its table with its reduced tree, and
+    # so would share its rank; a leaf bit of 2 reads as 1 in ev
+    with pytest.raises(ValueError) as exc:
+        bdd2nat(nat2plain_bdd(5))
+    assert str(exc.value) == NOT_REDUCED
+    with pytest.raises(ValueError) as exc:
+        bdd2nat(Bdd(1, Ite(0, Leaf(2), Leaf(0))))
+    assert str(exc.value) == "leaf bit must be 0 or 1, got 2"
+    # shared bottom nodes, nodes above them, and parsed trees that share
+    # only the leaves, reduced or not, ranked where they lie in the stream
+    for n in [*range(300), bsum(5) + 12345, bsum(6) + 3**40]:
+        plain, reduced = nat2plain_bdd(n), nat2bdd(n)
+        for b in (plain, parse_sexpr(render_sexpr(plain))):
+            if b == reduced:
+                assert bdd2nat(b) == n
+            else:
+                with pytest.raises(ValueError) as exc:
+                    bdd2nat(b)
+                assert str(exc.value) == NOT_REDUCED, n
+        assert bdd2nat(parse_sexpr(render_sexpr(reduced))) == n
+
+
+def leaf_bits(node):
+    if isinstance(node, Leaf):
+        return {node.bit}
+    return leaf_bits(node.high) | leaf_bits(node.low)
+
+
+@st.composite
+def ordered_trees(draw):
+    """An ordered tree on 1 to 5 variables, reduced or not: random nodes,
+    now and then a node with two equal branches or a leaf bit of 2, over
+    reduced and complete trees of random tables, whose nodes on at most 3
+    variables are the library's shared bottom."""
+
+    def node(bound):  # a subtree testing only variables below bound
+        pick = draw(st.integers(0, 39))
+        if pick >= 38:
+            return Leaf(2)
+        if bound == 0 or pick < 12:
+            return LEAVES[pick % 2]
+        if pick < 20:
+            build = reduced_bdd if pick < 16 else plain_bdd
+            return build(bound, draw(st.integers(0, (1 << (1 << bound)) - 1))).root
+        var = draw(st.integers(0, bound - 1))
+        if pick == 37:
+            twice = node(var)
+            return Ite(var, twice, twice)
+        return Ite(var, node(var), node(var))
+
+    nv = draw(st.integers(1, 5))
+    return Bdd(nv, node(nv))
+
+
+@given(ordered_trees())
+def test_reduced_rank_accepts_exactly_the_reduced_trees(b):
+    table = ev(b)
+    if b != reduced_bdd(b.nv, table):
+        with pytest.raises(ValueError) as exc:
+            bdd2nat(b)
+        # a tree with a bad leaf may meet either fault first
+        bad_leaf = {"leaf bit must be 0 or 1, got 2"} if 2 in leaf_bits(b.root) else set()
+        assert str(exc.value) in {NOT_REDUCED} | bad_leaf
+    elif table.bit_length() > 1 << (b.nv - 1):
+        with pytest.raises(ValueError, match="^not in the enumeration"):
+            bdd2nat(b)
+    else:
+        assert nat2bdd(bdd2nat(b)) == b
 
 
 def test_unrank_resource_guard():

@@ -57,6 +57,10 @@ def test_table_checks_build_no_mask():
         with pytest.raises(ValueError, match="truth table out of range"):
             plain_bdd(24, past_the_top, 24)
         assert reduced_bdd(24, 1, 24).nv == 24
+        # narrow tables whose trees reach below 16 variables, where the
+        # build reverses a 2**16-bit table, never a 2**24-bit one
+        for t in (2, 1 << 1000, (1 << (1 << 17)) - 1):
+            assert reduced_bdd(24, t, 24).nv == 24
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
