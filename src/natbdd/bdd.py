@@ -8,7 +8,8 @@ leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 :func:`reduced_bdd` also share subtrees, as an ROBDD's unique table does:
 equal subtrees are one object.  Its bottom, every complete and reduced tree
 on at most 3 variables, is built once at import and shared by every call;
-above it both builders keep the table per call in one layout, nv + 1 dicts
+above it both builders keep the table per call, or per block while
+:func:`natbdd.ranking.enumerate_bdds` streams, in one layout, nv + 1 dicts
 with ``memo[v]`` mapping a 2**v-bit table to its node, in bit-reversed row
 order but for :func:`reduced_bdd`'s tables above 16 variables.
 :func:`reduce` keeps the sharing of its input.  Only trees parsed from text

@@ -14,10 +14,11 @@ evaluation; both place rank n at bsum(k-1) + local index.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .bdd import Bdd, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
-from .truthtab import DEFAULT_MAX_VARS, check_var_count, count_text, size_text
+from .bdd import Bdd, _plain_node, _reduced_node, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
+from .truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, count_text, reverse_rows, size_text
 
 
 class RankPair(NamedTuple):
@@ -31,6 +32,17 @@ def bsum(n: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
     if n < 0:
         raise ValueError(f"expected a natural number, got {size_text(n)}")
     check_var_count(n, max_nv)
+    return _bsum(n)
+
+
+def _bsum(n: int) -> int:
+    # bsum without the guard, as to_bsum needs it for any rank; the sums a
+    # guard allows are kept, each built on first use (bsum(24) takes 1 MiB)
+    return (_kept_bsum if n <= MAX_VARS_CEILING else _kept_bsum.__wrapped__)(n)
+
+
+@lru_cache(maxsize=None)
+def _kept_bsum(n: int) -> int:
     return sum(map(_block_size, range(1, n + 1)))
 
 
@@ -42,19 +54,16 @@ def _block_size(k: int) -> int:
 def to_bsum(n: int) -> RankPair:
     """Decompose rank ``n`` into (variable count, index within its block).
 
-    Runs a cumulative sum instead of recomputing bsum per candidate; the
-    block sizes grow doubly exponentially, so this takes O(log log n) steps.
+    The block is told by ``n``'s bit length: bsum(k) has 2**(k-1) + 1 bits
+    for k >= 1, so the first k whose bsum has at least as many bits as ``n``
+    is ``n``'s block or the one before it, and one comparison decides.
     """
     if n < 0:
         raise ValueError(f"expected a natural number, got {size_text(n)}")
-    k = 1
-    start = 0
-    while True:
-        size = _block_size(k)
-        if n < start + size:
-            return RankPair(k, n - start)
-        start += size
-        k += 1
+    k = max(n.bit_length() - 2, 0).bit_length() + 1
+    r = n - _bsum(k - 1)
+    size = _block_size(k)
+    return RankPair(k + 1, r - size) if r >= size else RankPair(k, r)
 
 
 def nat2plain_bdd(n: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
@@ -123,12 +132,31 @@ def enumerate_bdds(
 ) -> Iterator[Bdd]:
     """Lazily yield the trees of ranks ``start .. start+count-1``.
 
-    ``kind`` selects ``"plain"`` or ``"reduced"`` trees.
+    ``kind`` selects ``"plain"`` or ``"reduced"`` trees, each equal to the
+    one :func:`nat2plain_bdd` or :func:`nat2bdd` gives.  ``start`` is
+    decomposed once.  The trees of a block, whose tables differ in a few
+    rows, are built as :func:`plain_bdd` and :func:`reduced_bdd` build one,
+    through one memo, the stream's unique table; a level is cleared once it
+    holds four times the tables one tree can hold there, so the table stays
+    small however long the stream.  A tree past ``max_nv`` raises the
+    guard's message when the stream reaches it.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
     if start < 0 or count < 0:
         raise ValueError("start and count must be naturals")
-    unrank = nat2plain_bdd if kind == "plain" else nat2bdd
-    for n in range(start, start + count):
-        yield unrank(n, max_nv)
+    k, r = to_bsum(start)
+    memo = None
+    for _ in range(count):
+        if memo is None:  # a new block
+            memo = [{} for _ in range(check_var_count(k, max_nv) + 1)]
+        if kind == "plain":
+            yield Bdd(k, _plain_node(k, reverse_rows(r, k, range(k // 2)), memo))
+        else:
+            yield Bdd(k, _reduced_node(k, r, memo))
+        for v, level in enumerate(memo):
+            if len(level) > 1 << (k - v + 2):
+                level.clear()
+        r += 1
+        if r == _block_size(k):
+            k, r, memo = k + 1, 0, None

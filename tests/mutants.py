@@ -39,6 +39,10 @@ def bdd_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_bdd.py::{name}" for name in names)
 
 
+def ranking_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_ranking.py::{name}" for name in names)
+
+
 MUTANTS = [
     # reduced_bdd: natural-order unpairing above 16 variables, one reversal and
     # contiguous splits at or below, the reduced bottom by bit-reversed table
@@ -131,6 +135,23 @@ MUTANTS = [
            "    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(nv // 2))\n",
            "    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(1, nv // 2))\n",
            bdd_tests("test_fold_equals_recursive_pairing_on_random_plain_trees")),
+    # the stream: one decomposition, one capped memo per block
+    Mutant("the stream's memo without a level cap", "ranking.py",
+           "            if len(level) > 1 << (k - v + 2):\n", "            if False:\n",
+           ranking_tests("test_a_long_stream_holds_a_bounded_table")),
+    Mutant("a fresh memo per streamed tree", "ranking.py",
+           "        if memo is None:  # a new block\n", "        if True:\n",
+           ranking_tests("test_a_stream_shares_nodes_across_its_trees")),
+    Mutant("the stream's memo kept across a block change", "ranking.py",
+           "            k, r, memo = k + 1, 0, None\n", "            k, r = k + 1, 0\n",
+           ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    Mutant("the stream leaves a block one tree early", "ranking.py",
+           "        if r == _block_size(k):\n", "        if r == _block_size(k) - 1:\n",
+           ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    Mutant("to_bsum without its correction step", "ranking.py",
+           "    return RankPair(k + 1, r - size) if r >= size else RankPair(k, r)\n",
+           "    return RankPair(k, r)\n",
+           ranking_tests("test_to_bsum_equals_the_summing_loop")),
 ]
 
 

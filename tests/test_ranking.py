@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -73,6 +74,23 @@ def test_to_bsum_is_block_consistent():
         k, r = to_bsum(n)
         assert bsum(k - 1) <= n < bsum(k)
         assert r == n - bsum(k - 1)
+
+
+def summed_to_bsum(n):
+    # to_bsum as a cumulative sum over the block sizes, block by block
+    k, start = 1, 0
+    while n >= start + (1 << (1 << (k - 1))):
+        start += 1 << (1 << (k - 1))
+        k += 1
+    return k, n - start
+
+
+def test_to_bsum_equals_the_summing_loop():
+    rng = random.Random(22)
+    edges = [bsum(k) + d for k in range(13) for d in (-1, 0, 1) if bsum(k) + d >= 0]
+    randoms = [rng.getrandbits(rng.randrange(1, 5000)) for _ in range(300)]
+    for n in edges + randoms:
+        assert to_bsum(n) == summed_to_bsum(n), n
 
 
 def test_to_bsum_is_monotone():
@@ -215,6 +233,63 @@ def test_enumerate_matches_pointwise_unranking():
     assert list(enumerate_bdds("reduced", 5, 7)) == [nat2bdd(n) for n in range(5, 12)]
     assert list(enumerate_bdds("reduced", 42, 1)) == [nat2bdd(42)]
     assert list(enumerate_bdds("plain", 0, 0)) == []
+
+
+def test_streamed_trees_equal_trees_built_alone():
+    # runs from inside blocks 1-3 across the ends of blocks 1-4 and 16, one
+    # memo per block; at k=17 the reduced memo holds natural-order tables
+    runs = [(1, 30), (bsum(2) + 5, 40), (bsum(4) - 20, 40), (bsum(16) - 3, 6)]
+    for start, count in runs:
+        ranks = range(start, start + count)
+        assert list(enumerate_bdds("plain", start, count)) == [nat2plain_bdd(n) for n in ranks]
+        assert list(enumerate_bdds("reduced", start, count)) == [nat2bdd(n) for n in ranks]
+    # a tree past the guard raises its message where the stream reaches it
+    for kind in ("plain", "reduced"):
+        stream = enumerate_bdds(kind, bsum(4) - 2, 5, 4)
+        assert [next(stream), next(stream)] == list(enumerate_bdds(kind, bsum(4) - 2, 2))
+        with pytest.raises(ValueError) as exc:
+            next(stream)
+        assert str(exc.value) == "variable count exceeds the guard of 4 (a table on n variables needs 2**n bits), got 5"
+
+
+def ite_ids(node, seen):
+    if isinstance(node, Ite) and id(node) not in seen:
+        seen.add(id(node))
+        ite_ids(node.high, seen)
+        ite_ids(node.low, seen)
+    return seen
+
+
+def test_a_stream_shares_nodes_across_its_trees():
+    # consecutive tables differ in a few rows, so the trees of a stream share
+    # all but a few nodes: 130-170 distinct ites over 64 k=7 trees, against
+    # 700 or more when each tree is built alone
+    rng = random.Random(7)
+    for kind in ("plain", "reduced"):
+        for _ in range(3):
+            start = bsum(6) + rng.randrange(bsum(7) - bsum(6) - 64)
+            trees = list(enumerate_bdds(kind, start, 64))
+            seen = set()
+            for b in trees:
+                ite_ids(b.root, seen)
+            assert len(seen) < 256, (kind, start, len(seen))
+
+
+def test_a_long_stream_holds_a_bounded_table():
+    # the stream's memo is capped per level, so a long stream holds a few
+    # trees' worth of tables, not every table it has met
+    start = bsum(6) + random.Random(8).randrange(bsum(7) - bsum(6) - 10**4)
+    for kind in ("plain", "reduced"):
+        for _ in enumerate_bdds(kind, start, 8):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in enumerate_bdds(kind, start, 5000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10, (kind, peak)
 
 
 def test_plain_stream_prefix():
