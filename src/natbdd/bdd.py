@@ -43,7 +43,13 @@ The encoding and its inverses:
   handles O(nv * 2**nv) bits, whatever the tree's size, and never pairs.
 
 :func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
-distinct node object once, a bottom node's by lookup after its checks.
+distinct node object once per call, a bottom node's by lookup after its
+checks.  On at most 8 variables the fold and ``ev`` keep their memos
+across calls, as a BDD package keeps a computed table: one per walk, each
+``reduced`` flag a walk of its own.  A kept memo holds the roots of the
+trees whose node ids it names, and once it names 256 roots and nodes it is
+replaced, never cleared.  A result depends only on its subtree and is
+looked up after the node's checks, so no output depends on a kept memo.
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -226,6 +232,23 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
     return _REDUCED_BOTTOM[v][t]
 
 
+_KEPT_NV = 8
+_kept = {walk: ([], {}) for walk in ("fold", "ev", "reduced ev")}  # the kept memos (module docstring)
+
+
+def _walk_memo(walk: str, b: Bdd) -> tuple[list[Node], dict[int, int]]:
+    """``walk``'s (roots, memo) pair for ``b``: the kept one, now holding b's
+    root, or a fresh one.  The caller holds it until its walk returns, so no
+    other thread's replacement frees a node whose id the walk looks up."""
+    if b.nv > _KEPT_NV:
+        return [], {}
+    pair = _kept[walk]
+    if len(pair[0]) + len(pair[1]) >= 1 << _KEPT_NV:
+        pair = _kept[walk] = [], {}
+    pair[0].append(b.root)
+    return pair
+
+
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Fold a complete tree back into its table by recursive bit interleaving.
 
@@ -233,16 +256,18 @@ def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     is defined on complete trees only, so any other tree is refused as the
     walk meets it.  Each distinct node object is folded once, in
     bit-reversed row order at its own width of 2**(var+1) bits, as the
-    module docstring says.  What is checked, in this order: the variable
-    count against the ``max_nv`` guard, with :func:`ev`'s message; then
-    each node as the walk from the root meets it.  An ite's variable lies
-    in [0, parent's), with :func:`ev`'s message, and is the one just below
-    its parent's, the root's nv - 1; a leaf's bit is 0 or 1, with the
-    parsers' message, and the leaf lies below variable 0.  So nothing wider
-    than 2**max_nv bits is built.
+    module docstring says, or looked up in the fold's kept memo.  What is
+    checked, in this order: the variable count against the ``max_nv``
+    guard, with :func:`ev`'s message; then each node as the walk from the
+    root meets it, a looked-up one too.  An ite's variable lies in [0,
+    parent's), with :func:`ev`'s message, and is the one just below its
+    parent's, the root's nv - 1; a leaf's bit is 0 or 1, with the parsers'
+    message, and the leaf lies below variable 0.  So nothing wider than
+    2**max_nv bits is built.
     """
     nv = check_var_count(b.nv, max_nv)
-    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(nv // 2))
+    roots, memo = _walk_memo("fold", b)  # roots held until the walk returns
+    return reverse_rows(_inverse_node(b.root, nv, memo), nv, range(nv // 2))
 
 
 # memo as in _reduce_node: id(node) -> its fold in bit-reversed row order at
@@ -269,15 +294,17 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
 def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """Boolean evaluation: the truth table a tree denotes.
 
-    Each distinct node object is evaluated once, at its own width: a node
-    testing variable v gets a table of 2**(v+1) bits whose row bit k means
+    Each distinct node object is evaluated once, or looked up in the kept
+    memo of its ``reduced`` flag, at its own width: a node testing variable
+    v gets a table of 2**(v+1) bits whose row bit k means
     "variable k is 0".  In that bit-reversed order variable v is the top row
     bit, so the node's table is its Shannon expansion written as a
     concatenation, ``H | L << 2**v``.  A child testing a lower variable is
     widened by repeating its table; a leaf is all zeros or all ones.  One
     bit reversal of the root's 2**nv-bit table
-    (:func:`natbdd.truthtab.reverse_rows`, leaving out the swaps of variable
-    pairs the tree never tests) gives this module's row order.
+    (:func:`natbdd.truthtab.reverse_rows`, leaving out, above 8 variables,
+    the swaps of variable pairs the tree never tests) gives this module's
+    row order.
 
     At most 2**(nv-1-v) nodes test variable v, one per path from the root,
     so each level's tables hold at most 2**nv bits and an evaluation
@@ -292,7 +319,10 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """
     nv = check_var_count(b.nv, max_nv)
     tested = [False] * nv
-    table = _ev_node(b.root, nv, {}, tested, reduced)
+    roots, memo = _walk_memo("reduced ev" if reduced else "ev", b)  # roots held until the walk returns
+    table = _ev_node(b.root, nv, memo, tested, reduced)
+    if nv <= _KEPT_NV:  # a hit from an earlier call marks no variables
+        return reverse_rows(table, nv, range(nv // 2))
     return reverse_rows(table, nv, [k for k in range(nv // 2) if tested[k] or tested[nv - 1 - k]])
 
 

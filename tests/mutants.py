@@ -132,9 +132,27 @@ MUTANTS = [
            "    if not 0 <= v < bound:\n        raise _order_error(v, bound)\n",
            bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("the fold's reversal misses a swap", "bdd.py",
-           "    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(nv // 2))\n",
-           "    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(1, nv // 2))\n",
+           "    return reverse_rows(_inverse_node(b.root, nv, memo), nv, range(nv // 2))\n",
+           "    return reverse_rows(_inverse_node(b.root, nv, memo), nv, range(1, nv // 2))\n",
            bdd_tests("test_fold_equals_recursive_pairing_on_random_plain_trees")),
+    # the kept memos: roots held, one pair per walk, replaced when full, at most 8 variables
+    Mutant("the kept memos hold no roots", "bdd.py",
+           "    pair[0].append(b.root)\n", "",
+           bdd_tests("test_kept_memos_never_mistake_a_new_node_for_a_dropped_one")),
+    Mutant("one kept memo serves both ev flags", "bdd.py",
+           '_walk_memo("reduced ev" if reduced else "ev", b)', '_walk_memo("ev", b)',
+           ranking_tests("test_the_reduced_rank_checks_what_ev_left_unchecked")),
+    Mutant("a kept memo is never replaced", "bdd.py",
+           "    if len(pair[0]) + len(pair[1]) >= 1 << _KEPT_NV:\n", "    if False:\n",
+           bdd_tests("test_kept_memos_retain_a_bounded_memory")),
+    Mutant("the memo is kept at every nv", "bdd.py",
+           "    if b.nv > _KEPT_NV:\n        return [], {}\n", "",
+           bdd_tests("test_walks_above_8_variables_keep_no_memo")),
+    Mutant("ev on at most 8 variables swaps only the tested pairs", "bdd.py",
+           "    if nv <= _KEPT_NV:  # a hit from an earlier call marks no variables\n",
+           "    if False:  # a hit from an earlier call marks no variables\n",
+           (*bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests"),
+            *ranking_tests("test_streams_rank_exactly_through_the_kept_memos"))),
     # the stream: one decomposition, one capped memo per block
     Mutant("the stream's memo without a level cap", "ranking.py",
            "            if len(level) > 1 << (k - v + 2):\n", "            if False:\n",

@@ -24,7 +24,7 @@ from natbdd.bdd import (
 from natbdd.cli import parse_bdd, parse_json, parse_sexpr, render_json, render_sexpr
 from natbdd.oracle import truth_table_of
 from natbdd.pairing import bitmerge_pair, bitmerge_unpair
-from natbdd.ranking import enumerate_bdds, nat2plain_bdd, plain_bdd2nat
+from natbdd.ranking import bsum, enumerate_bdds, nat2plain_bdd, plain_bdd2nat
 from natbdd.truthtab import reverse_rows, size_text, var_tt
 
 
@@ -470,9 +470,10 @@ def test_walks_on_trees_mixing_shared_bottom_nodes_and_hand_built_ones():
 
 
 def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatch):
-    # ev leaves out the row swap of each variable pair that the tree never
-    # tests; a shared bottom node is not walked, so the variables it tests
-    # are marked from what import recorded for it
+    # above 8 variables ev leaves out the row swap of each variable pair that
+    # the tree never tests; a shared bottom node is not walked, so the
+    # variables it tests are marked from what import recorded for it.  On at
+    # most 8 variables a hit in the kept memo marks nothing, so every pair swaps
     rng = random.Random(19)
     swaps = []
 
@@ -497,7 +498,10 @@ def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatc
             tested = {node.var for node in ite_objects(b.root)}
             swaps.clear()
             assert ev(b) == truth_table_of(b) == tt, (nv, chosen)
-            assert swaps == [[k for k in range(nv // 2) if k in tested or nv - 1 - k in tested]], (nv, chosen)
+            if nv <= 8:
+                assert swaps == [list(range(nv // 2))], (nv, chosen)
+            else:
+                assert swaps == [[k for k in range(nv // 2) if k in tested or nv - 1 - k in tested]], (nv, chosen)
 
 
 def test_plain_bdd_range_errors():
@@ -765,6 +769,61 @@ def test_ev_and_validate_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_kept_memos_never_mistake_a_new_node_for_a_dropped_one():
+    # a parsed tree shares only the leaves, so dropping it frees all its
+    # nodes, and the next tree's nodes can take their ids; the kept memos hold
+    # every root whose nodes they name, so a kept id never names a new node
+    rng = random.Random(24)
+    for i in range(3000):
+        nv = rng.randint(4, 8)
+        tt = rng.getrandbits(1 << nv)
+        if i % 3 == 2:
+            b = parse_sexpr(render_sexpr(reduced_bdd(nv, tt)))
+            assert ev(b, reduced=True) == tt, (i, nv, tt)
+        else:
+            b = parse_sexpr(render_sexpr(plain_bdd(nv, tt)))
+            assert (ev(b) if i % 3 else plain_inverse_bdd(b)) == tt, (i, nv, tt)
+        del b
+
+
+def test_kept_memos_retain_a_bounded_memory():
+    # each kept memo is replaced once it names 256 roots and nodes, so neither
+    # one tree walked over and over nor a run of distinct trees grows it:
+    # about 32 KiB retained, against megabytes with no bound
+    rng = random.Random(25)
+    tt = rng.getrandbits(256)
+    b = reduced_bdd(8, tt)
+    assert ev(b) == ev(b, reduced=True) == plain_inverse_bdd(plain_bdd(8, tt)) == tt
+    # consecutive streamed trees, built untraced: each shares most nodes with
+    # the one before, so the walks are short, and tracing stays quick
+    plains = list(enumerate_bdds("plain", bsum(7) + rng.getrandbits(100), 5000))
+    tracemalloc.start()
+    try:
+        for _ in range(20000):
+            ev(b)
+        for plain in plains:
+            assert ev(plain) == plain_inverse_bdd(plain)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 << 10, retained
+
+
+def test_walks_above_8_variables_keep_no_memo():
+    # only trees on at most 8 variables are walked through the kept memos;
+    # a wider tree's memo is the call's own, freed when it returns
+    tt = random.Random(26).getrandbits(1 << 16)
+    plain, reduced = plain_bdd(16, tt), reduced_bdd(16, tt)
+    assert ev(reduced) == plain_inverse_bdd(plain) == tt
+    tracemalloc.start()
+    try:
+        assert ev(reduced) == plain_inverse_bdd(plain) == tt
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 << 10, retained
 
 
 def test_roundtrips_exhaustive_small():

@@ -1,10 +1,13 @@
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import natbdd.bdd
 from natbdd.bdd import LEAVES, Bdd, Ite, Leaf, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
 from natbdd.cli import parse_sexpr, render_sexpr
 from natbdd.ranking import (
@@ -173,6 +176,21 @@ def test_reduced_rank_refuses_trees_that_are_not_reduced():
         assert bdd2nat(parse_sexpr(render_sexpr(reduced))) == n
 
 
+def test_the_reduced_rank_checks_what_ev_left_unchecked():
+    # ev without ``reduced`` checks neither leaf bits nor equal branches, so
+    # a node it has evaluated is still checked when the reduced rank meets
+    # it; each pair of calls runs twice, since a kept memo found full at a
+    # call's start is replaced, and the second pair then shares one memo
+    below = reduced_bdd(3, 0x96).root
+    for node, want in ((Ite(3, below, below), NOT_REDUCED),
+                       (Ite(4, below, Ite(3, Ite(2, Leaf(2), LEAVES[0]), below)), "leaf bit must be 0 or 1, got 2")):
+        for _ in range(2):
+            ev(Bdd(6, Ite(5, node, LEAVES[0])))
+            with pytest.raises(ValueError) as exc:
+                bdd2nat(Bdd(6, Ite(5, node, LEAVES[1])))
+            assert str(exc.value) == want
+
+
 def leaf_bits(node):
     if isinstance(node, Leaf):
         return {node.bit}
@@ -290,6 +308,54 @@ def test_a_long_stream_holds_a_bounded_table():
         finally:
             tracemalloc.stop()
         assert peak < 256 << 10, (kind, peak)
+
+
+def test_streams_rank_exactly_through_the_kept_memos(monkeypatch):
+    # consecutive streamed trees share most nodes, so each rank walk meets
+    # nodes that the walks of earlier calls left in their kept memos: about 4.5
+    # calls per k=7 tree, against 30 when every walk starts with an empty memo
+    calls = []
+    for name in ("_ev_node", "_inverse_node"):
+        walk = getattr(natbdd.bdd, name)
+        monkeypatch.setattr(natbdd.bdd, name, lambda *args, walk=walk: calls.append(1) or walk(*args))
+    rng = random.Random(24)
+    for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
+        # from the end of block 5 into block 6, then inside blocks 6-8
+        for start in (bsum(5) - 1000, *(bsum(k - 1) + rng.getrandbits(1 << (k - 2)) for k in range(6, 9))):
+            calls.clear()
+            for n, b in enumerate(enumerate_bdds(kind, start, 2000), start):
+                assert rank(b) == n, (kind, n)
+            if to_bsum(start).k == 7:
+                assert len(calls) < 10 * 2000, (kind, len(calls))
+
+
+def test_threads_rank_distinct_streams_exactly():
+    # each thread's walks go through the kept memos the others fill, or
+    # through a pair that another thread has just replaced
+    starts = [bsum(6) + 1234, bsum(7) - 700, bsum(7) + 3**40, bsum(5) + 999]
+    ranks = {"plain": plain_bdd2nat, "reduced": bdd2nat}
+    errors = []
+
+    def rank_stream(kind, start):
+        try:
+            for n, b in enumerate(enumerate_bdds(kind, start, 1500), start):
+                assert ranks[kind](b) == n, (kind, n)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rank_stream, args=(kind, start))
+                   for kind, start in zip(["plain", "reduced"] * 2, starts)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_plain_stream_prefix():
