@@ -44,10 +44,14 @@ The encoding and its inverses:
 
 :func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
 distinct node object once per call, a bottom node's by lookup after its
-checks.  On at most 8 variables the fold and ``ev`` keep their memos
-across calls, as a BDD package keeps a computed table: one per walk, each
-``reduced`` flag a walk of its own.  A kept memo holds the roots of the
-trees whose node ids it names, and once it names 256 roots and nodes it is
+checks.  One table gives a bottom node's table t.  As reduced ordered BDDs
+are canonical, the node is complete just when it is the complete bottom
+tree of t, and reduced just when it is the reduced one, which is what
+:func:`reduce` makes of it.  On at most 8 variables the two rank walks,
+the fold and ``ev`` with ``reduced``, keep their memos across calls, as a
+BDD package keeps a computed table, one per walk; plain ``ev`` takes a
+memo per call.  A kept memo holds the roots of the trees whose node ids it
+names, and once it names 256 roots and nodes, or its walk raises, it is
 replaced, never cleared.  A result depends only on its subtree and is
 looked up after the node's checks, so no output depends on a kept memo.
 
@@ -58,7 +62,7 @@ For every plain tree the two inverses agree with the original table, and
 from __future__ import annotations
 
 from functools import partial
-from itertools import count, product, repeat
+from itertools import chain, product
 from typing import NamedTuple
 
 from .pairing import bitmerge_unpair
@@ -89,38 +93,32 @@ _new_ite = partial(tuple.__new__, Ite)
 
 # The bottom (module docstring): _PLAIN_BOTTOM[v] and _REDUCED_BOTTOM[v] by
 # bit-reversed 2**v-bit table, as _plain_node and _reduced_split split.  Its nodes
-# live as long as the module, so their ids name them: the dicts map each to a
-# walk's result, the fold (complete nodes only), the table in ev's order with the
-# variables tested, the reduced tree.
+# live as long as the module, so their ids name them: _BOTTOM_TABLES maps each ite
+# to its table t in ev's order and the variables it tests, and a node testing v is
+# _PLAIN_BOTTOM[v + 1][t] if complete, _REDUCED_BOTTOM[v + 1][t] if reduced.
 _BOTTOM_NV = 3
 
 
 def _build_bottom():
     plain, reduced = [LEAVES], [LEAVES]
     # tables: a node's table in ev's order and a mask of the variables it tests
-    folds, tables, reductions = {}, {id(leaf): (leaf.bit, 0) for leaf in LEAVES}, {}
+    tables = {id(leaf): (leaf.bit, 0) for leaf in LEAVES}
     for v in range(1, _BOTTOM_NV + 1):
         # pair t of the product is table t = hi | lo << 2**(v-1), split as in _plain_node,
         # and reduced as in _reduce_node, where equal reduced halves are one object
         ps = [_new_ite((v - 1, high, low)) for low, high in product(plain[-1], repeat=2)]
         rs = [high if high is low else p if high is p.high and low is p.low else _new_ite((v - 1, high, low))
               for p, (low, high) in zip(ps, product(reduced[-1], repeat=2))]
-        ids = [*map(id, ps)]
-        folds.update(zip(ids, count()))
-        tables.update(zip(ids, zip(count(), repeat((1 << v) - 1))))
-        reductions.update(zip(ids, rs))
-        for t, r in enumerate(rs):
-            if id(r) not in tables:  # a reduced node that is not complete
-                tables[id(r)] = (t, 1 << (v - 1) | tables[id(r.high)][1] | tables[id(r.low)][1])
-                reductions[id(r)] = r
+        for t, node in chain(enumerate(ps), enumerate(rs)):
+            if id(node) not in tables:  # each node once: a reduced node may be complete, or below v
+                tables[id(node)] = (t, 1 << (v - 1) | tables[id(node.high)][1] | tables[id(node.low)][1])
         plain.append(tuple(ps))
         reduced.append(tuple(rs))
     variables = [tuple(k for k in range(_BOTTOM_NV) if m >> k & 1) for m in range(1 << _BOTTOM_NV)]
-    tables = {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
-    return tuple(plain), tuple(reduced), folds, tables, reductions
+    return tuple(plain), tuple(reduced), {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
 
 
-_PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_FOLDS, _BOTTOM_TABLES, _BOTTOM_REDUCTIONS = _build_bottom()
+_PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_TABLES = _build_bottom()
 
 
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
@@ -166,7 +164,9 @@ def reduce(b: Bdd) -> Bdd:
 def _reduce_node(node: Node, memo: dict[int, Node]) -> Node:
     if isinstance(node, Leaf):
         return node
-    done = _BOTTOM_REDUCTIONS.get(id(node)) or memo.get(id(node))  # nodes are nonempty tuples
+    if bottom := _BOTTOM_TABLES.get(id(node)):
+        return _REDUCED_BOTTOM[node.var + 1][bottom[0]]
+    done = memo.get(id(node))
     if done is None:
         high = _reduce_node(node.high, memo)
         low = _reduce_node(node.low, memo)
@@ -233,7 +233,7 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
 
 
 _KEPT_NV = 8
-_kept = {walk: ([], {}) for walk in ("fold", "ev", "reduced ev")}  # the kept memos (module docstring)
+_kept = {walk: ([], {}) for walk in ("fold", "reduced ev")}  # the kept memos (module docstring)
 
 
 def _walk_memo(walk: str, b: Bdd) -> tuple[list[Node], dict[int, int]]:
@@ -267,7 +267,12 @@ def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """
     nv = check_var_count(b.nv, max_nv)
     roots, memo = _walk_memo("fold", b)  # roots held until the walk returns
-    return reverse_rows(_inverse_node(b.root, nv, memo), nv, range(nv // 2))
+    try:
+        table = _inverse_node(b.root, nv, memo)
+    except BaseException:  # keep no tree that the walk refused
+        _kept["fold"] = [], {}
+        raise
+    return reverse_rows(table, nv, range(nv // 2))
 
 
 # memo as in _reduce_node: id(node) -> its fold in bit-reversed row order at
@@ -282,8 +287,8 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     v = node.var
     if v != bound - 1:
         raise _order_error(v, bound) if not 0 <= v < bound else ValueError(_INCOMPLETE)
-    if v < _BOTTOM_NV and (done := _BOTTOM_FOLDS.get(id(node))) is not None:
-        return done
+    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:
+        return bottom[0]
     done = memo.get(id(node))
     if done is None:  # in reversed order, pairing two folds of 2**v bits is concatenation
         done = _inverse_node(node.high, v, memo) | _inverse_node(node.low, v, memo) << (1 << v)
@@ -294,9 +299,9 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
 def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """Boolean evaluation: the truth table a tree denotes.
 
-    Each distinct node object is evaluated once, or looked up in the kept
-    memo of its ``reduced`` flag, at its own width: a node testing variable
-    v gets a table of 2**(v+1) bits whose row bit k means
+    Each distinct node object is evaluated once, at its own width, or with
+    ``reduced`` looked up in the reduced rank's kept memo: a node testing
+    variable v gets a table of 2**(v+1) bits whose row bit k means
     "variable k is 0".  In that bit-reversed order variable v is the top row
     bit, so the node's table is its Shannon expansion written as a
     concatenation, ``H | L << 2**v``.  A child testing a lower variable is
@@ -319,8 +324,13 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """
     nv = check_var_count(b.nv, max_nv)
     tested = [False] * nv
-    roots, memo = _walk_memo("reduced ev" if reduced else "ev", b)  # roots held until the walk returns
-    table = _ev_node(b.root, nv, memo, tested, reduced)
+    roots, memo = _walk_memo("reduced ev", b) if reduced else ([], {})  # roots held until the walk returns
+    try:
+        table = _ev_node(b.root, nv, memo, tested, reduced)
+    except BaseException:  # keep no tree that the walk refused
+        if reduced:
+            _kept["reduced ev"] = [], {}
+        raise
     if nv <= _KEPT_NV:  # a hit from an earlier call marks no variables
         return reverse_rows(table, nv, range(nv // 2))
     return reverse_rows(table, nv, [k for k in range(nv // 2) if tested[k] or tested[nv - 1 - k]])
@@ -339,9 +349,9 @@ def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool], r
     if not 0 <= v < bound:
         raise _order_error(v, bound)
     if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
-        if reduced and _BOTTOM_REDUCTIONS[id(node)] is not node:
-            raise ValueError(_NOT_REDUCED)
         table, variables = bottom
+        if reduced and _REDUCED_BOTTOM[v + 1][table] is not node:
+            raise ValueError(_NOT_REDUCED)
         for k in variables:
             tested[k] = True
     elif (table := memo.get(id(node))) is None:

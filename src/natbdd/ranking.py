@@ -90,7 +90,7 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     plain rank is refused, never given a rank that unranks to another tree.
     """
     _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
-    return _rank(b.nv, plain_inverse_bdd(b, max_nv), max_nv)
+    return _rank(b.nv, plain_inverse_bdd(b, max_nv))
 
 
 def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
@@ -99,24 +99,26 @@ def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     Only reduced trees, those :func:`nat2bdd` gives, are ranked: ``ev``'s
     ``reduced`` check refuses any other tree, such as a plain tree that
     reduces, which would share its reduced tree's rank.  Then the table
-    must lie in the block.  On at most 8 variables ``ev`` looks up, after
-    their checks, the nodes that earlier calls evaluated, so a stream's
-    trees, which share most nodes, are ranked in a few steps each.
+    must lie in the block.  On at most 8 variables ``ev`` with ``reduced``
+    looks up, after their checks, the nodes that earlier ranks evaluated, so
+    a stream's trees, which share most nodes, are ranked in a few steps
+    each; plain ``ev`` keeps no memo, so what it left unchecked is checked.
     """
-    return _rank(b.nv, ev(b, max_nv, reduced=True), max_nv)
+    return _rank(b.nv, ev(b, max_nv, reduced=True))
 
 
-def _rank(nv: int, index: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
+def _rank(nv: int, index: int) -> int:
     # fail fast on trees outside the enumeration's image rather than hand
     # back a rank that unranks to something else; the index is told by its
-    # bit length, as check_table tells a table, so no 2**(nv-1)-bit bound is built
+    # bit length, as check_table tells a table, so no 2**(nv-1)-bit bound is built;
+    # the walk that gave the index held nv to its guard, so no guard is checked here
     _check_block(nv)
     if not (index >= 0 and index.bit_length() <= 1 << (nv - 1)):
         raise ValueError(
             f"not in the enumeration: the block for {count_text(nv, 'variable')} holds the "
             f"tables below 2**{1 << (nv - 1)}, got {size_text(index)}"
         )
-    return bsum(nv - 1, max_nv) + index
+    return _bsum(nv - 1) + index
 
 
 def _check_block(nv: int) -> None:

@@ -6,11 +6,11 @@ Each mutant is an exact edit of one file under ``src/``: its old text, the
 new text it is replaced by, and the tests that must catch it.  For each
 mutant ``src/`` is copied to a temporary directory, the edit is made there,
 and the named tests are run against the copy with pytest; the run must
-fail.  The same tests must first pass on an unmutated copy.  An old text
-that is not in its file exactly once fails the script, so a refactor of the
-code restates its mutants instead of losing them.  Pytest does not collect
-this file (its name has no ``test_`` prefix).  Exit status 0 when every
-mutant is killed, 1 otherwise.
+fail.  The same tests must first pass on an unmutated copy, all in one
+pytest run.  An old text that is not in its file exactly once fails the
+script, so a refactor of the code restates its mutants instead of losing
+them.  Pytest does not collect this file (its name has no ``test_``
+prefix).  Exit status 0 when every mutant is killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ MUTANTS = [
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random",
                      "test_plain_and_reduced_trees_share_equal_subtrees")),
     Mutant("the reduced bottom indexed by natural-order table", "bdd.py",
-           "    return tuple(plain), tuple(reduced), folds, tables, reductions\n",
+           "    return tuple(plain), tuple(reduced), {",
            "    for v, d, mask in ((2, 1, 0b10), (3, 3, 0b1010)):\n"
            "        swaps = [((n >> d) ^ n) & mask for n in range(len(reduced[v]))]\n"
            "        reduced[v] = [reduced[v][n ^ s ^ s << d] for n, s in enumerate(swaps)]\n"
-           "    return tuple(plain), tuple(reduced), folds, tables, reductions\n",
+           "    return tuple(plain), tuple(reduced), {",
            bdd_tests("test_reduced_bdd_examples", "test_reduced_bdd_equals_reduced_plain_tree_random")),
     Mutant("_plain_node without the bottom", "bdd.py",
            "    if v <= _BOTTOM_NV:\n        return _PLAIN_BOTTOM[v][t]\n",
@@ -76,7 +76,7 @@ MUTANTS = [
            ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",
             "tests/test_cli.py::test_rank_refuses_a_plain_tree_that_reduces")),
     Mutant("no reduced check at the bottom", "bdd.py",
-           "        if reduced and _BOTTOM_REDUCTIONS[id(node)] is not node:", "        if False:",
+           "        if reduced and _REDUCED_BOTTOM[v + 1][table] is not node:", "        if False:",
            ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",)),
     Mutant("no leaf-bit check in the reduced rank", "bdd.py",
            "        if reduced and not 0 <= node.bit <= 1:", "        if False:",
@@ -110,14 +110,13 @@ MUTANTS = [
     Mutant("the fold's bottom lookup before its checks", "bdd.py",
            "    v = node.var\n    if v != bound - 1:\n",
            "    v = node.var\n"
-           "    if v < _BOTTOM_NV and (done := _BOTTOM_FOLDS.get(id(node))) is not None:\n"
-           "        return done\n"
+           "    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:\n"
+           "        return bottom[0]\n"
            "    if v != bound - 1:\n",
            bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
                      "test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("the fold vouches for reduced bottom nodes", "bdd.py",
-           "        reductions.update(zip(ids, rs))\n",
-           "        reductions.update(zip(ids, rs))\n        folds.update((id(r), t) for t, r in enumerate(rs))\n",
+           " and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:\n", ":\n",
            bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("no leaf-place check in the fold", "bdd.py",
            "        if bound:\n            raise ValueError(_INCOMPLETE)\n",
@@ -132,16 +131,25 @@ MUTANTS = [
            "    if not 0 <= v < bound:\n        raise _order_error(v, bound)\n",
            bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("the fold's reversal misses a swap", "bdd.py",
-           "    return reverse_rows(_inverse_node(b.root, nv, memo), nv, range(nv // 2))\n",
-           "    return reverse_rows(_inverse_node(b.root, nv, memo), nv, range(1, nv // 2))\n",
+           "        raise\n    return reverse_rows(table, nv, range(nv // 2))\n",
+           "        raise\n    return reverse_rows(table, nv, range(1, nv // 2))\n",
            bdd_tests("test_fold_equals_recursive_pairing_on_random_plain_trees")),
-    # the kept memos: roots held, one pair per walk, replaced when full, at most 8 variables
+    # reduce: a bottom node's reduced tree by lookup
+    Mutant("reduce's bottom shortcut returns the node itself", "bdd.py",
+           "        return _REDUCED_BOTTOM[node.var + 1][bottom[0]]\n", "        return node\n",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
+    # the kept memos: the two rank walks only, roots held, replaced when full or
+    # when the walk raises, at most 8 variables
     Mutant("the kept memos hold no roots", "bdd.py",
            "    pair[0].append(b.root)\n", "",
            bdd_tests("test_kept_memos_never_mistake_a_new_node_for_a_dropped_one")),
-    Mutant("one kept memo serves both ev flags", "bdd.py",
-           '_walk_memo("reduced ev" if reduced else "ev", b)', '_walk_memo("ev", b)',
-           ranking_tests("test_the_reduced_rank_checks_what_ev_left_unchecked")),
+    Mutant("plain ev through the reduced rank's kept memo", "bdd.py",
+           '_walk_memo("reduced ev", b) if reduced else ([], {})', '_walk_memo("reduced ev", b)',
+           (*ranking_tests("test_the_reduced_rank_checks_what_ev_left_unchecked"),
+            *bdd_tests("test_walks_above_8_variables_keep_no_memo"))),
+    Mutant("a raising walk keeps its pair", "bdd.py",
+           '        _kept["fold"] = [], {}\n', "",
+           ranking_tests("test_a_tree_the_rank_walks_refuse_is_not_kept")),
     Mutant("a kept memo is never replaced", "bdd.py",
            "    if len(pair[0]) + len(pair[1]) >= 1 << _KEPT_NV:\n", "    if False:\n",
            bdd_tests("test_kept_memos_retain_a_bounded_memory")),
@@ -187,9 +195,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src)
-        for tests in dict.fromkeys(m.tests for m in MUTANTS):
-            if not run_tests(src, tests):
-                failures.append(f"fail on the unmutated code: {' '.join(tests)}")
+        tests = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+        if not run_tests(src, tests):
+            failures.append(f"fail on the unmutated code, one or more of: {' '.join(tests)}")
         for m in MUTANTS:
             path = src / "natbdd" / m.file
             text = path.read_text()

@@ -797,14 +797,15 @@ def test_kept_memos_retain_a_bounded_memory():
     b = reduced_bdd(8, tt)
     assert ev(b) == ev(b, reduced=True) == plain_inverse_bdd(plain_bdd(8, tt)) == tt
     # consecutive streamed trees, built untraced: each shares most nodes with
-    # the one before, so the walks are short, and tracing stays quick
-    plains = list(enumerate_bdds("plain", bsum(7) + rng.getrandbits(100), 5000))
+    # the one before, so the rank walks are short, and tracing stays quick
+    start = bsum(7) + rng.getrandbits(100)
+    streams = list(zip(enumerate_bdds("plain", start, 5000), enumerate_bdds("reduced", start, 5000)))
     tracemalloc.start()
     try:
         for _ in range(20000):
-            ev(b)
-        for plain in plains:
-            assert ev(plain) == plain_inverse_bdd(plain)
+            ev(b, reduced=True)
+        for plain, reduced in streams:
+            assert ev(reduced, reduced=True) == plain_inverse_bdd(plain)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -812,14 +813,19 @@ def test_kept_memos_retain_a_bounded_memory():
 
 
 def test_walks_above_8_variables_keep_no_memo():
-    # only trees on at most 8 variables are walked through the kept memos;
-    # a wider tree's memo is the call's own, freed when it returns
-    tt = random.Random(26).getrandbits(1 << 16)
+    # only the rank walks on trees of at most 8 variables go through the kept
+    # memos; a wider tree's memo, and plain ev's at any width, is the call's
+    # own, freed when it returns (a parsed nv=8 tree has 511 distinct nodes)
+    rng = random.Random(26)
+    tt, small = rng.getrandbits(1 << 16), rng.getrandbits(1 << 8)
     plain, reduced = plain_bdd(16, tt), reduced_bdd(16, tt)
-    assert ev(reduced) == plain_inverse_bdd(plain) == tt
+    parsed = parse_sexpr(render_sexpr(plain_bdd(8, small)))
+    assert ev(reduced, reduced=True) == plain_inverse_bdd(plain) == tt
+    assert ev(parsed) == small
     tracemalloc.start()
     try:
-        assert ev(reduced) == plain_inverse_bdd(plain) == tt
+        assert ev(reduced, reduced=True) == plain_inverse_bdd(plain) == tt
+        assert ev(parsed) == small
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

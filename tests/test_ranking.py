@@ -191,6 +191,24 @@ def test_the_reduced_rank_checks_what_ev_left_unchecked():
             assert str(exc.value) == want
 
 
+def test_a_tree_the_rank_walks_refuse_is_not_kept():
+    # plain ev reads any leaf bit but 0 as 1 and keeps no memo; the rank walks
+    # refuse the leaf, and each replaces its kept pair, which held the root, so
+    # dropping the tree frees its 10 MB leaf
+    tracemalloc.start()
+    try:
+        b = Bdd(1, Ite(0, Leaf(1 << 8 * 10**7), LEAVES[0]))
+        assert ev(b) == 1
+        for rank in (bdd2nat, plain_bdd2nat):
+            with pytest.raises(ValueError, match=r"^leaf bit must be 0 or 1, got a 80000001-bit number$"):
+                rank(b)
+        del b
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 << 10, retained
+
+
 def leaf_bits(node):
     if isinstance(node, Leaf):
         return {node.bit}
