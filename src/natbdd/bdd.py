@@ -12,12 +12,13 @@ above it both builders keep the table per call, or per block while
 :func:`natbdd.ranking.enumerate_bdds` streams, in one layout, nv + 1 dicts
 with ``memo[v]`` mapping a 2**v-bit table to its node, in bit-reversed row
 order but for :func:`reduced_bdd`'s tables above 16 variables.
-:func:`reduce` keeps the sharing of its input.  Only trees parsed from text
-share only the leaves.  Sharing never shows in output or equality.  The text
-parsers of :mod:`natbdd.cli` check each node as they build it; :func:`ev`
-and :func:`plain_inverse_bdd` check any tree alike, with the parsers'
-messages: the variable count against the ``max_nv`` guard, and each ite
-variable below its parent's, the root's below ``nv``.  The fold also
+:func:`reduce` keeps the sharing of its input.  Trees parsed from text share
+the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
+from it, and read and write a bottom subtree's text whole.  Sharing never
+shows in output or equality.  The text parsers check each node as they build
+it; :func:`ev` and :func:`plain_inverse_bdd` check any tree alike, with the
+parsers' messages: the variable count against the ``max_nv`` guard, and each
+ite variable below its parent's, the root's below ``nv``.  The fold also
 refuses any tree that is not complete, and any leaf bit but 0 and 1.
 
 The encoding and its inverses:

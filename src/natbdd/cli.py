@@ -19,10 +19,11 @@ import math
 import os
 import re
 import sys
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .bdd import (
-    LEAVES, Bdd, Ite, Leaf, Node, _leaf_error, _new_ite, _order_error, ev, plain_bdd, reduced_bdd,
+    _BOTTOM_NV, _PLAIN_BOTTOM, _REDUCED_BOTTOM, LEAVES, Bdd, Ite, Leaf, Node, _leaf_error, _new_ite,
+    _order_error, ev, plain_bdd, reduced_bdd,
 )
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
@@ -135,11 +136,28 @@ def _numeral(text: str) -> int:
 _NODE_TYPES = frozenset((Leaf, Ite))
 
 
+@functools.cache
+def _bottom_tables() -> tuple[dict, dict[int, str], dict[int, str], dict[str, Node]]:
+    """The bottom of :mod:`natbdd.bdd` for the text formats, built on first use:
+    its ites by ``(var, id(high), id(low))``, the s-expression and JSON texts of
+    its nodes by ``id(node)``, each from its children's, and its nodes by
+    s-expression.  The nodes live as long as that module, so ids name them."""
+    ites = {(node.var, id(node.high), id(node.low)): node
+            for level in (*_PLAIN_BOTTOM, *_REDUCED_BOTTOM) for node in level if type(node) is Ite}
+    sexpr, json_text, nodes = {}, {}, {}
+    for node in (*LEAVES, *ites.values()):  # level by level, so children first
+        text = sexpr[id(node)] = _node_sexpr(node, sexpr)
+        nodes[text] = node
+        json_text[id(node)] = _node_json(node, json_text)
+    return ites, sexpr, json_text, nodes
+
+
 def _form(form: list) -> Node | Bdd:
     """Build ``(c BIT)``, ``(ite VAR THEN ELSE)`` or ``(bdd NV ROOT)`` from a
     parsed form ``[kind, *members]``, members already built; both text formats
     build here, and make ite nodes through :func:`natbdd.bdd._new_ite`, as the
-    builders do.  Each form is checked as it is built, the header as one more:
+    builders do, but for a node of the bottom, which is its object there, as in
+    built trees.  Each form is checked as it is built, the header as one more:
     a leaf's bit is 0 or 1, an ite's children test natural variables below its
     own, and the root one below NV.  So every tree built is ordered, by
     transitivity, and at most NV deep; the parsers' last check is NV against
@@ -157,29 +175,50 @@ def _form(form: list) -> Node | Bdd:
             for child in children:
                 if type(child) is Ite and not 0 <= child.var < k:
                     raise _order_error(child.var, k)
-            return _new_ite(form[1:]) if n == 4 else Bdd(k, form[2])
+            if n == 3:
+                return Bdd(k, form[2])
+            return k < _BOTTOM_NV and _bottom_tables()[0].get((k, id(form[2]), id(form[3]))) or _new_ite(form[1:])
     head = form[0] if n and type(form[0]) is str else "?"
     raise BddTextError(
         f"malformed ({head} ...) of {n} items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)")
 
 
 def render_sexpr(b: Bdd) -> str:
-    return f"(bdd {b.nv} {_node_sexpr(b.root)})"
+    return f"(bdd {b.nv} {_node_sexpr(b.root, _bottom_tables()[1])})"
 
 
-def _node_sexpr(node: Node) -> str:
+def _node_sexpr(node: Node, bottom: dict[int, str]) -> str:
     if isinstance(node, Leaf):
         return f"(c {node.bit})"
-    return f"(ite {node.var} {_node_sexpr(node.high)} {_node_sexpr(node.low)})"
+    return bottom.get(id(node)) or f"(ite {node.var} {_node_sexpr(node.high, bottom)} {_node_sexpr(node.low, bottom)})"
 
 
-_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+_PLAIN_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+# the plain tokens, but a "(" after a space ending a member (so never first)
+# takes the rest of a leaf or an ite on variables below 3, ites nested 3 deep,
+# if written as render_sexpr does: any bottom subtree.  Compiled on first use.
+_SUBTREE = r"(?:c [01]|ite [012] \(X\) \(X\))"
+_TOKEN_PATTERN = (r"\((?:(?<=\S \()" + _SUBTREE.replace("X", _SUBTREE.replace("X", _SUBTREE.replace("X", "c [01]")))
+                  + r"\))?|\)|[^\s()]+")
 
 
 def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
-    tokens = iter(_TOKEN_RE.findall(text))
+    tokens = iter(re.findall(_TOKEN_PATTERN, text))
     if next(tokens, None) != "(":
         raise BddTextError("BDD text must start with '('")
+    built = _sexpr_form(tokens, _bottom_tables()[3])
+    extra = next(tokens, None)
+    if extra is not None:
+        raise BddTextError(f"trailing content after BDD: {_PLAIN_TOKEN_RE.match(extra)[0]!r}")
+    if type(built) is not Bdd:
+        raise BddTextError("expected (bdd NV ROOT) at the top")
+    check_var_count(built.nv, max_vars)
+    return built
+
+
+def _sexpr_form(tokens: Iterator[str], bottom: dict[str, Node]) -> Node | Bdd:
+    """The form whose ``(`` is the last token read; a subtree's token is its
+    node in ``bottom``, or else is built from its plain tokens."""
     stack: list[list] = [[]]  # the forms still open, innermost last
     for tok in tokens:
         if tok == "(":
@@ -187,30 +226,27 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
         elif tok == ")":
             built = _form(stack.pop())
             if not stack:
-                break
+                return built
             stack[-1].append(built)
+        elif tok.isascii() and tok.isdigit():
+            stack[-1].append(_numeral(tok))
+        elif tok[0] == "(":
+            stack[-1].append(bottom.get(tok) or _sexpr_form(iter(_PLAIN_TOKEN_RE.findall(tok, 1)), bottom))
         else:
-            stack[-1].append(_numeral(tok) if tok.isascii() and tok.isdigit() else tok)
-    else:
-        raise BddTextError("unexpected end of BDD text")
-    extra = next(tokens, None)
-    if extra is not None:
-        raise BddTextError(f"trailing content after BDD: {extra!r}")
-    if type(built) is not Bdd:
-        raise BddTextError("expected (bdd NV ROOT) at the top")
-    check_var_count(built.nv, max_vars)
-    return built
+            stack[-1].append(tok)
+    raise BddTextError("unexpected end of BDD text")
 
 
 def render_json(b: Bdd) -> str:
     """The text ``json.dumps`` gives for the tree as nested dicts, written directly."""
-    return f'{{"vars": {b.nv}, "root": {_node_json(b.root)}}}'
+    return f'{{"vars": {b.nv}, "root": {_node_json(b.root, _bottom_tables()[2])}}}'
 
 
-def _node_json(node: Node) -> str:
+def _node_json(node: Node, bottom: dict[int, str]) -> str:
     if isinstance(node, Leaf):
         return f'{{"leaf": {node.bit}}}'
-    return f'{{"var": {node.var}, "then": {_node_json(node.high)}, "else": {_node_json(node.low)}}}'
+    return bottom.get(id(node)) or (
+        f'{{"var": {node.var}, "then": {_node_json(node.high, bottom)}, "else": {_node_json(node.low, bottom)}}}')
 
 
 # JSON key set -> the form it stands for: its kind, then the keys in member order

@@ -7,6 +7,7 @@ time by walking the tree, touching none of the mask arithmetic that
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .bdd import Bdd, Leaf, Node
@@ -42,7 +43,9 @@ def truth_table_of(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Truth table of ``b`` computed by evaluating all 2**nv assignments."""
     check_var_count(b.nv, max_nv)
     tt = 0
-    for row in range(1 << b.nv):
-        if semantic_eval(b, row_assignment(b.nv, row)):
+    # the assignments in row order, as row_assignment gives them: variable
+    # nv-1, the complement of the row's bit 0, changes fastest
+    for row, assignment in enumerate(product((1, 0), repeat=b.nv)):
+        if semantic_eval(b, assignment):
             tt |= 1 << row
     return tt

@@ -43,6 +43,10 @@ def ranking_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_ranking.py::{name}" for name in names)
 
 
+def cli_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_cli.py::{name}" for name in names)
+
+
 MUTANTS = [
     # reduced_bdd: natural-order unpairing above 16 variables, one reversal and
     # contiguous splits at or below, the reduced bottom by bit-reversed table
@@ -178,6 +182,23 @@ MUTANTS = [
            "    return RankPair(k + 1, r - size) if r >= size else RankPair(k, r)\n",
            "    return RankPair(k, r)\n",
            ranking_tests("test_to_bsum_equals_the_summing_loop")),
+    # the text formats: parsed trees hold the bottom, whose texts are read and written whole
+    Mutant("the interning key without the variable", "cli.py",
+           "    ites = {(node.var, id(node.high), id(node.low)): node\n",
+           "    ites = {(k, id(node.high), id(node.low)): node for k in range(_BOTTOM_NV)\n",
+           cli_tests("test_parsed_trees_hold_the_bottom_objects_of_built_trees")),
+    Mutant("the JSON renderer reading the s-expression table", "cli.py",
+           "_node_json(b.root, _bottom_tables()[2])", "_node_json(b.root, _bottom_tables()[1])",
+           cli_tests("test_json_text_is_json_dumps_of_the_dict_tree")),
+    Mutant("the token path of a subtree text missing from the table starts at its '('", "cli.py",
+           "_PLAIN_TOKEN_RE.findall(tok, 1)", "_PLAIN_TOKEN_RE.findall(tok)",
+           cli_tests("test_a_node_no_built_tree_holds_parses_as_written")),
+    Mutant("parse_sexpr without its trailing-content check", "cli.py",
+           "    if extra is not None:\n", "    if False:\n",
+           cli_tests("test_subtree_tokens_keep_the_parsers_messages")),
+    Mutant("_form's order check with < made <=", "cli.py",
+           "not 0 <= child.var < k:", "not 0 <= child.var <= k:",
+           cli_tests("test_subtree_tokens_keep_the_parsers_messages")),
 ]
 
 

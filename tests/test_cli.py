@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natbdd.bdd import Bdd, Ite, Leaf, plain_bdd, reduced_bdd
+from natbdd.bdd import LEAVES, Bdd, Ite, Leaf, plain_bdd, reduced_bdd
 from natbdd.bdd import reduce as reduce_bdd
 from natbdd.cli import (
     BddTextError,
@@ -147,6 +148,93 @@ def test_sexpr_roundtrip_over_stream():
 def test_sexpr_accepts_loose_whitespace():
     text = "( bdd 1\n  ( ite 0 ( c 1 )\t( c 0 ) ) )"
     assert parse_sexpr(text) == Bdd(1, Ite(0, Leaf(1), Leaf(0)))
+
+
+def assert_holds_the_bottom_of(parsed, built):
+    """``parsed`` equals ``built`` and holds the same objects wherever ``built``
+    has a leaf or a node on variables below 3: the shared bottom."""
+    assert parsed == built
+    pairs = [(parsed.root, built.root)]
+    while pairs:
+        node, want = pairs.pop()
+        if type(want) is Leaf or want.var < 3:
+            assert node is want, want
+        else:
+            pairs += ((node.high, want.high), (node.low, want.low))
+
+
+def test_parsed_trees_hold_the_bottom_objects_of_built_trees():
+    rng = random.Random(26)
+    trees = [tree(n) for n in range(300) for tree in (nat2bdd, nat2plain_bdd)]
+    for nv in range(11):
+        tt = rng.getrandbits(1 << nv)
+        trees += (plain_bdd(nv, tt), reduced_bdd(nv, tt), reduce_bdd(plain_bdd(nv, tt)))
+    for b in trees:
+        text = render_sexpr(b)
+        respaced = text.replace("(", "( ").replace(" ", "\n\t ")  # no subtree as render_sexpr writes it
+        for parsed in (parse_sexpr(text), parse_sexpr(respaced), parse_json(render_json(b))):
+            assert_holds_the_bottom_of(parsed, b)
+
+
+@pytest.mark.parametrize("text,want", [
+    # a text that is only a subtree, whole or holding a whole one
+    ("(ite 0 (c 1) (c 0))", "expected (bdd NV ROOT) at the top"),
+    (" (ite 0 (c 1) (c 0))", "expected (bdd NV ROOT) at the top"),
+    ("(ite 1 (ite 0 (c 1) (c 0)) (c 0))", "expected (bdd NV ROOT) at the top"),
+    ("(c 1)", "expected (bdd NV ROOT) at the top"),
+    # a subtree after a complete tree
+    ("(bdd 1 (c 0)) (ite 0 (c 1) (c 0))", "trailing content after BDD: '('"),
+    ("(bdd 1 (c 0)) (c 1)", "trailing content after BDD: '('"),
+    ("(bdd 1 (c 0)) junk", "trailing content after BDD: 'junk'"),
+    # subtrees in canonical spacing that no tree holds
+    ("(bdd 3 (ite 2 (ite 2 (c 1) (c 0)) (c 0)))",
+     "variable 2 breaks the strictly decreasing order (must lie in [0, 2))"),
+    ("(bdd 3 (ite 2 (ite 1 (ite 1 (c 1) (c 0)) (c 0)) (c 0)))",
+     "variable 1 breaks the strictly decreasing order (must lie in [0, 1))"),
+    ("(bdd 3 (ite 0 (ite 0 (c 1) (c 0)) (c 0)))",
+     "variable 0 breaks the strictly decreasing order (must lie in [0, 0))"),
+    # forms around a subtree
+    ("(bdd 2 (ite 1 (ite 0 (c 1) (c 0)) (c 0)) (c 1))",
+     "malformed (bdd ...) of 4 items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)"),
+    ("( (ite 0 (c 1) (c 0)))",
+     "malformed (? ...) of 1 items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)"),
+    ("(bdd 1 (ite 0 (c 1) (c 0))", "unexpected end of BDD text"),
+])
+def test_subtree_tokens_keep_the_parsers_messages(text, want):
+    with pytest.raises(ValueError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == want
+
+
+def test_a_node_no_built_tree_holds_parses_as_written():
+    for text, tree in [
+        ("(bdd 3 (ite 2 (c 0) (c 0)))", Bdd(3, Ite(2, LEAVES[0], LEAVES[0]))),
+        ("(bdd 4 (ite 3 (ite 2 (c 0) (c 0)) (ite 1 (ite 0 (c 1) (c 1)) (c 1))))",
+         Bdd(4, Ite(3, Ite(2, LEAVES[0], LEAVES[0]), Ite(1, Ite(0, LEAVES[1], LEAVES[1]), LEAVES[1])))),
+    ]:
+        for parsed in (parse_sexpr(text), parse_json(render_json(tree))):
+            assert parsed == tree
+            assert render_sexpr(parsed) == text
+
+
+@given(n=st.integers(0, 1 << 64), plain=st.booleans(), seed=st.integers(0, 1 << 32),
+       kept=st.sampled_from([0.0, 0.5, 0.9, 0.98]))
+def test_respaced_text_parses_as_the_canonical_text(n, plain, seed, kept):
+    # each gap between tokens is kept as render_sexpr writes it with odds kept,
+    # so that subtrees in canonical spacing sit among re-spaced ones
+    b = (nat2plain_bdd if plain else nat2bdd)(n)
+    token = r"[()]|[^\s()]+"
+    canonical = render_sexpr(b)
+    tokens, gaps = re.findall(token, canonical), re.split(token, canonical)[1:-1]
+    rng = random.Random(seed)
+    text = tokens[0]
+    for before, gap, after in zip(tokens, gaps, tokens[1:]):
+        if rng.random() >= kept:
+            gap = rng.choice(["", " ", "  ", "\t", "\n", " \n\t "])
+            if not gap and before not in ("(", ")") and after not in ("(", ")"):  # two words need a space
+                gap = " "
+        text += gap + after
+    assert_holds_the_bottom_of(parse_sexpr(text), b)
 
 
 @pytest.mark.parametrize(

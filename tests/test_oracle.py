@@ -1,5 +1,6 @@
 import pytest
 
+import natbdd.oracle
 from natbdd.bdd import Bdd, Leaf, ev, plain_bdd, reduce, reduced_bdd
 from natbdd.oracle import row_assignment, semantic_eval, truth_table_of
 from natbdd.truthtab import var_tt
@@ -43,6 +44,22 @@ def test_row_assignment_matches_variable_columns():
             column = var_tt(nv, k)
             for p in range(1 << nv):
                 assert row_assignment(nv, p)[k] == (column >> p) & 1
+
+
+def test_truth_table_of_evaluates_row_assignment_row_by_row(monkeypatch):
+    # the oracle walks its rows without row_assignment, in the same order, so
+    # the exhaustive agreement tests pin the convention above
+    seen = []
+
+    def recording_eval(b, assignment):
+        seen.append(tuple(assignment))
+        return 0
+
+    monkeypatch.setattr(natbdd.oracle, "semantic_eval", recording_eval)
+    for nv in range(7):
+        seen.clear()
+        assert truth_table_of(Bdd(nv, Leaf(0))) == 0
+        assert seen == [row_assignment(nv, row) for row in range(1 << nv)]
 
 
 def test_truth_table_of_examples():

@@ -162,8 +162,8 @@ def test_reduced_rank_refuses_trees_that_are_not_reduced():
     with pytest.raises(ValueError) as exc:
         bdd2nat(Bdd(1, Ite(0, Leaf(2), Leaf(0))))
     assert str(exc.value) == "leaf bit must be 0 or 1, got 2"
-    # shared bottom nodes, nodes above them, and parsed trees that share
-    # only the leaves, reduced or not, ranked where they lie in the stream
+    # shared bottom nodes, nodes above them, and parsed trees, which share the
+    # bottom too, reduced or not, ranked where they lie in the stream
     for n in [*range(300), bsum(5) + 12345, bsum(6) + 3**40]:
         plain, reduced = nat2plain_bdd(n), nat2bdd(n)
         for b in (plain, parse_sexpr(render_sexpr(plain))):
@@ -174,6 +174,11 @@ def test_reduced_rank_refuses_trees_that_are_not_reduced():
                     bdd2nat(b)
                 assert str(exc.value) == NOT_REDUCED, n
         assert bdd2nat(parse_sexpr(render_sexpr(reduced))) == n
+    # a redundant node above the bottom, over one parsed bottom object twice
+    below = "(ite 2 (c 1) (ite 0 (c 0) (c 1)))"
+    with pytest.raises(ValueError) as exc:
+        bdd2nat(parse_sexpr(f"(bdd 4 (ite 3 {below} {below}))"))
+    assert str(exc.value) == NOT_REDUCED
 
 
 def test_the_reduced_rank_checks_what_ev_left_unchecked():
