@@ -11,7 +11,9 @@ on at most 3 variables, is built once at import and shared by every call;
 above it both builders keep the table per call, or per block while
 :func:`natbdd.ranking.enumerate_bdds` streams, in one layout, nv + 1 dicts
 with ``memo[v]`` mapping a 2**v-bit table to its node, in bit-reversed row
-order but for :func:`reduced_bdd`'s tables above 16 variables.
+order but for :func:`reduced_bdd`'s tables above 16 variables.  The stream
+calls :func:`_plain_node` and :func:`_reduced_split` directly, on a table it
+carries in that order from tree to tree.
 :func:`reduce` keeps the sharing of its input.  Trees parsed from text share
 the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
 from it, and read and write a bottom subtree's text whole.  Sharing never

@@ -137,19 +137,28 @@ _NODE_TYPES = frozenset((Leaf, Ite))
 
 
 @functools.cache
-def _bottom_tables() -> tuple[dict, dict[int, str], dict[int, str], dict[str, Node]]:
+def _bottom_tables() -> tuple[dict, dict[int, str], dict[str, Node]]:
     """The bottom of :mod:`natbdd.bdd` for the text formats, built on first use:
-    its ites by ``(var, id(high), id(low))``, the s-expression and JSON texts of
-    its nodes by ``id(node)``, each from its children's, and its nodes by
+    its ites by ``(var, id(high), id(low))``, the s-expression texts of its
+    nodes by ``id(node)``, each from its children's, and its nodes by
     s-expression.  The nodes live as long as that module, so ids name them."""
     ites = {(node.var, id(node.high), id(node.low)): node
             for level in (*_PLAIN_BOTTOM, *_REDUCED_BOTTOM) for node in level if type(node) is Ite}
-    sexpr, json_text, nodes = {}, {}, {}
+    sexpr, nodes = {}, {}
     for node in (*LEAVES, *ites.values()):  # level by level, so children first
         text = sexpr[id(node)] = _node_sexpr(node, sexpr)
         nodes[text] = node
+    return ites, sexpr, nodes
+
+
+@functools.cache
+def _bottom_json() -> dict[int, str]:
+    """The JSON texts of the bottom's nodes by ``id(node)``, built on the first
+    JSON render, as an s-expression pipe never reads them."""
+    json_text: dict[int, str] = {}
+    for node in (*LEAVES, *_bottom_tables()[0].values()):
         json_text[id(node)] = _node_json(node, json_text)
-    return ites, sexpr, json_text, nodes
+    return json_text
 
 
 def _form(form: list) -> Node | Bdd:
@@ -206,7 +215,7 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
     tokens = iter(re.findall(_TOKEN_PATTERN, text))
     if next(tokens, None) != "(":
         raise BddTextError("BDD text must start with '('")
-    built = _sexpr_form(tokens, _bottom_tables()[3])
+    built = _sexpr_form(tokens, _bottom_tables()[2])
     extra = next(tokens, None)
     if extra is not None:
         raise BddTextError(f"trailing content after BDD: {_PLAIN_TOKEN_RE.match(extra)[0]!r}")
@@ -239,7 +248,7 @@ def _sexpr_form(tokens: Iterator[str], bottom: dict[str, Node]) -> Node | Bdd:
 
 def render_json(b: Bdd) -> str:
     """The text ``json.dumps`` gives for the tree as nested dicts, written directly."""
-    return f'{{"vars": {b.nv}, "root": {_node_json(b.root, _bottom_tables()[2])}}}'
+    return f'{{"vars": {b.nv}, "root": {_node_json(b.root, _bottom_json())}}}'
 
 
 def _node_json(node: Node, bottom: dict[int, str]) -> str:

@@ -9,7 +9,8 @@ between the naturals and this indexed family, not between the naturals and
 all (variable count, table) pairs.
 
 Plain trees rank via the structural fold, reduced trees via boolean
-evaluation; both place rank n at bsum(k-1) + local index.
+evaluation; both place rank n at bsum(k-1) + local index.  A stream
+(:func:`enumerate_bdds`) carries its table from tree to tree.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .bdd import Bdd, _plain_node, _reduced_node, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
+from .bdd import Bdd, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
 from .truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, count_text, reverse_rows, size_text
+from .truthtab import _CACHED_SWAP_NV
 
 
 class RankPair(NamedTuple):
@@ -140,10 +142,16 @@ def enumerate_bdds(
     one :func:`nat2plain_bdd` or :func:`nat2bdd` gives.  ``start`` is
     decomposed once.  The trees of a block, whose tables differ in a few
     rows, are built as :func:`plain_bdd` and :func:`reduced_bdd` build one,
-    through one memo, the stream's unique table; a level is cleared once it
-    holds four times the tables one tree can hold there, so the table stays
-    small however long the stream.  A tree past ``max_nv`` raises the
-    guard's message when the stream reaches it.
+    through one memo, the stream's unique table.  Table r is carried in
+    bit-reversed row order, as those builders split it: reversed once at
+    the block's start, then, from r - 1 to r, XORed with the reversal of
+    the rows the two differ in, rows 0 .. m-1, kept on at most 16 variables
+    for m up to 16.  So no tree reverses a whole table.  A reduced tree
+    above 16 variables is built from table r itself, as :func:`reduced_bdd`
+    builds it there.  Every eighth tree, a level is cleared once it holds
+    four times the tables one tree can hold there, so it never holds more
+    than twelve times that, however long the stream.  A tree past
+    ``max_nv`` raises the guard's message when the stream reaches it.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
@@ -154,13 +162,26 @@ def enumerate_bdds(
     for _ in range(count):
         if memo is None:  # a new block
             memo = [{} for _ in range(check_var_count(k, max_nv) + 1)]
-        if kind == "plain":
-            yield Bdd(k, _plain_node(k, reverse_rows(r, k, range(k // 2)), memo))
-        else:
-            yield Bdd(k, _reduced_node(k, r, memo))
-        for v, level in enumerate(memo):
-            if len(level) > 1 << (k - v + 2):
-                level.clear()
+            # natural row order for a reduced tree above 16 variables, as reduced_bdd splits there
+            build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
+            t, flips = (r, ()) if build is _reduced_node else (reverse_rows(r, k, range(k // 2)), _flips(k))
+        yield Bdd(k, build(k, t, memo))  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
+        if not r & 7:
+            for v, level in enumerate(memo):
+                if len(level) > 1 << (k - v + 2):
+                    level.clear()
         r += 1
         if r == _block_size(k):
             k, r, memo = k + 1, 0, None
+        elif build is _reduced_node:
+            t = r
+        else:  # r - 1 and r differ in rows 0 .. m-1
+            m = (r & -r).bit_length()
+            t ^= flips[m] if m < len(flips) else reverse_rows((1 << m) - 1, k, range(k // 2))
+
+
+# flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16,
+# kept on at most 16 variables as reverse_rows keeps its masks; a longer carry is rare
+@lru_cache(maxsize=None)
+def _flips(k: int) -> tuple[int, ...]:
+    return tuple(reverse_rows((1 << m) - 1, k, range(k // 2)) for m in range(17 if k <= _CACHED_SWAP_NV else 0))

@@ -8,7 +8,7 @@ column encoding (see :func:`var_tt`).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable
 
 # masks occupy 2**nv bits, so an unchecked var count allocates gigabit
@@ -98,9 +98,9 @@ def reverse_rows(t: int, nv: int, swaps: Iterable[int]) -> int:
     unchanged by its swap, so a caller that knows this may leave it out.
     The permutation is its own inverse.
     """
-    swap = _swap_plan(nv).__getitem__ if nv <= _CACHED_SWAP_NV else partial(_row_swap, nv)
+    plan = _swap_plan(nv) if nv <= _CACHED_SWAP_NV else None
     for k in swaps:
-        d, mask = swap(k)
+        d, mask = plan[k] if plan is not None else _row_swap(nv, k)
         s = ((t >> d) ^ t) & mask
         t ^= s | s << d
     return t

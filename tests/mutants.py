@@ -178,6 +178,20 @@ MUTANTS = [
     Mutant("the stream leaves a block one tree early", "ranking.py",
            "        if r == _block_size(k):\n", "        if r == _block_size(k) - 1:\n",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    # the stream's table, carried in bit-reversed row order from tree to tree
+    Mutant("the carried update using m - 1", "ranking.py",
+           "            m = (r & -r).bit_length()\n", "            m = (r & -r).bit_length() - 1\n",
+           ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries",
+                         "test_streams_from_any_start_equal_trees_built_alone")),
+    Mutant("the stream's cap check never firing", "ranking.py",
+           "        if not r & 7:\n", "        if r & 7 == 8:\n",
+           ranking_tests("test_a_long_stream_holds_a_bounded_table")),
+    Mutant("the reduced stream's table 0 built as its complete tree, not the 0-leaf", "ranking.py",
+           "yield Bdd(k, build(k, t, memo))", "yield Bdd(k, (build if r or kind == 'plain' else _plain_node)(k, t, memo))",
+           ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    Mutant("the stream's long carries read from the kept flips", "ranking.py",
+           "flips[m] if m < len(flips) else", "flips[m % len(flips)] if flips else",
+           ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries")),
     Mutant("to_bsum without its correction step", "ranking.py",
            "    return RankPair(k + 1, r - size) if r >= size else RankPair(k, r)\n",
            "    return RankPair(k, r)\n",
@@ -188,7 +202,7 @@ MUTANTS = [
            "    ites = {(k, id(node.high), id(node.low)): node for k in range(_BOTTOM_NV)\n",
            cli_tests("test_parsed_trees_hold_the_bottom_objects_of_built_trees")),
     Mutant("the JSON renderer reading the s-expression table", "cli.py",
-           "_node_json(b.root, _bottom_tables()[2])", "_node_json(b.root, _bottom_tables()[1])",
+           "_node_json(b.root, _bottom_json())", "_node_json(b.root, _bottom_tables()[1])",
            cli_tests("test_json_text_is_json_dumps_of_the_dict_tree")),
     Mutant("the token path of a subtree text missing from the table starts at its '('", "cli.py",
            "_PLAIN_TOKEN_RE.findall(tok, 1)", "_PLAIN_TOKEN_RE.findall(tok)",

@@ -276,14 +276,26 @@ def test_enumerate_matches_pointwise_unranking():
     assert list(enumerate_bdds("plain", 0, 0)) == []
 
 
+def assert_stream_equals_trees_built_alone(start, count, kinds=("plain", "reduced")):
+    ranks = range(start, start + count)
+    if "plain" in kinds:
+        assert list(enumerate_bdds("plain", start, count)) == [nat2plain_bdd(n) for n in ranks], (start, count)
+    if "reduced" in kinds:
+        assert list(enumerate_bdds("reduced", start, count)) == [nat2bdd(n) for n in ranks], (start, count)
+
+
 def test_streamed_trees_equal_trees_built_alone():
     # runs from inside blocks 1-3 across the ends of blocks 1-4 and 16, one
-    # memo per block; at k=17 the reduced memo holds natural-order tables
-    runs = [(1, 30), (bsum(2) + 5, 40), (bsum(4) - 20, 40), (bsum(16) - 3, 6)]
+    # memo per block, and across the end of every block to 9, each block's
+    # first table reversed once, from a start inside it or from table 0,
+    # whose reduced tree is the 0-leaf
+    runs = [(1, 30), (bsum(2) + 5, 40), (bsum(4) - 20, 40), (bsum(16) - 3, 6), (1, bsum(4) + 30)]
+    runs += [(max(bsum(k) - 3, 0), 7) for k in range(1, 10)] + [(bsum(k), 3) for k in range(1, 10)]
     for start, count in runs:
-        ranks = range(start, start + count)
-        assert list(enumerate_bdds("plain", start, count)) == [nat2plain_bdd(n) for n in ranks]
-        assert list(enumerate_bdds("reduced", start, count)) == [nat2bdd(n) for n in ranks]
+        assert_stream_equals_trees_built_alone(start, count)
+    assert list(enumerate_bdds("reduced", bsum(6), 1)) == [Bdd(7, LEAVES[0])]
+    # at k=17 the reduced memo holds natural-order tables
+    assert_stream_equals_trees_built_alone(bsum(16), 40, ("reduced",))
     # a tree past the guard raises its message where the stream reaches it
     for kind in ("plain", "reduced"):
         stream = enumerate_bdds(kind, bsum(4) - 2, 5, 4)
@@ -291,6 +303,52 @@ def test_streamed_trees_equal_trees_built_alone():
         with pytest.raises(ValueError) as exc:
             next(stream)
         assert str(exc.value) == "variable count exceeds the guard of 4 (a table on n variables needs 2**n bits), got 5"
+
+
+def test_streamed_trees_equal_trees_built_alone_across_long_carries():
+    # the stream carries its table in bit-reversed row order: from r - 1 to
+    # r it flips rows 0 .. m-1, kept for m up to 16 and reversed alone above;
+    # runs from just below r = 2**m - 1 cross carries of every length up to
+    # 64 rows, and at k=7, m=64, the end of the block
+    for k in (7, 8):
+        for m in range(1, 65):
+            assert_stream_equals_trees_built_alone(bsum(k - 1) + (1 << m) - 3, 5)
+
+
+@given(st.integers(1, 9), st.integers(0, 1 << 70), st.integers(0, 70), st.integers(0, 40))
+def test_streams_from_any_start_equal_trees_built_alone(k, bits, ones, count):
+    # a start in block k, its index random or a run of trailing ones, so
+    # that the stream meets short and long carries alike
+    size = bsum(k) - bsum(k - 1)
+    r = (bits | (1 << ones) - 1) % size
+    assert_stream_equals_trees_built_alone(bsum(k - 1) + r, count)
+
+
+def test_a_stream_reverses_one_table_per_block(monkeypatch):
+    # no streamed tree reverses a whole table: each block's first table is
+    # reversed once, and then only a carry of over 16 rows, the rows 0 ..
+    # m-1 in which r - 1 and r differ
+    for k in range(1, 9):
+        natbdd.ranking._flips(k)  # kept already, so that only the stream's calls count
+    calls = []
+    reverse_rows = natbdd.ranking.reverse_rows
+    monkeypatch.setattr(natbdd.ranking, "reverse_rows",
+                        lambda t, nv, swaps: calls.append((t, nv)) or reverse_rows(t, nv, swaps))
+    for kind in ("plain", "reduced"):
+        for start in (bsum(6) + 12345, bsum(6) + (1 << 20) - 1000, bsum(7) - 100):
+            calls.clear()
+            for _ in enumerate_bdds(kind, start, 2000):
+                pass
+            expected = []
+            for n in range(start, start + 2000):
+                k, r = to_bsum(n)
+                m = (r & -r).bit_length()
+                if n == start or r == 0:
+                    expected.append((r, k))
+                elif m > 16:
+                    expected.append(((1 << m) - 1, k))
+            assert calls == expected, (kind, start)
+            assert len(calls) == (1 if start == bsum(6) + 12345 else 2), (kind, start)
 
 
 def ite_ids(node, seen):
