@@ -50,13 +50,10 @@ distinct node object once per call, a bottom node's by lookup after its
 checks.  One table gives a bottom node's table t.  As reduced ordered BDDs
 are canonical, the node is complete just when it is the complete bottom
 tree of t, and reduced just when it is the reduced one, which is what
-:func:`reduce` makes of it.  On at most 8 variables the two rank walks,
-the fold and ``ev`` with ``reduced``, keep their memos across calls, as a
-BDD package keeps a computed table, one per walk; plain ``ev`` takes a
-memo per call.  A kept memo holds the roots of the trees whose node ids it
-names, and once it names 256 roots and nodes, or its walk raises, it is
-replaced, never cleared.  A result depends only on its subtree and is
-looked up after the node's checks, so no output depends on a kept memo.
+:func:`reduce` makes of it.  Each walk takes a fresh memo per call, freed
+when it returns, so this module keeps no memo across calls: what a walk
+computes depends only on its tree.  A stream's trees are ranked from the
+stream's own record instead (:func:`natbdd.ranking.enumerate_bdds`).
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -96,32 +93,38 @@ _new_ite = partial(tuple.__new__, Ite)
 
 # The bottom (module docstring): _PLAIN_BOTTOM[v] and _REDUCED_BOTTOM[v] by
 # bit-reversed 2**v-bit table, as _plain_node and _reduced_split split.  Its nodes
-# live as long as the module, so their ids name them: _BOTTOM_TABLES maps each ite
-# to its table t in ev's order and the variables it tests, and a node testing v is
-# _PLAIN_BOTTOM[v + 1][t] if complete, _REDUCED_BOTTOM[v + 1][t] if reduced.
+# live as long as the module, so their ids name them: _BOTTOM_ITES, the unique
+# table every bottom ite is built through, maps (var, id(high), id(low)) to the
+# ite, children first; _BOTTOM_TABLES maps each ite to its table t in ev's order
+# and the variables it tests, and a node testing v is _PLAIN_BOTTOM[v + 1][t] if
+# complete, _REDUCED_BOTTOM[v + 1][t] if reduced.
 _BOTTOM_NV = 3
 
 
 def _build_bottom():
     plain, reduced = [LEAVES], [LEAVES]
+    ites: dict[tuple[int, int, int], Ite] = {}
+
+    def ite(var: int, high: Node, low: Node) -> Ite:
+        return ites.setdefault((var, id(high), id(low)), _new_ite((var, high, low)))
+
     # tables: a node's table in ev's order and a mask of the variables it tests
     tables = {id(leaf): (leaf.bit, 0) for leaf in LEAVES}
     for v in range(1, _BOTTOM_NV + 1):
         # pair t of the product is table t = hi | lo << 2**(v-1), split as in _plain_node,
-        # and reduced as in _reduce_node, where equal reduced halves are one object
-        ps = [_new_ite((v - 1, high, low)) for low, high in product(plain[-1], repeat=2)]
-        rs = [high if high is low else p if high is p.high and low is p.low else _new_ite((v - 1, high, low))
-              for p, (low, high) in zip(ps, product(reduced[-1], repeat=2))]
+        # and reduced as in _reduce_node: a reduced node that is complete is found in ites
+        ps = [ite(v - 1, high, low) for low, high in product(plain[-1], repeat=2)]
+        rs = [high if high is low else ite(v - 1, high, low) for low, high in product(reduced[-1], repeat=2)]
         for t, node in chain(enumerate(ps), enumerate(rs)):
             if id(node) not in tables:  # each node once: a reduced node may be complete, or below v
                 tables[id(node)] = (t, 1 << (v - 1) | tables[id(node.high)][1] | tables[id(node.low)][1])
         plain.append(tuple(ps))
         reduced.append(tuple(rs))
     variables = [tuple(k for k in range(_BOTTOM_NV) if m >> k & 1) for m in range(1 << _BOTTOM_NV)]
-    return tuple(plain), tuple(reduced), {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
+    return tuple(plain), tuple(reduced), ites, {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
 
 
-_PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_TABLES = _build_bottom()
+_PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_ITES, _BOTTOM_TABLES = _build_bottom()
 
 
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
@@ -235,47 +238,24 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
     return _REDUCED_BOTTOM[v][t]
 
 
-_KEPT_NV = 8
-_kept = {walk: ([], {}) for walk in ("fold", "reduced ev")}  # the kept memos (module docstring)
-
-
-def _walk_memo(walk: str, b: Bdd) -> tuple[list[Node], dict[int, int]]:
-    """``walk``'s (roots, memo) pair for ``b``: the kept one, now holding b's
-    root, or a fresh one.  The caller holds it until its walk returns, so no
-    other thread's replacement frees a node whose id the walk looks up."""
-    if b.nv > _KEPT_NV:
-        return [], {}
-    pair = _kept[walk]
-    if len(pair[0]) + len(pair[1]) >= 1 << _KEPT_NV:
-        pair = _kept[walk] = [], {}
-    pair[0].append(b.root)
-    return pair
-
-
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Fold a complete tree back into its table by recursive bit interleaving.
 
     Exact inverse of :func:`plain_bdd`: the paper's structural fold, which
     is defined on complete trees only, so any other tree is refused as the
-    walk meets it.  Each distinct node object is folded once, in
+    walk meets it.  Each distinct node object is folded once per call, in
     bit-reversed row order at its own width of 2**(var+1) bits, as the
-    module docstring says, or looked up in the fold's kept memo.  What is
-    checked, in this order: the variable count against the ``max_nv``
-    guard, with :func:`ev`'s message; then each node as the walk from the
-    root meets it, a looked-up one too.  An ite's variable lies in [0,
+    module docstring says.  What is checked, in this order: the variable
+    count against the ``max_nv`` guard, with :func:`ev`'s message; then
+    each node as the walk from the root meets it, under each of its
+    parents, a node already folded too.  An ite's variable lies in [0,
     parent's), with :func:`ev`'s message, and is the one just below its
     parent's, the root's nv - 1; a leaf's bit is 0 or 1, with the parsers'
     message, and the leaf lies below variable 0.  So nothing wider than
     2**max_nv bits is built.
     """
     nv = check_var_count(b.nv, max_nv)
-    roots, memo = _walk_memo("fold", b)  # roots held until the walk returns
-    try:
-        table = _inverse_node(b.root, nv, memo)
-    except BaseException:  # keep no tree that the walk refused
-        _kept["fold"] = [], {}
-        raise
-    return reverse_rows(table, nv, range(nv // 2))
+    return reverse_rows(_inverse_node(b.root, nv, {}), nv, range(nv // 2))
 
 
 # memo as in _reduce_node: id(node) -> its fold in bit-reversed row order at
@@ -302,17 +282,15 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
 def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """Boolean evaluation: the truth table a tree denotes.
 
-    Each distinct node object is evaluated once, at its own width, or with
-    ``reduced`` looked up in the reduced rank's kept memo: a node testing
-    variable v gets a table of 2**(v+1) bits whose row bit k means
-    "variable k is 0".  In that bit-reversed order variable v is the top row
-    bit, so the node's table is its Shannon expansion written as a
-    concatenation, ``H | L << 2**v``.  A child testing a lower variable is
-    widened by repeating its table; a leaf is all zeros or all ones.  One
-    bit reversal of the root's 2**nv-bit table
-    (:func:`natbdd.truthtab.reverse_rows`, leaving out, above 8 variables,
-    the swaps of variable pairs the tree never tests) gives this module's
-    row order.
+    Each distinct node object is evaluated once per call, at its own
+    width: a node testing variable v gets a table of 2**(v+1) bits whose
+    row bit k means "variable k is 0".  In that bit-reversed order variable
+    v is the top row bit, so the node's table is its Shannon expansion
+    written as a concatenation, ``H | L << 2**v``.  A child testing a lower
+    variable is widened by repeating its table; a leaf is all zeros or all
+    ones.  One bit reversal of the root's 2**nv-bit table
+    (:func:`natbdd.truthtab.reverse_rows`, leaving out the swaps of
+    variable pairs the tree never tests) gives this module's row order.
 
     At most 2**(nv-1-v) nodes test variable v, one per path from the root,
     so each level's tables hold at most 2**nv bits and an evaluation
@@ -327,15 +305,7 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     """
     nv = check_var_count(b.nv, max_nv)
     tested = [False] * nv
-    roots, memo = _walk_memo("reduced ev", b) if reduced else ([], {})  # roots held until the walk returns
-    try:
-        table = _ev_node(b.root, nv, memo, tested, reduced)
-    except BaseException:  # keep no tree that the walk refused
-        if reduced:
-            _kept["reduced ev"] = [], {}
-        raise
-    if nv <= _KEPT_NV:  # a hit from an earlier call marks no variables
-        return reverse_rows(table, nv, range(nv // 2))
+    table = _ev_node(b.root, nv, {}, tested, reduced)
     return reverse_rows(table, nv, [k for k in range(nv // 2) if tested[k] or tested[nv - 1 - k]])
 
 

@@ -22,8 +22,8 @@ import sys
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .bdd import (
-    _BOTTOM_NV, _PLAIN_BOTTOM, _REDUCED_BOTTOM, LEAVES, Bdd, Ite, Leaf, Node, _leaf_error, _new_ite,
-    _order_error, ev, plain_bdd, reduced_bdd,
+    _BOTTOM_ITES, _BOTTOM_NV, LEAVES, Bdd, Ite, Leaf, Node, _leaf_error, _new_ite, _order_error, ev,
+    plain_bdd, reduced_bdd,
 )
 from .bdd import reduce as reduce_bdd
 from .pairing import SCHEMES
@@ -137,28 +137,21 @@ _NODE_TYPES = frozenset((Leaf, Ite))
 
 
 @functools.cache
-def _bottom_tables() -> tuple[dict, dict[int, str], dict[str, Node]]:
-    """The bottom of :mod:`natbdd.bdd` for the text formats, built on first use:
-    its ites by ``(var, id(high), id(low))``, the s-expression texts of its
-    nodes by ``id(node)``, each from its children's, and its nodes by
-    s-expression.  The nodes live as long as that module, so ids name them."""
-    ites = {(node.var, id(node.high), id(node.low)): node
-            for level in (*_PLAIN_BOTTOM, *_REDUCED_BOTTOM) for node in level if type(node) is Ite}
-    sexpr, nodes = {}, {}
-    for node in (*LEAVES, *ites.values()):  # level by level, so children first
-        text = sexpr[id(node)] = _node_sexpr(node, sexpr)
-        nodes[text] = node
-    return ites, sexpr, nodes
+def _bottom_text(render) -> dict[int, str]:
+    """The texts ``render`` writes for the nodes of :mod:`natbdd.bdd`'s bottom,
+    by ``id(node)``, each from its children's, built on the renderer's first
+    use.  The nodes live as long as that module, so ids name them."""
+    text: dict[int, str] = {}
+    for node in (*LEAVES, *_BOTTOM_ITES.values()):  # children first
+        text[id(node)] = render(node, text)
+    return text
 
 
 @functools.cache
-def _bottom_json() -> dict[int, str]:
-    """The JSON texts of the bottom's nodes by ``id(node)``, built on the first
-    JSON render, as an s-expression pipe never reads them."""
-    json_text: dict[int, str] = {}
-    for node in (*LEAVES, *_bottom_tables()[0].values()):
-        json_text[id(node)] = _node_json(node, json_text)
-    return json_text
+def _bottom_nodes() -> dict[str, Node]:
+    """The bottom's nodes by s-expression text, for ``parse_sexpr``'s subtree tokens."""
+    text = _bottom_text(_node_sexpr)
+    return {text[id(node)]: node for node in (*LEAVES, *_BOTTOM_ITES.values())}
 
 
 def _form(form: list) -> Node | Bdd:
@@ -186,14 +179,14 @@ def _form(form: list) -> Node | Bdd:
                     raise _order_error(child.var, k)
             if n == 3:
                 return Bdd(k, form[2])
-            return k < _BOTTOM_NV and _bottom_tables()[0].get((k, id(form[2]), id(form[3]))) or _new_ite(form[1:])
+            return k < _BOTTOM_NV and _BOTTOM_ITES.get((k, id(form[2]), id(form[3]))) or _new_ite(form[1:])
     head = form[0] if n and type(form[0]) is str else "?"
     raise BddTextError(
         f"malformed ({head} ...) of {n} items: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)")
 
 
 def render_sexpr(b: Bdd) -> str:
-    return f"(bdd {b.nv} {_node_sexpr(b.root, _bottom_tables()[1])})"
+    return f"(bdd {b.nv} {_node_sexpr(b.root, _bottom_text(_node_sexpr))})"
 
 
 def _node_sexpr(node: Node, bottom: dict[int, str]) -> str:
@@ -215,7 +208,7 @@ def parse_sexpr(text: str, max_vars: int = DEFAULT_MAX_VARS) -> Bdd:
     tokens = iter(re.findall(_TOKEN_PATTERN, text))
     if next(tokens, None) != "(":
         raise BddTextError("BDD text must start with '('")
-    built = _sexpr_form(tokens, _bottom_tables()[2])
+    built = _sexpr_form(tokens, _bottom_nodes())
     extra = next(tokens, None)
     if extra is not None:
         raise BddTextError(f"trailing content after BDD: {_PLAIN_TOKEN_RE.match(extra)[0]!r}")
@@ -248,7 +241,7 @@ def _sexpr_form(tokens: Iterator[str], bottom: dict[str, Node]) -> Node | Bdd:
 
 def render_json(b: Bdd) -> str:
     """The text ``json.dumps`` gives for the tree as nested dicts, written directly."""
-    return f'{{"vars": {b.nv}, "root": {_node_json(b.root, _bottom_json())}}}'
+    return f'{{"vars": {b.nv}, "root": {_node_json(b.root, _bottom_text(_node_json))}}}'
 
 
 def _node_json(node: Node, bottom: dict[int, str]) -> str:

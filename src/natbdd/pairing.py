@@ -81,8 +81,6 @@ def bitmerge_unpair(z: int) -> tuple[int, int]:
     """Split ``z`` into its even-position bits and its odd-position bits."""
     if z < 0:
         raise ValueError(f"expected a natural number, got {size_text(z)}")
-    if z < 256:
-        return _EVEN[z], _ODD[z]
     src = z.to_bytes((z.bit_length() + 7) >> 3, "little")
     lo, hi = src[0::2], src[1::2]  # the low and the high nibbles of each byte of x and y
     x = int.from_bytes(lo.translate(_EVEN), "little") | int.from_bytes(hi.translate(_EVEN), "little") << 4

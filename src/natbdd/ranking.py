@@ -10,7 +10,9 @@ all (variable count, table) pairs.
 
 Plain trees rank via the structural fold, reduced trees via boolean
 evaluation; both place rank n at bsum(k-1) + local index.  A stream
-(:func:`enumerate_bdds`) carries its table from tree to tree.
+(:func:`enumerate_bdds`) carries its table from tree to tree, and records
+the rank of each tree it yields on at most 8 variables, so ranking that
+tree back reads the record instead of walking it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .bdd import Bdd, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
+from .bdd import Bdd, Node, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
 from .truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, count_text, reverse_rows, size_text
 from .truthtab import _CACHED_SWAP_NV
 
@@ -90,7 +92,12 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     the ``max_nv`` guard, then variable order, completeness and leaf bits
     node by node), then the fold lies in the block.  So any tree without a
     plain rank is refused, never given a rank that unranks to another tree.
+    A root that a plain stream has just yielded on ``b.nv`` variables, within
+    the guard, has its rank read from the stream's record, with no walk.
     """
+    rank = _recorded_rank(b, "plain", max_nv)
+    if rank is not None:
+        return rank
     _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
     return _rank(b.nv, plain_inverse_bdd(b, max_nv))
 
@@ -101,12 +108,31 @@ def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     Only reduced trees, those :func:`nat2bdd` gives, are ranked: ``ev``'s
     ``reduced`` check refuses any other tree, such as a plain tree that
     reduces, which would share its reduced tree's rank.  Then the table
-    must lie in the block.  On at most 8 variables ``ev`` with ``reduced``
-    looks up, after their checks, the nodes that earlier ranks evaluated, so
-    a stream's trees, which share most nodes, are ranked in a few steps
-    each; plain ``ev`` keeps no memo, so what it left unchecked is checked.
+    must lie in the block.  A root that a reduced stream has just yielded on
+    ``b.nv`` variables, within the guard, has its rank read from the
+    stream's record, with no walk.
     """
+    rank = _recorded_rank(b, "reduced", max_nv)
+    if rank is not None:
+        return rank
     return _rank(b.nv, ev(b, max_nv, reduced=True))
+
+
+# The stream's record, one part per kind: id(root) -> (root, nv, rank) of the
+# last trees the streams of that kind yielded on at most 8 variables.  An entry
+# holds its root, so no other object takes the id while the entry lives; a part
+# is replaced at 256 entries, never cleared, and one kind's replacement drops
+# none of the other's.  Only enumerate_bdds writes it, with trees it built; a
+# write that another thread's replacement drops costs only a walk.
+_RECORD_NV = 8
+_record: dict[str, dict[int, tuple[Node, int, int]]] = {"plain": {}, "reduced": {}}
+
+
+def _recorded_rank(b: Bdd, kind: str, max_nv: int) -> int | None:
+    entry = _record[kind].get(id(b.root))
+    if entry is not None and entry[1] == b.nv and b.nv <= max_nv:
+        return entry[2]
+    return None
 
 
 def _rank(nv: int, index: int) -> int:
@@ -152,6 +178,10 @@ def enumerate_bdds(
     four times the tables one tree can hold there, so it never holds more
     than twelve times that, however long the stream.  A tree past
     ``max_nv`` raises the guard's message when the stream reaches it.
+    Each tree on at most 8 variables is recorded with its rank before it is
+    yielded, so :func:`plain_bdd2nat` or :func:`bdd2nat` of it reads the rank
+    back from that record, with no walk; the record holds the last 256 such
+    trees of each kind, from all streams.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
@@ -159,13 +189,19 @@ def enumerate_bdds(
         raise ValueError("start and count must be naturals")
     k, r = to_bsum(start)
     memo = None
-    for _ in range(count):
+    for n in range(start, start + count):
         if memo is None:  # a new block
             memo = [{} for _ in range(check_var_count(k, max_nv) + 1)]
             # natural row order for a reduced tree above 16 variables, as reduced_bdd splits there
             build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
             t, flips = (r, ()) if build is _reduced_node else (reverse_rows(r, k, range(k // 2)), _flips(k))
-        yield Bdd(k, build(k, t, memo))  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
+        root = build(k, t, memo)  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
+        if k <= _RECORD_NV:  # recorded before the yield, so a rank right after it reads the record
+            record = _record[kind]
+            if len(record) >= 1 << _RECORD_NV:
+                record = _record[kind] = {}
+            record[id(root)] = (root, k, n)
+        yield Bdd(k, root)
         if not r & 7:
             for v, level in enumerate(memo):
                 if len(level) > 1 << (k - v + 2):

@@ -24,7 +24,7 @@ from natbdd.bdd import (
 from natbdd.cli import parse_bdd, parse_json, parse_sexpr, render_json, render_sexpr
 from natbdd.oracle import truth_table_of
 from natbdd.pairing import bitmerge_pair, bitmerge_unpair
-from natbdd.ranking import bsum, enumerate_bdds, nat2plain_bdd, plain_bdd2nat
+from natbdd.ranking import bdd2nat, bsum, enumerate_bdds, nat2plain_bdd, plain_bdd2nat
 from natbdd.truthtab import reverse_rows, size_text, var_tt
 
 
@@ -467,10 +467,9 @@ def test_walks_on_trees_mixing_shared_bottom_nodes_and_hand_built_ones():
 
 
 def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatch):
-    # above 8 variables ev leaves out the row swap of each variable pair that
-    # the tree never tests; a shared bottom node is not walked, so the
-    # variables it tests are marked from what import recorded for it.  On at
-    # most 8 variables a hit in the kept memo marks nothing, so every pair swaps
+    # at every nv ev leaves out the row swap of each variable pair that the
+    # tree never tests; a shared bottom node is not walked, so the variables
+    # it tests are marked from what import recorded for it
     rng = random.Random(19)
     swaps = []
 
@@ -495,10 +494,7 @@ def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatc
             tested = {node.var for node in ite_objects(b.root)}
             swaps.clear()
             assert ev(b) == truth_table_of(b) == tt, (nv, chosen)
-            if nv <= 8:
-                assert swaps == [list(range(nv // 2))], (nv, chosen)
-            else:
-                assert swaps == [[k for k in range(nv // 2) if k in tested or nv - 1 - k in tested]], (nv, chosen)
+            assert swaps == [[k for k in range(nv // 2) if k in tested or nv - 1 - k in tested]], (nv, chosen)
 
 
 def test_plain_bdd_range_errors():
@@ -770,8 +766,8 @@ def test_ev_and_validate_leave_no_reference_cycles():
 
 def test_kept_memos_never_mistake_a_new_node_for_a_dropped_one():
     # a parsed tree shares only the leaves, so dropping it frees all its
-    # nodes, and the next tree's nodes can take their ids; the kept memos hold
-    # every root whose nodes they name, so a kept id never names a new node
+    # nodes, and the next tree's nodes can take their ids; the walks keep no
+    # memo across calls, so no id from an earlier call can name a new node
     rng = random.Random(24)
     for i in range(3000):
         nv = rng.randint(4, 8)
@@ -786,23 +782,23 @@ def test_kept_memos_never_mistake_a_new_node_for_a_dropped_one():
 
 
 def test_kept_memos_retain_a_bounded_memory():
-    # each kept memo is replaced once it names 256 roots and nodes, so neither
-    # one tree walked over and over nor a run of distinct trees grows it:
-    # about 32 KiB retained, against megabytes with no bound
+    # the walks keep no memo across calls, so one tree walked over and over
+    # retains nothing; the stream's record, the one state kept, is replaced
+    # once a kind's part holds 256 trees, so a k=8 stream of 20 000 trees of
+    # each kind, ranked as it is yielded and then dropped, retains about
+    # 60 KiB, against megabytes with no bound
     rng = random.Random(25)
     tt = rng.getrandbits(256)
-    b = reduced_bdd(8, tt)
-    assert ev(b) == ev(b, reduced=True) == plain_inverse_bdd(plain_bdd(8, tt)) == tt
-    # consecutive streamed trees, built untraced: each shares most nodes with
-    # the one before, so the rank walks are short, and tracing stays quick
+    b, plain = reduced_bdd(8, tt), plain_bdd(8, tt)
     start = bsum(7) + rng.getrandbits(100)
-    streams = list(zip(enumerate_bdds("plain", start, 5000), enumerate_bdds("reduced", start, 5000)))
     tracemalloc.start()
     try:
-        for _ in range(20000):
-            ev(b, reduced=True)
-        for plain, reduced in streams:
-            assert ev(reduced, reduced=True) == plain_inverse_bdd(plain)
+        for _ in range(100):
+            assert ev(b) == ev(b, reduced=True) == plain_inverse_bdd(plain) == tt
+        streams = zip(enumerate_bdds("reduced", start, 20000), enumerate_bdds("plain", start, 20000))
+        for n, trees in enumerate(streams, start):
+            assert (bdd2nat(trees[0]), plain_bdd2nat(trees[1])) == (n, n)
+        del streams, trees
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -810,19 +806,18 @@ def test_kept_memos_retain_a_bounded_memory():
 
 
 def test_walks_above_8_variables_keep_no_memo():
-    # only the rank walks on trees of at most 8 variables go through the kept
-    # memos; a wider tree's memo, and plain ev's at any width, is the call's
+    # no walk keeps a memo across calls, at any width: a call's memo is its
     # own, freed when it returns (a parsed nv=8 tree has 511 distinct nodes)
     rng = random.Random(26)
     tt, small = rng.getrandbits(1 << 16), rng.getrandbits(1 << 8)
     plain, reduced = plain_bdd(16, tt), reduced_bdd(16, tt)
     parsed = parse_sexpr(render_sexpr(plain_bdd(8, small)))
     assert ev(reduced, reduced=True) == plain_inverse_bdd(plain) == tt
-    assert ev(parsed) == small
+    assert ev(parsed) == plain_inverse_bdd(parsed) == small
     tracemalloc.start()
     try:
         assert ev(reduced, reduced=True) == plain_inverse_bdd(plain) == tt
-        assert ev(parsed) == small
+        assert ev(parsed) == plain_inverse_bdd(parsed) == small
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -206,6 +206,17 @@ def test_subtree_tokens_keep_the_parsers_messages(text, want):
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("text,want", [
+    ("(bdd 1 (ite 0 (c 0) (c 1) (c 1)))", "malformed (ite ...) of 5 items"),
+    ("(bdd 1 (c 0 1))", "malformed (c ...) of 3 items"),
+    ("(bdd 1 (ite 0 (c 0)))", "malformed (ite ...) of 3 items"),
+])
+def test_forms_with_a_member_too_many_or_too_few_are_malformed(text, want):
+    with pytest.raises(ValueError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == f"{want}: expected (c BIT), (ite VAR THEN ELSE) or (bdd NV ROOT)"
+
+
 def test_a_node_no_built_tree_holds_parses_as_written():
     for text, tree in [
         ("(bdd 3 (ite 2 (c 0) (c 0)))", Bdd(3, Ite(2, LEAVES[0], LEAVES[0]))),

@@ -151,6 +151,8 @@ def test_rank_rejects_trees_outside_the_stream():
 
 
 NOT_REDUCED = "not a reduced tree: a node's two branches denote the same function"
+INCOMPLETE = ("not a complete tree: every node must test the variable one below its parent's, "
+              "with leaves below variable 0 only")
 
 
 def test_reduced_rank_refuses_trees_that_are_not_reduced():
@@ -184,8 +186,8 @@ def test_reduced_rank_refuses_trees_that_are_not_reduced():
 def test_the_reduced_rank_checks_what_ev_left_unchecked():
     # ev without ``reduced`` checks neither leaf bits nor equal branches, so
     # a node it has evaluated is still checked when the reduced rank meets
-    # it; each pair of calls runs twice, since a kept memo found full at a
-    # call's start is replaced, and the second pair then shares one memo
+    # it; each pair of calls runs twice, so a second call meets the nodes
+    # that the first evaluated
     below = reduced_bdd(3, 0x96).root
     for node, want in ((Ite(3, below, below), NOT_REDUCED),
                        (Ite(4, below, Ite(3, Ite(2, Leaf(2), LEAVES[0]), below)), "leaf bit must be 0 or 1, got 2")):
@@ -197,9 +199,9 @@ def test_the_reduced_rank_checks_what_ev_left_unchecked():
 
 
 def test_a_tree_the_rank_walks_refuse_is_not_kept():
-    # plain ev reads any leaf bit but 0 as 1 and keeps no memo; the rank walks
-    # refuse the leaf, and each replaces its kept pair, which held the root, so
-    # dropping the tree frees its 10 MB leaf
+    # plain ev reads any leaf bit but 0 as 1; the rank walks refuse the leaf,
+    # and no walk keeps a memo across calls, so dropping the tree frees its
+    # 10 MB leaf
     tracemalloc.start()
     try:
         b = Bdd(1, Ite(0, Leaf(1 << 8 * 10**7), LEAVES[0]))
@@ -391,28 +393,95 @@ def test_a_long_stream_holds_a_bounded_table():
         assert peak < 256 << 10, (kind, peak)
 
 
-def test_streams_rank_exactly_through_the_kept_memos(monkeypatch):
-    # consecutive streamed trees share most nodes, so each rank walk meets
-    # nodes that the walks of earlier calls left in their kept memos: about 4.5
-    # calls per k=7 tree, against 30 when every walk starts with an empty memo
+def count_walk_calls(monkeypatch):
+    """The calls of the two rank walks, recorded from now on."""
     calls = []
     for name in ("_ev_node", "_inverse_node"):
         walk = getattr(natbdd.bdd, name)
         monkeypatch.setattr(natbdd.bdd, name, lambda *args, walk=walk: calls.append(1) or walk(*args))
+    return calls
+
+
+def test_streams_rank_exactly_through_the_kept_memos(monkeypatch):
+    # each tree a stream yields on at most 8 variables is recorded with its
+    # rank, so ranking it back, across block ends too, reads the record and
+    # walks no node, where a walk costs about 30 calls per k=7 tree
+    calls = count_walk_calls(monkeypatch)
     rng = random.Random(24)
     for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
         # from the end of block 5 into block 6, then inside blocks 6-8
         for start in (bsum(5) - 1000, *(bsum(k - 1) + rng.getrandbits(1 << (k - 2)) for k in range(6, 9))):
-            calls.clear()
             for n, b in enumerate(enumerate_bdds(kind, start, 2000), start):
                 assert rank(b) == n, (kind, n)
-            if to_bsum(start).k == 7:
-                assert len(calls) < 10 * 2000, (kind, len(calls))
+            assert calls == [], (kind, start)
+
+
+def test_a_streamed_tree_ranks_with_no_walk(monkeypatch):
+    # the two kinds streamed side by side, each tree ranked once both have
+    # yielded, as a user pairs them: the record holds both, so no walk runs
+    calls = count_walk_calls(monkeypatch)
+    start = bsum(6) + random.Random(28).randrange(bsum(7) - bsum(6) - 500)
+    pairs = zip(enumerate_bdds("reduced", start, 500), enumerate_bdds("plain", start, 500))
+    for n, (reduced, plain) in enumerate(pairs, start):
+        assert (bdd2nat(reduced), plain_bdd2nat(plain)) == (n, n)
+    assert calls == []
+    # a tree built alone is walked: the record holds only streamed trees
+    assert bdd2nat(nat2bdd(start)) == plain_bdd2nat(nat2plain_bdd(start)) == start
+    assert calls
+
+
+def rank_or_message(rank, b, max_nv=20):
+    try:
+        return rank(b, max_nv)
+    except ValueError as exc:
+        return str(exc)
+
+
+def unrecorded(b):
+    """``b`` over a copy of its root, which no stream recorded, so a rank walks it."""
+    return Bdd(b.nv, type(b.root)(*b.root))
+
+
+def test_streamed_trees_keep_the_rank_checks():
+    # the record gives a rank only to a tree of the kind, the variable count
+    # and the guard its stream yielded; every other tree over a streamed root
+    # is walked, with the walk's checks and messages
+    rng = random.Random(29)
+    for k in (2, 3, 5, 7, 8):
+        count = min(40, bsum(k) - bsum(k - 1))
+        start = bsum(k - 1) + rng.randrange(bsum(k) - bsum(k - 1) - count + 1)
+        for n, (reduced, plain) in enumerate(zip(enumerate_bdds("reduced", start, count),
+                                                 enumerate_bdds("plain", start, count)), start):
+            if plain != reduced:
+                with pytest.raises(ValueError) as exc:
+                    bdd2nat(plain)
+                assert str(exc.value) == NOT_REDUCED, n
+                with pytest.raises(ValueError) as exc:
+                    plain_bdd2nat(reduced)
+                assert str(exc.value) == INCOMPLETE, n
+            for rank, b in ((bdd2nat, reduced), (plain_bdd2nat, plain)):
+                wider = Bdd(k + 1, b.root)
+                assert rank_or_message(rank, wider) == rank_or_message(rank, unrecorded(wider)), (rank, n)
+                assert rank_or_message(rank, b, k - 1) == (
+                    f"variable count exceeds the guard of {k - 1} (a table on n variables needs 2**n bits), got {k}")
+                assert rank(b) == rank(unrecorded(b)) == n
+
+
+def test_a_stream_above_8_variables_records_nothing(monkeypatch):
+    # the record holds trees on at most 8 variables, so a k=9 tree is walked
+    calls = count_walk_calls(monkeypatch)
+    for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
+        for n, b in enumerate(enumerate_bdds(kind, bsum(8) - 3, 6), bsum(8) - 3):
+            entry = natbdd.ranking._record[kind].get(id(b.root))
+            assert (entry is not None and entry[1:] == (b.nv, n)) == (b.nv <= 8), (kind, n)
+            calls.clear()
+            assert rank(b) == n
+            assert bool(calls) == (b.nv > 8), (kind, n)
 
 
 def test_threads_rank_distinct_streams_exactly():
-    # each thread's walks go through the kept memos the others fill, or
-    # through a pair that another thread has just replaced
+    # each thread's ranks read the record that every stream writes, or walk
+    # a tree whose entry another thread's replacement of the record dropped
     starts = [bsum(6) + 1234, bsum(7) - 700, bsum(7) + 3**40, bsum(5) + 999]
     ranks = {"plain": plain_bdd2nat, "reduced": bdd2nat}
     errors = []
