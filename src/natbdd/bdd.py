@@ -47,13 +47,17 @@ The encoding and its inverses:
 
 :func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
 distinct node object once per call, a bottom node's by lookup after its
-checks.  One table gives a bottom node's table t.  As reduced ordered BDDs
-are canonical, the node is complete just when it is the complete bottom
-tree of t, and reduced just when it is the reduced one, which is what
-:func:`reduce` makes of it.  Each walk takes a fresh memo per call, freed
-when it returns, so this module keeps no memo across calls: what a walk
-computes depends only on its tree.  A stream's trees are ranked from the
-stream's own record instead (:func:`natbdd.ranking.enumerate_bdds`).
+checks.  As a BDD package answers such a query at the parent, from its
+unique table, a node on variable 3 looks up in its own frame each child
+whose checks the lookup settles, and the builders index the bottom there.
+One table gives a bottom node's table t, the variables it tests and its
+reduced node.  As reduced ordered BDDs are canonical, the node is complete
+just when it is the complete bottom tree of t, and reduced just when it is
+its reduced node, which is what :func:`reduce` makes of it.  Each walk
+takes a fresh memo per call, freed when it returns, so this module keeps
+no memo across calls: what a walk computes depends only on its tree.  A
+stream's trees are ranked from the stream's own record instead
+(:func:`natbdd.ranking.enumerate_bdds`).
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -95,9 +99,9 @@ _new_ite = partial(tuple.__new__, Ite)
 # bit-reversed 2**v-bit table, as _plain_node and _reduced_split split.  Its nodes
 # live as long as the module, so their ids name them: _BOTTOM_ITES, the unique
 # table every bottom ite is built through, maps (var, id(high), id(low)) to the
-# ite, children first; _BOTTOM_TABLES maps each ite to its table t in ev's order
-# and the variables it tests, and a node testing v is _PLAIN_BOTTOM[v + 1][t] if
-# complete, _REDUCED_BOTTOM[v + 1][t] if reduced.
+# ite, children first; _BOTTOM_TABLES maps each ite to its table t in ev's order,
+# the variables it tests and its reduced node, _REDUCED_BOTTOM[v + 1][t] for a
+# node testing v, which is complete if it is _PLAIN_BOTTOM[v + 1][t].
 _BOTTOM_NV = 3
 
 
@@ -108,8 +112,8 @@ def _build_bottom():
     def ite(var: int, high: Node, low: Node) -> Ite:
         return ites.setdefault((var, id(high), id(low)), _new_ite((var, high, low)))
 
-    # tables: a node's table in ev's order and a mask of the variables it tests
-    tables = {id(leaf): (leaf.bit, 0) for leaf in LEAVES}
+    # tables: a node's table in ev's order, a mask of the variables it tests, its reduced node
+    tables = {id(leaf): (leaf.bit, 0, leaf) for leaf in LEAVES}
     for v in range(1, _BOTTOM_NV + 1):
         # pair t of the product is table t = hi | lo << 2**(v-1), split as in _plain_node,
         # and reduced as in _reduce_node: a reduced node that is complete is found in ites
@@ -117,11 +121,11 @@ def _build_bottom():
         rs = [high if high is low else ite(v - 1, high, low) for low, high in product(reduced[-1], repeat=2)]
         for t, node in chain(enumerate(ps), enumerate(rs)):
             if id(node) not in tables:  # each node once: a reduced node may be complete, or below v
-                tables[id(node)] = (t, 1 << (v - 1) | tables[id(node.high)][1] | tables[id(node.low)][1])
+                tables[id(node)] = (t, 1 << (v - 1) | tables[id(node.high)][1] | tables[id(node.low)][1], rs[t])
         plain.append(tuple(ps))
         reduced.append(tuple(rs))
     variables = [tuple(k for k in range(_BOTTOM_NV) if m >> k & 1) for m in range(1 << _BOTTOM_NV)]
-    return tuple(plain), tuple(reduced), ites, {i: (t, variables[m]) for i, (t, m) in tables.items() if m}
+    return tuple(plain), tuple(reduced), ites, {i: (t, variables[m], r) for i, (t, m, r) in tables.items() if m}
 
 
 _PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_ITES, _BOTTOM_TABLES = _build_bottom()
@@ -150,7 +154,10 @@ def _plain_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
     node = memo[v].get(t)
     if node is None:
         w = 1 << (v - 1)
-        high, low = _plain_node(v - 1, t & ((1 << w) - 1), memo), _plain_node(v - 1, t >> w, memo)
+        if v == _BOTTOM_NV + 1:
+            high, low = _PLAIN_BOTTOM[v - 1][t & ((1 << w) - 1)], _PLAIN_BOTTOM[v - 1][t >> w]
+        else:
+            high, low = _plain_node(v - 1, t & ((1 << w) - 1), memo), _plain_node(v - 1, t >> w, memo)
         node = memo[v][t] = _new_ite((v - 1, high, low))
     return node
 
@@ -166,22 +173,27 @@ def reduce(b: Bdd) -> Bdd:
 
 
 # memo: id(node) -> its reduced tree, valid while the root keeps every node
-# alive; a result depends only on the subtree, whatever its parents
+# alive; a result depends only on the subtree, whatever its parents; a node on
+# variable 3 reads a bottom child's reduced node from the bottom's table
 def _reduce_node(node: Node, memo: dict[int, Node]) -> Node:
     if isinstance(node, Leaf):
         return node
-    if bottom := _BOTTOM_TABLES.get(id(node)):
-        return _REDUCED_BOTTOM[node.var + 1][bottom[0]]
+    if (v := node.var) < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
+        return bottom[2]
     done = memo.get(id(node))
     if done is None:
-        high = _reduce_node(node.high, memo)
-        low = _reduce_node(node.low, memo)
+        high, low = node.high, node.low
+        if v == _BOTTOM_NV:
+            high = hb[2] if (hb := _BOTTOM_TABLES.get(id(high))) else _reduce_node(high, memo)
+            low = lb[2] if (lb := _BOTTOM_TABLES.get(id(low))) else _reduce_node(low, memo)
+        else:
+            high, low = _reduce_node(high, memo), _reduce_node(low, memo)
         if high == low:
             done = high
         elif high is node.high and low is node.low:
             done = node
         else:
-            done = _new_ite((node.var, high, low))
+            done = _new_ite((v, high, low))
         memo[id(node)] = done
     return done
 
@@ -231,7 +243,10 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
         if hi != lo:
             node = memo[v].get(t)
             if node is None:
-                high, low = _reduced_split(v - 1, hi, memo), _reduced_split(v - 1, lo, memo)
+                if v == _BOTTOM_NV + 1:
+                    high, low = _REDUCED_BOTTOM[v - 1][hi], _REDUCED_BOTTOM[v - 1][lo]
+                else:
+                    high, low = _reduced_split(v - 1, hi, memo), _reduced_split(v - 1, lo, memo)
                 node = memo[v][t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
@@ -259,7 +274,8 @@ def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
 
 # memo as in _reduce_node: id(node) -> its fold in bit-reversed row order at
-# 2**(var+1) bits; checked before the lookup, a node is checked under each parent
+# 2**(var+1) bits; checked before the lookup, a node is checked under each parent,
+# and read in its parent's frame only if it is the complete bottom node on variable 2
 def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     if isinstance(node, Leaf):
         if not 0 <= node.bit <= 1:
@@ -274,8 +290,14 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
         return bottom[0]
     done = memo.get(id(node))
     if done is None:  # in reversed order, pairing two folds of 2**v bits is concatenation
-        done = _inverse_node(node.high, v, memo) | _inverse_node(node.low, v, memo) << (1 << v)
-        memo[id(node)] = done
+        high, low = node.high, node.low
+        if v == _BOTTOM_NV:
+            hb, lb = _BOTTOM_TABLES.get(id(high)), _BOTTOM_TABLES.get(id(low))
+            high = hb[0] if hb and _PLAIN_BOTTOM[v][hb[0]] is high else _inverse_node(high, v, memo)
+            low = lb[0] if lb and _PLAIN_BOTTOM[v][lb[0]] is low else _inverse_node(low, v, memo)
+        else:
+            high, low = _inverse_node(high, v, memo), _inverse_node(low, v, memo)
+        done = memo[id(node)] = high | low << (1 << v)
     return done
 
 
@@ -311,7 +333,8 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
 
 # memo: id(node) -> its table at its own width, as in _reduce_node; a
 # module-level walk, as a recursive closure would leave a reference cycle,
-# holding the memo, for the collector to free during some later call
+# holding the memo, for the collector to free during some later call; a node on 3
+# reads its children in frame only if both are bottom nodes on 2 (reduced, with reduced)
 def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool], reduced: bool) -> int:
     """``node``'s table widened to 2**bound bits, in bit-reversed row order."""
     if isinstance(node, Leaf):
@@ -322,13 +345,22 @@ def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool], r
     if not 0 <= v < bound:
         raise _order_error(v, bound)
     if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
-        table, variables = bottom
-        if reduced and _REDUCED_BOTTOM[v + 1][table] is not node:
+        table, variables, reduction = bottom
+        if reduced and reduction is not node:
             raise ValueError(_NOT_REDUCED)
         for k in variables:
             tested[k] = True
     elif (table := memo.get(id(node))) is None:
-        high, low = _ev_node(node.high, v, memo, tested, reduced), _ev_node(node.low, v, memo, tested, reduced)
+        high, low = node.high, node.low
+        if (v == _BOTTOM_NV and (hb := _BOTTOM_TABLES.get(id(high))) and (lb := _BOTTOM_TABLES.get(id(low)))
+                and high.var == low.var == v - 1 and (not reduced or hb[2] is high and lb[2] is low)):
+            high, low = hb[0], lb[0]
+            for k in hb[1]:
+                tested[k] = True
+            for k in lb[1]:
+                tested[k] = True
+        else:
+            high, low = _ev_node(high, v, memo, tested, reduced), _ev_node(low, v, memo, tested, reduced)
         if reduced and high == low:  # equal functions: the node is redundant
             raise ValueError(_NOT_REDUCED)
         table = memo[id(node)] = high | low << (1 << v)

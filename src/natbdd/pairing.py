@@ -34,7 +34,7 @@ def cantor_unpair(z: int) -> tuple[int, int]:
 
 def pepis_pair(x: int, y: int) -> int:
     _check_pair(x, y)
-    return (1 << x) * (2 * y + 1) - 1
+    return ((2 * y + 1) << x) - 1
 
 
 def pepis_unpair(z: int) -> tuple[int, int]:

@@ -81,7 +81,7 @@ MUTANTS = [
            ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",
             "tests/test_cli.py::test_rank_refuses_a_plain_tree_that_reduces")),
     Mutant("no reduced check at the bottom", "bdd.py",
-           "        if reduced and _REDUCED_BOTTOM[v + 1][table] is not node:", "        if False:",
+           "        if reduced and reduction is not node:", "        if False:",
            ("tests/test_ranking.py::test_reduced_rank_refuses_trees_that_are_not_reduced",)),
     Mutant("no leaf-bit check in the reduced rank", "bdd.py",
            "        if reduced and not 0 <= node.bit <= 1:", "        if False:",
@@ -141,7 +141,35 @@ MUTANTS = [
            bdd_tests("test_fold_equals_recursive_pairing_on_random_plain_trees")),
     # reduce: a bottom node's reduced tree by lookup
     Mutant("reduce's bottom shortcut returns the node itself", "bdd.py",
-           "        return _REDUCED_BOTTOM[node.var + 1][bottom[0]]\n", "        return node\n",
+           "        return bottom[2]\n", "        return node\n",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
+    Mutant("the bottom's table giving each node as its own reduction", "bdd.py",
+           "tables[id(node.low)][1], rs[t])", "tables[id(node.low)][1], node)",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
+    # a node on variable 3 answers its children from the bottom's table, in its
+    # own frame, only where each child's own frame would
+    Mutant("_plain_node swapping high and low at v=4", "bdd.py",
+           "_PLAIN_BOTTOM[v - 1][t & ((1 << w) - 1)], _PLAIN_BOTTOM[v - 1][t >> w]",
+           "_PLAIN_BOTTOM[v - 1][t >> w], _PLAIN_BOTTOM[v - 1][t & ((1 << w) - 1)]",
+           bdd_tests("test_plain_bdd_equals_recursive_unpairing")),
+    Mutant("_reduced_split taking complete nodes at v=4", "bdd.py",
+           "_REDUCED_BOTTOM[v - 1][hi], _REDUCED_BOTTOM[v - 1][lo]", "_PLAIN_BOTTOM[v - 1][hi], _PLAIN_BOTTOM[v - 1][lo]",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
+    Mutant("the fold accepting a reduced bottom child", "bdd.py",
+           "hb[0] if hb and _PLAIN_BOTTOM[v][hb[0]] is high else", "hb[0] if hb and high.var == v - 1 else",
+           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("ev skipping the reduced test", "bdd.py",
+           " and (not reduced or hb[2] is high and lb[2] is low)):", "):",
+           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("ev taking children on lower variables", "bdd.py",
+           " and high.var == low.var == v - 1 and ", " and ",
+           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("ev marking no tested variables for the children", "bdd.py",
+           "            for k in hb[1]:\n                tested[k] = True\n            for k in lb[1]:\n",
+           "            for k in ():\n                tested[k] = True\n            for k in ():\n",
+           bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
+    Mutant("reduce mapping through _PLAIN_BOTTOM", "bdd.py",
+           "            high = hb[2] if (hb := ", "            high = _PLAIN_BOTTOM[high.var + 1][hb[0]] if (hb := ",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
     # ev swaps the row pairs of the variables the tree tests, at every nv
     Mutant("ev swaps every pair at nv <= 8", "bdd.py",
@@ -244,6 +272,15 @@ MUTANTS = [
     Mutant("_Parser keeping leftover arguments", "cli.py",
            "        if extras:\n", "        if False:\n",
            cli_tests("test_unknown_argument_names_the_nested_subcommand")),
+    Mutant("parse_sexpr's start check refusing empty text only", "cli.py",
+           '    if next(tokens, None) != "(":\n', "    if next(tokens, None) is None:\n",
+           cli_tests("test_sexpr_text_must_start_with_a_parenthesis[bdd 1 (c 0))]")),
+    Mutant("parse_nat's hex path for a lowercase 0x only", "cli.py",
+           '    if s[:2].lower() == "0x":\n', '    if s[:2] == "0x":\n',
+           cli_tests("test_parse_nat")),
+    Mutant("_max_vars' ceiling one past", "cli.py",
+           "int(text) <= MAX_VARS_CEILING)", "int(text) <= MAX_VARS_CEILING + 1)",
+           cli_tests("test_max_vars_takes_the_ceiling_and_no_more")),
     Mutant("bitmerge_unpair with _EVEN and _ODD swapped", "pairing.py",
            '    x = int.from_bytes(lo.translate(_EVEN), "little") | int.from_bytes(hi.translate(_EVEN), "little") << 4\n'
            '    y = int.from_bytes(lo.translate(_ODD), "little") | int.from_bytes(hi.translate(_ODD), "little") << 4\n',
@@ -253,12 +290,18 @@ MUTANTS = [
     Mutant("cantor_unpair through a float square root", "pairing.py",
            "    w = (isqrt(8 * z + 1) - 1) // 2\n", "    w = (int((8 * z + 1) ** 0.5) - 1) // 2\n",
            ("tests/test_pairing.py::test_cantor_is_exact_at_2_pow_200",)),
+    Mutant("pepis_pair shifting one place too far", "pairing.py",
+           "    return ((2 * y + 1) << x) - 1\n", "    return ((2 * y + 1) << (x + 1)) - 1\n",
+           ("tests/test_pairing.py::test_pepis_examples",)),
     Mutant("check_table one bit off", "truthtab.py",
            "t.bit_length() <= 1 << nv)", "t.bit_length() <= (1 << nv) + 1)",
            ("tests/test_truthtab.py::test_check_table_takes_the_naturals_of_2_to_the_nv_bits",)),
     Mutant("_row_swap missing a repeat", "truthtab.py",
            "(*range(k + 1, j), *range(j + 1, nv))", "(*range(k + 1, j), *range(j + 2, nv))",
            ("tests/test_truthtab.py::test_reverse_rows_moves_each_row_to_its_reversed_index",)),
+    Mutant("_CACHED_SWAP_NV at 17", "truthtab.py",
+           "_CACHED_SWAP_NV = 16\n", "_CACHED_SWAP_NV = 17\n",
+           ("tests/test_truthtab.py::test_reverse_rows_keeps_no_masks_above_16_variables",)),
 ]
 
 # Edits that no test can catch, as they change no output: each with the reason.

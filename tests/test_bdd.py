@@ -1,4 +1,6 @@
+import functools
 import gc
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -61,26 +63,33 @@ def test_plain_bdd_small_cases():
     assert plain_bdd(2, 2) == Bdd(2, ite(1, ite(0, c(0), c(0)), ite(0, c(1), c(0))))
 
 
-def unpair_tree(nv, tt):
-    """The paper's construction, recursive unpairing: the reference for plain_bdd."""
+def unpair_tree(nv, tt, memo=None):
+    """The paper's construction, recursive unpairing: the reference for
+    plain_bdd.  With ``memo``, a dict, each ``(nv, tt)`` is unpaired once."""
     if nv == 0:
         return LEAVES[tt]
-    hi, lo = bitmerge_unpair(tt)
-    return Ite(nv - 1, unpair_tree(nv - 1, hi), unpair_tree(nv - 1, lo))
+    node = memo.get((nv, tt)) if memo is not None else None
+    if node is None:
+        hi, lo = bitmerge_unpair(tt)
+        node = Ite(nv - 1, unpair_tree(nv - 1, hi, memo), unpair_tree(nv - 1, lo, memo))
+        if memo is not None:
+            memo[nv, tt] = node
+    return node
 
 
 def test_plain_bdd_equals_recursive_unpairing():
+    memo = {}  # this test's own: freed when it returns
     for nv in range(5):
         for tt in range(1 << (1 << nv)):
-            assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), (nv, tt)
+            assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt, memo)), (nv, tt)
     rng = random.Random(5)
     for nv in range(5, 13):
         ones = (1 << (1 << nv)) - 1
         for tt in (0, 1, ones, ones >> 1, ones ^ 1, *(rng.getrandbits(1 << nv) for _ in range(4))):
-            assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), (nv, tt)
+            assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt, memo)), (nv, tt)
     for nv in (16, 17):  # reverse_rows keeps its row-swap masks up to nv=16 only
         tt = rng.getrandbits(1 << nv)
-        assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt)), nv
+        assert plain_bdd(nv, tt) == Bdd(nv, unpair_tree(nv, tt, memo)), nv
 
 
 def strided_subtables(nv, tt, v):
@@ -217,7 +226,8 @@ def assert_fold_refuses_as_incomplete(b):
 
 def test_memoized_walks_equal_unmemoized_references(monkeypatch):
     built, reparsed, incomplete = [], [], []
-    for nv, tt in small_and_random_tables(8):
+    parities = [(nv, functools.reduce(operator.xor, (var_tt(nv, k) for k in range(nv)))) for nv in (5, 8, 11)]
+    for nv, tt in small_and_random_tables(8) + parities:  # parity shares nodes at every level
         plain = plain_bdd(nv, tt)
         reduced = reduced_bdd(nv, tt)
         # a reduced tree is complete only when no level reduced away
@@ -242,7 +252,8 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         return inverse_node(node, bound, memo)
 
     # the fold enters the root, then the two children of each distinct ite
-    # object above the bottom once; without its memo it would enter each
+    # object above variable 3 once: a node on variable 3 takes its complete
+    # bottom children by lookup; without its memo the fold would enter each
     # tree position
     monkeypatch.setattr(natbdd.bdd, "_inverse_node", counting_inverse_node)
     for i, b in enumerate(built + reparsed + incomplete):
@@ -253,7 +264,7 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         assert all(id(node) in bottom for node in nodes if node.var < 3), i
         calls.clear()
         assert plain_inverse_bdd(b) == fold_reference(b.root), i
-        assert len(calls) == 1 + 2 * sum(id(node) not in bottom for node in nodes), i
+        assert len(calls) == 1 + 2 * sum(node.var > 3 for node in nodes), i
     for b in incomplete:
         assert_fold_refuses_as_incomplete(b)
 
@@ -464,6 +475,59 @@ def test_walks_on_trees_mixing_shared_bottom_nodes_and_hand_built_ones():
                 assert plain_inverse_bdd(mixed) == tt
             else:
                 assert_fold_refuses_as_incomplete(mixed)
+
+
+NOT_REDUCED = "not a reduced tree: a node's two branches denote the same function"
+
+
+def is_complete(node, bound):
+    if isinstance(node, Leaf):
+        return bound == 0
+    return node.var == bound - 1 and is_complete(node.high, node.var) and is_complete(node.low, node.var)
+
+
+def test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer():
+    # a node on variable 3 answers a child from the bottom's table in its own
+    # frame only where the child's own frame would; any other child is walked,
+    # with the results and messages it always had
+    complete = [plain_bdd(3, t).root for t in range(256)]
+    reduced = [reduced_bdd(3, t).root for t in range(256)]
+    both = [node for node in complete if is_reduced(node)]  # the two parities
+    on_1 = next(node for node in reduced if isinstance(node, Ite) and node.var == 1)
+    children = [  # (child, complete, reduced)
+        (Ite(*both[1]), True, True),  # hand-built, equal to a bottom node
+        (next(n for n in reduced if isinstance(n, Ite) and n.var == 2 and n not in complete), False, True),
+        (next(node for node in complete if not is_reduced(node)), True, False),
+        (on_1, False, True),
+        (LEAVES[1], False, True),
+    ]
+    siblings = [(both[0], True, True), (on_1, False, True), (LEAVES[0], False, True)]
+    other = Ite(3, *both)  # hand-built, complete and reduced
+    trees = []
+    for child, child_complete, child_reduced in children:
+        for sibling, sibling_complete, sibling_reduced in siblings:
+            whole = child_complete and sibling_complete
+            for node in (Ite(3, child, sibling), Ite(3, sibling, child)):
+                canonical = child_reduced and sibling_reduced and node.high != node.low
+                trees += [(Bdd(4, node), whole, canonical),
+                          (Bdd(5, Ite(4, other, node)), whole, canonical and node != other)]
+    refused = Counter()
+    for b, whole, canonical in trees:
+        assert (is_complete(b.root, b.nv), is_reduced(b.root)) == (whole, canonical), b
+        assert ev(b) == truth_table_of(b), b
+        assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), b
+        if whole:
+            assert plain_inverse_bdd(b) == fold_reference(b.root), b
+        else:
+            assert_fold_refuses_as_incomplete(b)
+        if canonical:
+            assert ev(b, reduced=True) == truth_table_of(b), b
+        else:
+            with pytest.raises(ValueError) as exc:
+                ev(b, reduced=True)
+            assert str(exc.value) == NOT_REDUCED, b
+        refused.update(fold=not whole, reduced=not canonical)
+    assert refused == {"fold": 52, "reduced": 17}
 
 
 def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatch):

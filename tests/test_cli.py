@@ -45,6 +45,23 @@ def test_parse_nat():
     assert parse_nat(" 7\n") == 7
 
 
+@pytest.mark.parametrize("text", ["", "  \n", ")", "bdd 1 (c 0))", "1 (bdd 1 (c 0))", "{}"])
+def test_sexpr_text_must_start_with_a_parenthesis(text):
+    with pytest.raises(BddTextError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == "BDD text must start with '('"
+
+
+def test_max_vars_takes_the_ceiling_and_no_more(cli, capsys):
+    assert cli(["tt2bdd", "--vars", "0", "--tt", "1", "--max-vars", str(MAX_VARS_CEILING)]) == (
+        0, "(bdd 0 (c 1))\n", "")
+    with pytest.raises(SystemExit) as exc:
+        cli(["tt2bdd", "--vars", "0", "--tt", "1", "--max-vars", str(MAX_VARS_CEILING + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"expected a natural number up to {MAX_VARS_CEILING}, got '{MAX_VARS_CEILING + 1}'" in err
+
+
 @pytest.mark.parametrize("bad", ["", "-1", "4.2", "0x", "forty", "1e3", "0b11"])
 def test_parse_nat_rejects(bad):
     with pytest.raises(ValueError):

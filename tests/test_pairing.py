@@ -64,6 +64,12 @@ def test_pepis_examples():
     assert pepis_unpair(10) == (0, 5)
 
 
+def test_pepis_pair_is_its_defining_product():
+    rng = random.Random(35)
+    for x, y in ((0, 0), (3, 0), (0, 5), *((rng.randrange(1 << 16), rng.getrandbits(4096)) for _ in range(8))):
+        assert pepis_pair(x, y) == 2**x * (2 * y + 1) - 1
+
+
 def test_pepis_growth_is_geometric_in_first_argument():
     for x in range(32):
         assert pepis_pair(x + 1, 0) + 1 == 2 * (pepis_pair(x, 0) + 1)

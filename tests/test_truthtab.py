@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import natbdd.truthtab
 from natbdd.oracle import row_assignment
 from natbdd.bdd import plain_bdd, reduced_bdd
 from natbdd.truthtab import (
@@ -221,6 +222,21 @@ def test_reverse_rows_moves_each_row_to_its_reversed_index(nv, data):
     want = sum(1 << reversed_index(r, nv) for r in range(1 << nv) if t >> r & 1)
     assert reverse_rows(t, nv, range(nv // 2)) == want
     assert reverse_rows(want, nv, range(nv // 2)) == t
+
+
+def test_reverse_rows_keeps_no_masks_above_16_variables():
+    # masks are kept up to 16 variables only: a kept plan at 17 would hold
+    # 8 masks of 2**17 bits, 16 KiB each, for as long as the process runs
+    natbdd.truthtab._swap_plan.cache_clear()
+    t = random.Random(17).getrandbits(1 << 17)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert reverse_rows(reverse_rows(t, 17, range(8)), 17, range(8)) == t
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1 << 12, after - before
 
 
 def test_reverse_rows_may_skip_the_pairs_a_table_ignores():
