@@ -56,7 +56,7 @@ just when it is the complete bottom tree of t, and reduced just when it is
 its reduced node, which is what :func:`reduce` makes of it.  Each walk
 takes a fresh memo per call, freed when it returns, so this module keeps
 no memo across calls: what a walk computes depends only on its tree.  A
-stream's trees are ranked from the stream's own record instead
+streamed tree is ranked with no walk at all: it carries its own rank
 (:func:`natbdd.ranking.enumerate_bdds`).
 
 For every plain tree the two inverses agree with the original table, and

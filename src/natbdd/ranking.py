@@ -10,9 +10,10 @@ all (variable count, table) pairs.
 
 Plain trees rank via the structural fold, reduced trees via boolean
 evaluation; both place rank n at bsum(k-1) + local index.  A stream
-(:func:`enumerate_bdds`) carries its table from tree to tree, and records
-the rank of each tree it yields on at most 8 variables, so ranking that
-tree back reads the record instead of walking it.
+(:func:`enumerate_bdds`) carries its table from tree to tree, and each tree
+it yields carries its own kind and rank, so ranking that tree back reads
+the rank instead of walking the tree.  The module keeps no state that a
+call writes but the caches of argument-only values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .bdd import Bdd, Node, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
+from .bdd import Bdd, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
 from .truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, count_text, reverse_rows, size_text
 from .truthtab import _CACHED_SWAP_NV
 
@@ -92,12 +93,11 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     the ``max_nv`` guard, then variable order, completeness and leaf bits
     node by node), then the fold lies in the block.  So any tree without a
     plain rank is refused, never given a rank that unranks to another tree.
-    A root that a plain stream has just yielded on ``b.nv`` variables, within
-    the guard, has its rank read from the stream's record, with no walk.
+    A tree a plain stream yielded, within the guard, gives the rank it
+    carries, with no walk.
     """
-    rank = _recorded_rank(b, "plain", max_nv)
-    if rank is not None:
-        return rank
+    if isinstance(b, _Streamed) and b.kind == "plain" and b.nv <= max_nv:
+        return b.rank
     _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
     return _rank(b.nv, plain_inverse_bdd(b, max_nv))
 
@@ -108,31 +108,12 @@ def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     Only reduced trees, those :func:`nat2bdd` gives, are ranked: ``ev``'s
     ``reduced`` check refuses any other tree, such as a plain tree that
     reduces, which would share its reduced tree's rank.  Then the table
-    must lie in the block.  A root that a reduced stream has just yielded on
-    ``b.nv`` variables, within the guard, has its rank read from the
-    stream's record, with no walk.
+    must lie in the block.  A tree a reduced stream yielded, within the
+    guard, gives the rank it carries, with no walk.
     """
-    rank = _recorded_rank(b, "reduced", max_nv)
-    if rank is not None:
-        return rank
+    if isinstance(b, _Streamed) and b.kind == "reduced" and b.nv <= max_nv:
+        return b.rank
     return _rank(b.nv, ev(b, max_nv, reduced=True))
-
-
-# The stream's record, one part per kind: id(root) -> (root, nv, rank) of the
-# last trees the streams of that kind yielded on at most 8 variables.  An entry
-# holds its root, so no other object takes the id while the entry lives; a part
-# is replaced at 256 entries, never cleared, and one kind's replacement drops
-# none of the other's.  Only enumerate_bdds writes it, with trees it built; a
-# write that another thread's replacement drops costs only a walk.
-_RECORD_NV = 8
-_record: dict[str, dict[int, tuple[Node, int, int]]] = {"plain": {}, "reduced": {}}
-
-
-def _recorded_rank(b: Bdd, kind: str, max_nv: int) -> int | None:
-    entry = _record[kind].get(id(b.root))
-    if entry is not None and entry[1] == b.nv and b.nv <= max_nv:
-        return entry[2]
-    return None
 
 
 def _rank(nv: int, index: int) -> int:
@@ -154,6 +135,15 @@ def _check_block(nv: int) -> None:
         raise ValueError(
             f"not in the enumeration: blocks start at 1 variable, got {size_text(nv)}"
         )
+
+
+class _Streamed(Bdd):
+    # a tree enumerate_bdds yielded, which carries its kind and rank; one made
+    # from it by _replace or _make carries neither, and is walked
+    kind = rank = None
+
+    def __repr__(self) -> str:
+        return repr(Bdd(*self))
 
 
 def enumerate_bdds(
@@ -178,10 +168,11 @@ def enumerate_bdds(
     four times the tables one tree can hold there, so it never holds more
     than twelve times that, however long the stream.  A tree past
     ``max_nv`` raises the guard's message when the stream reaches it.
-    Each tree on at most 8 variables is recorded with its rank before it is
-    yielded, so :func:`plain_bdd2nat` or :func:`bdd2nat` of it reads the rank
-    back from that record, with no walk; the record holds the last 256 such
-    trees of each kind, from all streams.
+    Each tree is of a private subclass of :class:`~natbdd.bdd.Bdd` that
+    carries its kind and rank, so :func:`plain_bdd2nat` or :func:`bdd2nat`
+    of it returns that rank, with no walk; it equals, hashes and prints as
+    the tree built alone.  A tree made from it by ``_replace`` or ``_make``
+    carries neither, and is walked.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
@@ -196,12 +187,9 @@ def enumerate_bdds(
             build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
             t, flips = (r, ()) if build is _reduced_node else (reverse_rows(r, k, range(k // 2)), _flips(k))
         root = build(k, t, memo)  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
-        if k <= _RECORD_NV:  # recorded before the yield, so a rank right after it reads the record
-            record = _record[kind]
-            if len(record) >= 1 << _RECORD_NV:
-                record = _record[kind] = {}
-            record[id(root)] = (root, k, n)
-        yield Bdd(k, root)
+        b = _Streamed(k, root)
+        b.kind, b.rank = kind, n
+        yield b
         if not r & 7:
             for v, level in enumerate(memo):
                 if len(level) > 1 << (k - v + 2):

@@ -177,28 +177,29 @@ MUTANTS = [
            "    table = _ev_node(b.root, nv, {}, tested, reduced)\n"
            "    if nv <= 8:\n        return reverse_rows(table, nv, range(nv // 2))\n",
            bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
-    # the stream's record: the rank of a tree a stream yielded on at most 8
-    # variables, read only for its kind, variable count and guard, bounded
-    Mutant("the record read for either kind", "ranking.py",
-           "    entry = _record[kind].get(id(b.root))\n",
-           "    entry = _record[kind].get(id(b.root)) or _record[{'plain': 'reduced'}.get(kind, 'plain')].get(id(b.root))\n",
+    # a streamed tree carries its kind and rank, read only by the rank function
+    # of its kind, within the guard; a tree rebuilt from it carries neither
+    Mutant("bdd2nat reading the rank of a plain streamed tree", "ranking.py",
+           'isinstance(b, _Streamed) and b.kind == "reduced"', "isinstance(b, _Streamed)",
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
-    Mutant("the record read without the nv check", "ranking.py",
-           " and entry[1] == b.nv and ", " and ",
+    Mutant("plain_bdd2nat reading the rank of a reduced streamed tree", "ranking.py",
+           'isinstance(b, _Streamed) and b.kind == "plain"', "isinstance(b, _Streamed)",
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
-    Mutant("the record read without the guard check", "ranking.py",
-           " and b.nv <= max_nv:\n", ":\n",
+    Mutant("bdd2nat reading a streamed rank past the guard", "ranking.py",
+           'b.kind == "reduced" and b.nv <= max_nv:', 'b.kind == "reduced":',
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
-    Mutant("the record never replaced", "ranking.py",
-           "            if len(record) >= 1 << _RECORD_NV:\n", "            if False:\n",
-           bdd_tests("test_kept_memos_retain_a_bounded_memory")),
-    Mutant("the record written above 8 variables", "ranking.py",
-           "        if k <= _RECORD_NV:  # recorded before the yield", "        if True:  # recorded before the yield",
-           ranking_tests("test_a_stream_above_8_variables_records_nothing")),
-    Mutant("the record written after the yield", "ranking.py",
-           "            record[id(root)] = (root, k, n)\n        yield Bdd(k, root)\n",
-           "            yield Bdd(k, root)\n            record[id(root)] = (root, k, n)\n        else:\n            yield Bdd(k, root)\n",
+    Mutant("plain_bdd2nat reading a streamed rank past the guard", "ranking.py",
+           'b.kind == "plain" and b.nv <= max_nv:', 'b.kind == "plain":',
+           ranking_tests("test_streamed_trees_keep_the_rank_checks")),
+    Mutant("a streamed tree's _replace with no kind to read", "ranking.py",
+           "    kind = rank = None\n", "",
+           ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
+    Mutant("the stream's trees yielded without their rank", "ranking.py",
+           "        b.kind, b.rank = kind, n\n", "",
            ranking_tests("test_a_streamed_tree_ranks_with_no_walk")),
+    Mutant("a streamed tree written by its own class name", "ranking.py",
+           "        return repr(Bdd(*self))\n", "        return Bdd.__repr__(self)\n",
+           ranking_tests("test_a_streamed_tree_is_a_bdd_that_carries_its_rank")),
     # the stream: one decomposition, one capped memo per block
     Mutant("the stream's memo without a level cap", "ranking.py",
            "            if len(level) > 1 << (k - v + 2):\n", "            if False:\n",
@@ -281,6 +282,9 @@ MUTANTS = [
     Mutant("_max_vars' ceiling one past", "cli.py",
            "int(text) <= MAX_VARS_CEILING)", "int(text) <= MAX_VARS_CEILING + 1)",
            cli_tests("test_max_vars_takes_the_ceiling_and_no_more")),
+    Mutant("parse_bdd sending JSON text to parse_sexpr", "cli.py",
+           "        return parse_json(s, max_vars)\n", "        return parse_sexpr(s, max_vars)\n",
+           cli_tests("test_bdd_text_header_is_guarded")),
     Mutant("bitmerge_unpair with _EVEN and _ODD swapped", "pairing.py",
            '    x = int.from_bytes(lo.translate(_EVEN), "little") | int.from_bytes(hi.translate(_EVEN), "little") << 4\n'
            '    y = int.from_bytes(lo.translate(_ODD), "little") | int.from_bytes(hi.translate(_ODD), "little") << 4\n',
@@ -293,6 +297,13 @@ MUTANTS = [
     Mutant("pepis_pair shifting one place too far", "pairing.py",
            "    return ((2 * y + 1) << x) - 1\n", "    return ((2 * y + 1) << (x + 1)) - 1\n",
            ("tests/test_pairing.py::test_pepis_examples",)),
+    Mutant("shannon_fuse without its guard", "truthtab.py",
+           "    check_var_count(nv, max_nv)\n    if nv < 1:\n        raise ValueError(\"cannot fuse",
+           "    if nv < 1:\n        raise ValueError(\"cannot fuse",
+           ("tests/test_truthtab.py::test_shannon_fuse_errors",)),
+    Mutant("shannon_split without its nv < 1 check", "truthtab.py",
+           "    if nv < 1:\n        raise ValueError(\"cannot split", "    if False:\n        raise ValueError(\"cannot split",
+           ("tests/test_truthtab.py::test_shannon_split_errors",)),
     Mutant("check_table one bit off", "truthtab.py",
            "t.bit_length() <= 1 << nv)", "t.bit_length() <= (1 << nv) + 1)",
            ("tests/test_truthtab.py::test_check_table_takes_the_naturals_of_2_to_the_nv_bits",)),

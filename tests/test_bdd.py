@@ -707,7 +707,7 @@ def test_ev_agrees_with_the_oracle_on_every_table_up_to_4_variables():
         for tt in range(1 << (1 << nv)):
             plain = plain_bdd(nv, tt)
             # reduced_bdd's shared tree, reduce's, and its reparse, which
-            # shares only the leaves, are equal values, so the oracle, a
+            # shares only the bottom, are equal values, so the oracle, a
             # function of the value, is asked once for all of them
             reduced = reduced_bdd(nv, tt)
             unshared = parse_sexpr(render_sexpr(reduced))
@@ -828,10 +828,11 @@ def test_ev_and_validate_leave_no_reference_cycles():
             gc.enable()
 
 
-def test_kept_memos_never_mistake_a_new_node_for_a_dropped_one():
-    # a parsed tree shares only the leaves, so dropping it frees all its
-    # nodes, and the next tree's nodes can take their ids; the walks keep no
-    # memo across calls, so no id from an earlier call can name a new node
+def test_walks_never_mistake_a_new_node_for_a_dropped_one():
+    # a parsed tree shares only the bottom, whose nodes live as long as the
+    # module, so dropping it frees all its nodes above variable 2, and the
+    # next tree's nodes can take their ids; the walks keep no memo across
+    # calls, so no id from an earlier call can name a new node
     rng = random.Random(24)
     for i in range(3000):
         nv = rng.randint(4, 8)
@@ -845,12 +846,11 @@ def test_kept_memos_never_mistake_a_new_node_for_a_dropped_one():
         del b
 
 
-def test_kept_memos_retain_a_bounded_memory():
+def test_walks_and_ranked_streams_retain_no_memory():
     # the walks keep no memo across calls, so one tree walked over and over
-    # retains nothing; the stream's record, the one state kept, is replaced
-    # once a kind's part holds 256 trees, so a k=8 stream of 20 000 trees of
-    # each kind, ranked as it is yielded and then dropped, retains about
-    # 60 KiB, against megabytes with no bound
+    # retains nothing; a streamed tree carries its own rank, and the rank
+    # functions keep nothing, so a k=8 stream of 20 000 trees of each kind,
+    # ranked as it is yielded and then dropped, retains nothing either
     rng = random.Random(25)
     tt = rng.getrandbits(256)
     b, plain = reduced_bdd(8, tt), plain_bdd(8, tt)
@@ -866,10 +866,10 @@ def test_kept_memos_retain_a_bounded_memory():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained < 256 << 10, retained
+    assert retained < 16 << 10, retained
 
 
-def test_walks_above_8_variables_keep_no_memo():
+def test_walks_keep_no_memo_across_calls():
     # no walk keeps a memo across calls, at any width: a call's memo is its
     # own, freed when it returns (a parsed nv=8 tree has 511 distinct nodes)
     rng = random.Random(26)

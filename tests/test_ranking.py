@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -402,10 +404,10 @@ def count_walk_calls(monkeypatch):
     return calls
 
 
-def test_streams_rank_exactly_through_the_kept_memos(monkeypatch):
-    # each tree a stream yields on at most 8 variables is recorded with its
-    # rank, so ranking it back, across block ends too, reads the record and
-    # walks no node, where a walk costs about 30 calls per k=7 tree
+def test_streams_rank_exactly_with_no_walk_across_blocks(monkeypatch):
+    # each tree a stream yields carries its rank, so ranking it back, across
+    # block ends too, walks no node, where a walk costs about 30 calls per
+    # k=7 tree
     calls = count_walk_calls(monkeypatch)
     rng = random.Random(24)
     for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
@@ -418,14 +420,14 @@ def test_streams_rank_exactly_through_the_kept_memos(monkeypatch):
 
 def test_a_streamed_tree_ranks_with_no_walk(monkeypatch):
     # the two kinds streamed side by side, each tree ranked once both have
-    # yielded, as a user pairs them: the record holds both, so no walk runs
+    # yielded, as a user pairs them: each carries its rank, so no walk runs
     calls = count_walk_calls(monkeypatch)
     start = bsum(6) + random.Random(28).randrange(bsum(7) - bsum(6) - 500)
     pairs = zip(enumerate_bdds("reduced", start, 500), enumerate_bdds("plain", start, 500))
     for n, (reduced, plain) in enumerate(pairs, start):
         assert (bdd2nat(reduced), plain_bdd2nat(plain)) == (n, n)
     assert calls == []
-    # a tree built alone is walked: the record holds only streamed trees
+    # a tree built alone is walked: only streamed trees carry a rank
     assert bdd2nat(nat2bdd(start)) == plain_bdd2nat(nat2plain_bdd(start)) == start
     assert calls
 
@@ -437,15 +439,10 @@ def rank_or_message(rank, b, max_nv=20):
         return str(exc)
 
 
-def unrecorded(b):
-    """``b`` over a copy of its root, which no stream recorded, so a rank walks it."""
-    return Bdd(b.nv, type(b.root)(*b.root))
-
-
 def test_streamed_trees_keep_the_rank_checks():
-    # the record gives a rank only to a tree of the kind, the variable count
-    # and the guard its stream yielded; every other tree over a streamed root
-    # is walked, with the walk's checks and messages
+    # only the rank function of a streamed tree's kind reads its rank, and
+    # only within the guard; every other tree over a streamed root, such as
+    # one its _replace makes, is walked, with the walk's checks and messages
     rng = random.Random(29)
     for k in (2, 3, 5, 7, 8):
         count = min(40, bsum(k) - bsum(k - 1))
@@ -460,28 +457,50 @@ def test_streamed_trees_keep_the_rank_checks():
                     plain_bdd2nat(reduced)
                 assert str(exc.value) == INCOMPLETE, n
             for rank, b in ((bdd2nat, reduced), (plain_bdd2nat, plain)):
-                wider = Bdd(k + 1, b.root)
-                assert rank_or_message(rank, wider) == rank_or_message(rank, unrecorded(wider)), (rank, n)
+                wider = b._replace(nv=k + 1)
+                assert rank_or_message(rank, wider) == rank_or_message(rank, Bdd(k + 1, b.root)), (rank, n)
                 assert rank_or_message(rank, b, k - 1) == (
                     f"variable count exceeds the guard of {k - 1} (a table on n variables needs 2**n bits), got {k}")
-                assert rank(b) == rank(unrecorded(b)) == n
+                assert rank(b) == rank(Bdd(*b)) == n
 
 
-def test_a_stream_above_8_variables_records_nothing(monkeypatch):
-    # the record holds trees on at most 8 variables, so a k=9 tree is walked
+def test_streamed_trees_rank_with_no_walk_at_every_width(monkeypatch):
+    # a streamed tree carries its rank at every width: trees across the end
+    # of every block to 9, and a k=17 reduced stream, built in natural row
+    # order; the same tree rebuilt, alone or by _replace, carries none and
+    # is walked to the same rank
     calls = count_walk_calls(monkeypatch)
-    for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
-        for n, b in enumerate(enumerate_bdds(kind, bsum(8) - 3, 6), bsum(8) - 3):
-            entry = natbdd.ranking._record[kind].get(id(b.root))
-            assert (entry is not None and entry[1:] == (b.nv, n)) == (b.nv <= 8), (kind, n)
+    runs = [(kind, max(bsum(k) - 3, 0), 6) for k in range(1, 10) for kind in ("plain", "reduced")]
+    runs.append(("reduced", bsum(16) + random.Random(30).getrandbits(1 << 15), 3))
+    for kind, start, count in runs:
+        rank = plain_bdd2nat if kind == "plain" else bdd2nat
+        for n, b in enumerate(enumerate_bdds(kind, start, count), start):
             calls.clear()
             assert rank(b) == n
-            assert bool(calls) == (b.nv > 8), (kind, n)
+            assert calls == [], (kind, n)
+            for rebuilt in (Bdd(b.nv, b.root), b._replace(root=b.root)):
+                assert rank(rebuilt) == n
+                assert calls, (kind, n, type(rebuilt))
+                calls.clear()
+
+
+def test_a_streamed_tree_is_a_bdd_that_carries_its_rank(monkeypatch):
+    # equal to, and hashed as, the tree built alone; written as a Bdd; and its
+    # copies carry its rank, so they rank with no walk
+    calls = count_walk_calls(monkeypatch)
+    for kind, unrank, rank in (("plain", nat2plain_bdd, plain_bdd2nat), ("reduced", nat2bdd, bdd2nat)):
+        for n, b in enumerate(enumerate_bdds(kind, bsum(4) - 2, 4), bsum(4) - 2):
+            alone = unrank(n)
+            assert isinstance(b, Bdd) and b == alone and hash(b) == hash(alone)
+            assert repr(b) == repr(alone) and repr(b).startswith("Bdd(")
+            for c in (copy.copy(b), pickle.loads(pickle.dumps(b))):
+                assert c == b and rank(c) == n
+    assert calls == []
 
 
 def test_threads_rank_distinct_streams_exactly():
-    # each thread's ranks read the record that every stream writes, or walk
-    # a tree whose entry another thread's replacement of the record dropped
+    # each thread ranks the trees of its own stream, each of which carries
+    # its rank, while the other threads build theirs
     starts = [bsum(6) + 1234, bsum(7) - 700, bsum(7) + 3**40, bsum(5) + 999]
     ranks = {"plain": plain_bdd2nat, "reduced": bdd2nat}
     errors = []

@@ -187,7 +187,7 @@ def test_shannon_split_halves_are_the_cofactors_of_variable_0():
 
 
 def test_shannon_split_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot split a 1-bit table \(no variables left\)$"):
         shannon_split(0, 0)
     with pytest.raises(ValueError):
         shannon_split(2, 16)
@@ -202,7 +202,7 @@ def test_shannon_split_errors():
 
 
 def test_shannon_fuse_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot fuse into a 1-bit table \(no variables left\)$"):
         shannon_fuse(0, 0, 0)
     with pytest.raises(ValueError):
         shannon_fuse(2, 4, 0)
