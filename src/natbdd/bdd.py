@@ -48,16 +48,18 @@ The encoding and its inverses:
 :func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
 distinct node object once per call, a bottom node's by lookup after its
 checks.  As a BDD package answers such a query at the parent, from its
-unique table, a node on variable 3 looks up in its own frame each child
-whose checks the lookup settles, and the builders index the bottom there.
-One table gives a bottom node's table t, the variables it tests and its
-reduced node.  As reduced ordered BDDs are canonical, the node is complete
-just when it is the complete bottom tree of t, and reduced just when it is
-its reduced node, which is what :func:`reduce` makes of it.  Each walk
-takes a fresh memo per call, freed when it returns, so this module keeps
-no memo across calls: what a walk computes depends only on its tree.  A
-streamed tree is ranked with no walk at all: it carries its own rank
-(:func:`natbdd.ranking.enumerate_bdds`).
+unique table, a node on variable 4 computes in its own frame each child on
+variable 3 whose two children are bottom nodes that pass the child's own
+checks, and :func:`plain_bdd` builds its children on 3 there too.  Any
+other child is walked by a call, so results, messages and walk order stay.
+One table gives a bottom node's table t, the mask of the variables it tests
+and its reduced node.  As reduced ordered BDDs are canonical, the node is
+complete just when it is the complete bottom tree of t, and reduced just
+when it is its reduced node, which is what :func:`reduce` makes of it.
+Each walk takes a fresh memo per call, freed when it returns, so this
+module keeps no memo across calls: what a walk computes depends only on
+its tree.  A streamed tree is ranked with no walk at all: it carries its
+own rank (:func:`natbdd.ranking.enumerate_bdds`).
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -100,8 +102,9 @@ _new_ite = partial(tuple.__new__, Ite)
 # live as long as the module, so their ids name them: _BOTTOM_ITES, the unique
 # table every bottom ite is built through, maps (var, id(high), id(low)) to the
 # ite, children first; _BOTTOM_TABLES maps each ite to its table t in ev's order,
-# the variables it tests and its reduced node, _REDUCED_BOTTOM[v + 1][t] for a
-# node testing v, which is complete if it is _PLAIN_BOTTOM[v + 1][t].
+# the mask of the variables it tests (bit k for variable k) and its reduced node,
+# _REDUCED_BOTTOM[v + 1][t] for a node testing v, which is complete if it is
+# _PLAIN_BOTTOM[v + 1][t].
 _BOTTOM_NV = 3
 
 
@@ -124,8 +127,7 @@ def _build_bottom():
                 tables[id(node)] = (t, 1 << (v - 1) | tables[id(node.high)][1] | tables[id(node.low)][1], rs[t])
         plain.append(tuple(ps))
         reduced.append(tuple(rs))
-    variables = [tuple(k for k in range(_BOTTOM_NV) if m >> k & 1) for m in range(1 << _BOTTOM_NV)]
-    return tuple(plain), tuple(reduced), ites, {i: (t, variables[m], r) for i, (t, m, r) in tables.items() if m}
+    return tuple(plain), tuple(reduced), ites, {i: entry for i, entry in tables.items() if entry[1]}
 
 
 _PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_ITES, _BOTTOM_TABLES = _build_bottom()
@@ -154,10 +156,13 @@ def _plain_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
     node = memo[v].get(t)
     if node is None:
         w = 1 << (v - 1)
-        if v == _BOTTOM_NV + 1:
-            high, low = _PLAIN_BOTTOM[v - 1][t & ((1 << w) - 1)], _PLAIN_BOTTOM[v - 1][t >> w]
+        hi, lo = t & ((1 << w) - 1), t >> w
+        if v == _BOTTOM_NV + 2:  # its children on variable 3 here, through memo[4], over 8-bit bottom tables
+            below, bottom = memo[v - 1], _PLAIN_BOTTOM[v - 2]
+            high = below.get(hi) or below.setdefault(hi, _new_ite((v - 2, bottom[hi & 255], bottom[hi >> 8])))
+            low = below.get(lo) or below.setdefault(lo, _new_ite((v - 2, bottom[lo & 255], bottom[lo >> 8])))
         else:
-            high, low = _plain_node(v - 1, t & ((1 << w) - 1), memo), _plain_node(v - 1, t >> w, memo)
+            high, low = _plain_node(v - 1, hi, memo), _plain_node(v - 1, lo, memo)
         node = memo[v][t] = _new_ite((v - 1, high, low))
     return node
 
@@ -174,27 +179,35 @@ def reduce(b: Bdd) -> Bdd:
 
 # memo: id(node) -> its reduced tree, valid while the root keeps every node
 # alive; a result depends only on the subtree, whatever its parents; a node on
-# variable 3 reads a bottom child's reduced node from the bottom's table
+# variable 4 reduces in its own frame, through the memo, each child on 3 whose
+# children are bottom nodes, reading their reduced nodes from the bottom's table
 def _reduce_node(node: Node, memo: dict[int, Node]) -> Node:
     if isinstance(node, Leaf):
         return node
-    if (v := node.var) < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
+    v, high, low = node
+    i = id(node)
+    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(i)):
         return bottom[2]
-    done = memo.get(id(node))
+    done = memo.get(i)
     if done is None:
-        high, low = node.high, node.low
-        if v == _BOTTOM_NV:
-            high = hb[2] if (hb := _BOTTOM_TABLES.get(id(high))) else _reduce_node(high, memo)
-            low = lb[2] if (lb := _BOTTOM_TABLES.get(id(low))) else _reduce_node(low, memo)
-        else:
-            high, low = _reduce_node(high, memo), _reduce_node(low, memo)
-        if high == low:
-            done = high
-        elif high is node.high and low is node.low:
-            done = node
-        else:
-            done = _new_ite((v, high, low))
-        memo[id(node)] = done
+        if v != _BOTTOM_NV + 1:
+            rh, rl = _reduce_node(high, memo), _reduce_node(low, memo)
+        else:  # equal reduced bottom nodes are one object
+            if (isinstance(high, Ite) and high.var == _BOTTOM_NV and (hh := _BOTTOM_TABLES.get(id(high.high)))
+                    and (hl := _BOTTOM_TABLES.get(id(high.low)))):
+                if (rh := memo.get(j := id(high))) is None:
+                    rh = memo[j] = hh[2] if hh[2] is hl[2] else (
+                        high if hh[2] is high.high and hl[2] is high.low else _new_ite((_BOTTOM_NV, hh[2], hl[2])))
+            else:
+                rh = _reduce_node(high, memo)
+            if (isinstance(low, Ite) and low.var == _BOTTOM_NV and (lh := _BOTTOM_TABLES.get(id(low.high)))
+                    and (ll := _BOTTOM_TABLES.get(id(low.low)))):
+                if (rl := memo.get(j := id(low))) is None:
+                    rl = memo[j] = lh[2] if lh[2] is ll[2] else (
+                        low if lh[2] is low.high and ll[2] is low.low else _new_ite((_BOTTOM_NV, lh[2], ll[2])))
+            else:
+                rl = _reduce_node(low, memo)
+        done = memo[i] = rh if rh == rl else node if rh is high and rl is low else _new_ite((v, rh, rl))
     return done
 
 
@@ -274,8 +287,9 @@ def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
 
 # memo as in _reduce_node: id(node) -> its fold in bit-reversed row order at
-# 2**(var+1) bits; checked before the lookup, a node is checked under each parent,
-# and read in its parent's frame only if it is the complete bottom node on variable 2
+# 2**(var+1) bits; checked before the lookup, a node is checked under each parent;
+# a node on variable 4 folds in its own frame each child on 3 whose two children
+# are complete bottom nodes, t_high | t_low << 8, and calls for any other child
 def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     if isinstance(node, Leaf):
         if not 0 <= node.bit <= 1:
@@ -283,21 +297,27 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
         if bound:
             raise ValueError(_INCOMPLETE)
         return node.bit
-    v = node.var
+    v, high, low = node
     if v != bound - 1:
         raise _order_error(v, bound) if not 0 <= v < bound else ValueError(_INCOMPLETE)
-    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:
+    i = id(node)
+    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(i)) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:
         return bottom[0]
-    done = memo.get(id(node))
+    done = memo.get(i)
     if done is None:  # in reversed order, pairing two folds of 2**v bits is concatenation
-        high, low = node.high, node.low
-        if v == _BOTTOM_NV:
-            hb, lb = _BOTTOM_TABLES.get(id(high)), _BOTTOM_TABLES.get(id(low))
-            high = hb[0] if hb and _PLAIN_BOTTOM[v][hb[0]] is high else _inverse_node(high, v, memo)
-            low = lb[0] if lb and _PLAIN_BOTTOM[v][lb[0]] is low else _inverse_node(low, v, memo)
-        else:
+        if v != _BOTTOM_NV + 1:
             high, low = _inverse_node(high, v, memo), _inverse_node(low, v, memo)
-        done = memo[id(node)] = high | low << (1 << v)
+        else:
+            complete = _PLAIN_BOTTOM[_BOTTOM_NV]
+            high = (hh[0] | hl[0] << 8 if isinstance(high, Ite) and high.var == _BOTTOM_NV
+                    and (hh := _BOTTOM_TABLES.get(id(high.high))) and complete[hh[0]] is high.high
+                    and (hl := _BOTTOM_TABLES.get(id(high.low))) and complete[hl[0]] is high.low
+                    else _inverse_node(high, v, memo))
+            low = (lh[0] | ll[0] << 8 if isinstance(low, Ite) and low.var == _BOTTOM_NV
+                   and (lh := _BOTTOM_TABLES.get(id(low.high))) and complete[lh[0]] is low.high
+                   and (ll := _BOTTOM_TABLES.get(id(low.low))) and complete[ll[0]] is low.low
+                   else _inverse_node(low, v, memo))
+        done = memo[i] = high | low << (1 << v)
     return done
 
 
@@ -312,7 +332,8 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     variable is widened by repeating its table; a leaf is all zeros or all
     ones.  One bit reversal of the root's 2**nv-bit table
     (:func:`natbdd.truthtab.reverse_rows`, leaving out the swaps of
-    variable pairs the tree never tests) gives this module's row order.
+    variable pairs the tree never tests, which the walk gathers as one int
+    mask) gives this module's row order.
 
     At most 2**(nv-1-v) nodes test variable v, one per path from the root,
     so each level's tables hold at most 2**nv bits and an evaluation
@@ -326,45 +347,54 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     comparison per distinct node, so only reduced trees pass.
     """
     nv = check_var_count(b.nv, max_nv)
-    tested = [False] * nv
+    tested = [0]
     table = _ev_node(b.root, nv, {}, tested, reduced)
-    return reverse_rows(table, nv, [k for k in range(nv // 2) if tested[k] or tested[nv - 1 - k]])
+    m = tested[0]
+    return reverse_rows(table, nv, [k for k in range(nv // 2) if (m >> k | m >> (nv - 1 - k)) & 1])
 
 
-# memo: id(node) -> its table at its own width, as in _reduce_node; a
-# module-level walk, as a recursive closure would leave a reference cycle,
-# holding the memo, for the collector to free during some later call; a node on 3
-# reads its children in frame only if both are bottom nodes on 2 (reduced, with reduced)
-def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[bool], reduced: bool) -> int:
+# memo: id(node) -> its table at its own width, as in _reduce_node, and tested[0]
+# the mask of the variables tested; a module-level walk, as a recursive closure
+# would leave a reference cycle, holding the memo, for the collector to free
+# later; a node on 4 evaluates in frame each child on 3 over two bottom nodes on 2
+# (with reduced, their own reduced nodes, of tables that differ), as the fold does
+def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[int], reduced: bool) -> int:
     """``node``'s table widened to 2**bound bits, in bit-reversed row order."""
     if isinstance(node, Leaf):
         if reduced and not 0 <= node.bit <= 1:
             raise _leaf_error(node.bit)
         return (1 << (1 << bound)) - 1 if node.bit else 0
-    v = node.var
+    v, high, low = node
     if not 0 <= v < bound:
         raise _order_error(v, bound)
-    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))):
-        table, variables, reduction = bottom
+    i = id(node)
+    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(i)):
+        table, mask, reduction = bottom
         if reduced and reduction is not node:
             raise ValueError(_NOT_REDUCED)
-        for k in variables:
-            tested[k] = True
-    elif (table := memo.get(id(node))) is None:
-        high, low = node.high, node.low
-        if (v == _BOTTOM_NV and (hb := _BOTTOM_TABLES.get(id(high))) and (lb := _BOTTOM_TABLES.get(id(low)))
-                and high.var == low.var == v - 1 and (not reduced or hb[2] is high and lb[2] is low)):
-            high, low = hb[0], lb[0]
-            for k in hb[1]:
-                tested[k] = True
-            for k in lb[1]:
-                tested[k] = True
-        else:
+        tested[0] |= mask
+    elif (table := memo.get(i)) is None:
+        if v != _BOTTOM_NV + 1:
             high, low = _ev_node(high, v, memo, tested, reduced), _ev_node(low, v, memo, tested, reduced)
+        else:  # a bottom node whose mask has bit 2 set is on variable 2
+            if (isinstance(high, Ite) and high.var == _BOTTOM_NV and (hh := _BOTTOM_TABLES.get(id(high.high)))
+                    and (hl := _BOTTOM_TABLES.get(id(high.low))) and hh[1] & hl[1] & 4 and (not reduced or (
+                        hh[2] is high.high and hl[2] is high.low and hh[0] != hl[0]))):
+                tested[0] |= hh[1] | hl[1] | 8
+                high = hh[0] | hl[0] << 8
+            else:
+                high = _ev_node(high, v, memo, tested, reduced)
+            if (isinstance(low, Ite) and low.var == _BOTTOM_NV and (lh := _BOTTOM_TABLES.get(id(low.high)))
+                    and (ll := _BOTTOM_TABLES.get(id(low.low))) and lh[1] & ll[1] & 4 and (not reduced or (
+                        lh[2] is low.high and ll[2] is low.low and lh[0] != ll[0]))):
+                tested[0] |= lh[1] | ll[1] | 8
+                low = lh[0] | ll[0] << 8
+            else:
+                low = _ev_node(low, v, memo, tested, reduced)
         if reduced and high == low:  # equal functions: the node is redundant
             raise ValueError(_NOT_REDUCED)
-        table = memo[id(node)] = high | low << (1 << v)
-        tested[v] = True
+        table = memo[i] = high | low << (1 << v)
+        tested[0] |= 1 << v
     v += 1
     while v < bound:  # repeat the table: it ignores the variables above its own
         table |= table << (1 << v)

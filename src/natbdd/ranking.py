@@ -19,6 +19,7 @@ call writes but the caches of argument-only values.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .bdd import Bdd, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
@@ -138,9 +139,10 @@ def _check_block(nv: int) -> None:
 
 
 class _Streamed(Bdd):
-    # a tree enumerate_bdds yielded, which carries its kind and rank; one made
-    # from it by _replace or _make carries neither, and is walked
-    kind = rank = None
+    # a tree enumerate_bdds yielded, which carries its kind and rank, read-only;
+    # one made from it by _replace or _make carries neither, and is walked
+    _kind = _rank = None
+    kind, rank = property(attrgetter("_kind")), property(attrgetter("_rank"))
 
     def __repr__(self) -> str:
         return repr(Bdd(*self))
@@ -169,10 +171,10 @@ def enumerate_bdds(
     than twelve times that, however long the stream.  A tree past
     ``max_nv`` raises the guard's message when the stream reaches it.
     Each tree is of a private subclass of :class:`~natbdd.bdd.Bdd` that
-    carries its kind and rank, so :func:`plain_bdd2nat` or :func:`bdd2nat`
-    of it returns that rank, with no walk; it equals, hashes and prints as
-    the tree built alone.  A tree made from it by ``_replace`` or ``_make``
-    carries neither, and is walked.
+    carries its kind and rank, read-only, so :func:`plain_bdd2nat` or
+    :func:`bdd2nat` of it returns that rank, with no walk; it equals, hashes
+    and prints as the tree built alone.  A tree made from it by ``_replace``
+    or ``_make`` carries neither, and is walked.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
@@ -187,8 +189,8 @@ def enumerate_bdds(
             build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
             t, flips = (r, ()) if build is _reduced_node else (reverse_rows(r, k, range(k // 2)), _flips(k))
         root = build(k, t, memo)  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
-        b = _Streamed(k, root)
-        b.kind, b.rank = kind, n
+        b = tuple.__new__(_Streamed, (k, root))  # without NamedTuple's Python-level __new__
+        b._kind, b._rank = kind, n
         yield b
         if not r & 7:
             for v, level in enumerate(memo):

@@ -97,24 +97,24 @@ MUTANTS = [
            bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
                      "test_walks_on_trees_mixing_shared_bottom_nodes_and_hand_built_ones")),
     Mutant("ev marks nothing for a bottom node", "bdd.py",
-           "        for k in variables:\n", "        for k in ():\n",
+           "        tested[0] |= mask\n", "        tested[0] |= 0\n",
            bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
     Mutant("ev marks all of variables 0-2 for a bottom node", "bdd.py",
-           "        for k in variables:\n", "        for k in range(_BOTTOM_NV):\n",
+           "        tested[0] |= mask\n", "        tested[0] |= (1 << _BOTTOM_NV) - 1\n",
            bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
     # the fold: complete trees only, checked before every lookup
     Mutant("no fold memo", "bdd.py",
-           "    done = memo.get(id(node))\n    if done is None:  # in reversed order",
+           "    done = memo.get(i)\n    if done is None:  # in reversed order",
            "    done = None\n    if done is None:  # in reversed order",
            bdd_tests("test_memoized_walks_equal_unmemoized_references")),
     Mutant("the fold's memo lookup before its checks", "bdd.py",
-           "    v = node.var\n    if v != bound - 1:\n",
-           "    v = node.var\n    if id(node) in memo:\n        return memo[id(node)]\n    if v != bound - 1:\n",
+           "    v, high, low = node\n    if v != bound - 1:\n",
+           "    v, high, low = node\n    if id(node) in memo:\n        return memo[id(node)]\n    if v != bound - 1:\n",
            bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
                      "test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("the fold's bottom lookup before its checks", "bdd.py",
-           "    v = node.var\n    if v != bound - 1:\n",
-           "    v = node.var\n"
+           "    v, high, low = node\n    if v != bound - 1:\n",
+           "    v, high, low = node\n"
            "    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:\n"
            "        return bottom[0]\n"
            "    if v != bound - 1:\n",
@@ -146,30 +146,53 @@ MUTANTS = [
     Mutant("the bottom's table giving each node as its own reduction", "bdd.py",
            "tables[id(node.low)][1], rs[t])", "tables[id(node.low)][1], node)",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
-    # a node on variable 3 answers its children from the bottom's table, in its
-    # own frame, only where each child's own frame would
-    Mutant("_plain_node swapping high and low at v=4", "bdd.py",
-           "_PLAIN_BOTTOM[v - 1][t & ((1 << w) - 1)], _PLAIN_BOTTOM[v - 1][t >> w]",
-           "_PLAIN_BOTTOM[v - 1][t >> w], _PLAIN_BOTTOM[v - 1][t & ((1 << w) - 1)]",
+    # a node on variable 4 takes each child on 3 over two bottom nodes in its own
+    # frame, only where the child's own frame would pass every check; _plain_node
+    # on 5 builds its children on 3 through memo[4]
+    Mutant("_plain_node swapping a child's bottom nodes at v=5", "bdd.py",
+           "bottom[hi & 255], bottom[hi >> 8]", "bottom[hi >> 8], bottom[hi & 255]",
            bdd_tests("test_plain_bdd_equals_recursive_unpairing")),
     Mutant("_reduced_split taking complete nodes at v=4", "bdd.py",
            "_REDUCED_BOTTOM[v - 1][hi], _REDUCED_BOTTOM[v - 1][lo]", "_PLAIN_BOTTOM[v - 1][hi], _PLAIN_BOTTOM[v - 1][lo]",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
-    Mutant("the fold accepting a reduced bottom child", "bdd.py",
-           "hb[0] if hb and _PLAIN_BOTTOM[v][hb[0]] is high else", "hb[0] if hb and high.var == v - 1 else",
+    Mutant("the fold accepting any bottom grandchild on variable 2", "bdd.py",
+           "and complete[lh[0]] is low.high\n", "and low.high.var == _BOTTOM_NV - 1\n",
            bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("the fold accepting grandchildren that are reduced, not complete", "bdd.py",
+           "and complete[hh[0]] is high.high\n", "and hh[2] is high.high\n",
+           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("the fold taking a child on a variable but 3", "bdd.py",
+           "isinstance(low, Ite) and low.var == _BOTTOM_NV\n                   and (lh",
+           "isinstance(low, Ite)\n                   and (lh",
+           bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("ev skipping the reduced test", "bdd.py",
-           " and (not reduced or hb[2] is high and lb[2] is low)):", "):",
+           " and lh[1] & ll[1] & 4 and (not reduced or (\n"
+           "                        lh[2] is low.high and ll[2] is low.low and lh[0] != ll[0]))):",
+           " and lh[1] & ll[1] & 4):",
            bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
-    Mutant("ev taking children on lower variables", "bdd.py",
-           " and high.var == low.var == v - 1 and ", " and ",
+    Mutant("ev skipping the halves-differ test under reduced", "bdd.py",
+           " and hh[0] != hl[0]))):", "))):",
            bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
-    Mutant("ev marking no tested variables for the children", "bdd.py",
-           "            for k in hb[1]:\n                tested[k] = True\n            for k in lb[1]:\n",
-           "            for k in ():\n                tested[k] = True\n            for k in ():\n",
+    Mutant("ev skipping the grandchildren's reduced test", "bdd.py",
+           "hh[2] is high.high and hl[2] is high.low and ", "",
+           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("ev taking grandchildren on lower variables", "bdd.py",
+           " and hh[1] & hl[1] & 4 and", " and",
+           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
+    Mutant("ev marking no tested variables for the high child", "bdd.py",
+           "                tested[0] |= hh[1] | hl[1] | 8\n", "                tested[0] |= 8\n",
            bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
-    Mutant("reduce mapping through _PLAIN_BOTTOM", "bdd.py",
-           "            high = hb[2] if (hb := ", "            high = _PLAIN_BOTTOM[high.var + 1][hb[0]] if (hb := ",
+    Mutant("ev marking no tested variables for the low child", "bdd.py",
+           "                tested[0] |= lh[1] | ll[1] | 8\n", "                tested[0] |= 8\n",
+           bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
+    Mutant("reduce mapping a child's bottom node through _PLAIN_BOTTOM", "bdd.py",
+           "_new_ite((_BOTTOM_NV, lh[2], ll[2]))", "_new_ite((_BOTTOM_NV, _PLAIN_BOTTOM[_BOTTOM_NV][lh[0]], ll[2]))",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
+    Mutant("reduce in frame without the memo", "bdd.py",
+           "memo.get(j := id(high))", "(j := id(high)) and None",
+           bdd_tests("test_reduce_keeps_a_node_on_variable_3_shared_under_two_parents_on_4")),
+    Mutant("reduce in frame keeping the child itself when its halves reduce alike", "bdd.py",
+           "rl = memo[j] = lh[2] if lh[2] is ll[2] else (", "rl = memo[j] = low if lh[2] is ll[2] else (",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
     # ev swaps the row pairs of the variables the tree tests, at every nv
     Mutant("ev swaps every pair at nv <= 8", "bdd.py",
@@ -192,11 +215,14 @@ MUTANTS = [
            'b.kind == "plain" and b.nv <= max_nv:', 'b.kind == "plain":',
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
     Mutant("a streamed tree's _replace with no kind to read", "ranking.py",
-           "    kind = rank = None\n", "",
+           "    _kind = _rank = None\n", "",
            ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
     Mutant("the stream's trees yielded without their rank", "ranking.py",
-           "        b.kind, b.rank = kind, n\n", "",
+           "        b._kind, b._rank = kind, n\n", "",
            ranking_tests("test_a_streamed_tree_ranks_with_no_walk")),
+    Mutant("a streamed tree's rank writable", "ranking.py",
+           'property(attrgetter("_rank"))', 'property(attrgetter("_rank"), lambda b, n: vars(b).update(_rank=n))',
+           ranking_tests("test_a_streamed_trees_kind_and_rank_are_read_only")),
     Mutant("a streamed tree written by its own class name", "ranking.py",
            "        return repr(Bdd(*self))\n", "        return Bdd.__repr__(self)\n",
            ranking_tests("test_a_streamed_tree_is_a_bdd_that_carries_its_rank")),

@@ -252,9 +252,10 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         return inverse_node(node, bound, memo)
 
     # the fold enters the root, then the two children of each distinct ite
-    # object above variable 3 once: a node on variable 3 takes its complete
-    # bottom children by lookup; without its memo the fold would enter each
-    # tree position
+    # object above variable 4 once: a node on variable 4 folds in its own
+    # frame each child on variable 3 over two complete bottom nodes, and only
+    # the root of an nv=4 tree, on variable 3, enters its two bottom
+    # children; without its memo the fold would enter each tree position
     monkeypatch.setattr(natbdd.bdd, "_inverse_node", counting_inverse_node)
     for i, b in enumerate(built + reparsed + incomplete):
         assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), i
@@ -264,7 +265,7 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         assert all(id(node) in bottom for node in nodes if node.var < 3), i
         calls.clear()
         assert plain_inverse_bdd(b) == fold_reference(b.root), i
-        assert len(calls) == 1 + 2 * sum(node.var > 3 for node in nodes), i
+        assert len(calls) == 1 + 2 * sum(node.var > 4 for node in nodes) + 2 * (b.nv == 4), i
     for b in incomplete:
         assert_fold_refuses_as_incomplete(b)
 
@@ -402,10 +403,14 @@ def test_fold_refuses_what_ev_refuses_with_its_message(b, max_nv):
     (Bdd(2, ite(1, plain_bdd(1, 1).root, ite(0, c(2), c(0)))), 20, "leaf bit must be 0 or 1, got 2"),
     (Bdd(4, ite(3, plain_bdd(2, 6).root, plain_bdd(3, 1).root)), 20, INCOMPLETE),
     (complete_node_shared(lower=False, v=4), 20, INCOMPLETE),
+    # a node on 2 over two complete bottom nodes, a level low under a node on 4, in each branch
+    (Bdd(5, ite(4, ite(2, plain_bdd(3, 5).root, plain_bdd(3, 6).root), plain_bdd(4, 1).root)), 20, INCOMPLETE),
+    (Bdd(5, ite(4, plain_bdd(4, 1).root, ite(2, plain_bdd(3, 5).root, plain_bdd(3, 6).root))), 20, INCOMPLETE),
 ], ids=["reduced-42", "leaf-above-variable-0", "skips-variable-1", "one-node-on-variable-23",
         "shared-under-a-higher-parent", "chain-of-24", "leaf-bit-2", "leaf-bit-65-bits",
         "reduced-bottom-under-a-hand-built-parent", "leaf-bit-2-beside-a-bottom-node",
-        "bottom-node-a-level-low", "shared-above-the-bottom-under-a-higher-parent"])
+        "bottom-node-a-level-low", "shared-above-the-bottom-under-a-higher-parent",
+        "node-on-2-over-bottom-nodes-as-high", "node-on-2-over-bottom-nodes-as-low"])
 def test_fold_and_plain_rank_refuse_trees_without_a_plain_rank(b, max_nv, want):
     # refused as the walk meets them, before any table as wide as 2**(var+1)
     # bits is built: 2 MiB masks at variable 23, 7.5 MiB traced when a
@@ -487,15 +492,18 @@ def is_complete(node, bound):
 
 
 def test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer():
-    # a node on variable 3 answers a child from the bottom's table in its own
-    # frame only where the child's own frame would; any other child is walked,
-    # with the results and messages it always had
+    # a node on variable 4 answers a child on 3 over two bottom nodes in its
+    # own frame only where the child's own frame would; any other child is
+    # walked, with the results and messages it always had.  Each node on 3 is a
+    # root, and a child of parents on 4 and 5 in both branches, so it meets
+    # the frame of a node on 4 and the call of a node on 5
     complete = [plain_bdd(3, t).root for t in range(256)]
     reduced = [reduced_bdd(3, t).root for t in range(256)]
     both = [node for node in complete if is_reduced(node)]  # the two parities
     on_1 = next(node for node in reduced if isinstance(node, Ite) and node.var == 1)
     children = [  # (child, complete, reduced)
         (Ite(*both[1]), True, True),  # hand-built, equal to a bottom node
+        (both[0], True, True),  # the bottom node itself: beside its sibling both[0], equal halves
         (next(n for n in reduced if isinstance(n, Ite) and n.var == 2 and n not in complete), False, True),
         (next(node for node in complete if not is_reduced(node)), True, False),
         (on_1, False, True),
@@ -509,8 +517,11 @@ def test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer():
             whole = child_complete and sibling_complete
             for node in (Ite(3, child, sibling), Ite(3, sibling, child)):
                 canonical = child_reduced and sibling_reduced and node.high != node.low
-                trees += [(Bdd(4, node), whole, canonical),
-                          (Bdd(5, Ite(4, other, node)), whole, canonical and node != other)]
+                trees.append((Bdd(4, node), whole, canonical))
+                for pair in ((other, node), (node, other)):
+                    trees += [(Bdd(5, Ite(4, *pair)), whole, canonical and node != other),
+                              (Bdd(6, Ite(5, *pair)), False, canonical and node != other),
+                              (Bdd(6, Ite(5, Ite(4, *pair), Ite(4, *pair[::-1]))), whole, canonical and node != other)]
     refused = Counter()
     for b, whole, canonical in trees:
         assert (is_complete(b.root, b.nv), is_reduced(b.root)) == (whole, canonical), b
@@ -527,7 +538,22 @@ def test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer():
                 ev(b, reduced=True)
             assert str(exc.value) == NOT_REDUCED, b
         refused.update(fold=not whole, reduced=not canonical)
-    assert refused == {"fold": 52, "reduced": 17}
+    assert refused == {"fold": 222, "reduced": 76}
+
+
+def test_reduce_keeps_a_node_on_variable_3_shared_under_two_parents_on_4():
+    # a node on 4 reduces its children on 3 in its own frame, through the
+    # call's memo, so a node on 3 that two parents on 4 share in the plain
+    # tree is one object in the reduced tree too, though reduce rebuilds it
+    rng = random.Random(33)
+    s, x, y = (plain_bdd(4, rng.getrandbits(16)).root for _ in range(3))
+    b = plain_bdd(6, plain_inverse_bdd(Bdd(6, Ite(5, Ite(4, s, x), Ite(4, s, y)))))
+    assert b.root.high.high is b.root.low.high
+    r = reduce(b)
+    assert r == Bdd(6, reduce_reference(b.root))
+    assert (r.root.var, r.root.high.var, r.root.low.var, r.root.high.high.var) == (5, 4, 4, 3)
+    assert r.root.high.high != b.root.high.high  # rebuilt
+    assert r.root.high.high is r.root.low.high
 
 
 def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatch):
@@ -559,6 +585,15 @@ def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatc
             swaps.clear()
             assert ev(b) == truth_table_of(b) == tt, (nv, chosen)
             assert swaps == [[k for k in range(nv // 2) if k in tested or nv - 1 - k in tested]], (nv, chosen)
+    # variables 0-2 tested only under a node on 3 that a node on 4 evaluates
+    # in its own frame, as its high or its low child: the parity of variables
+    # 0-3 where variable 4 is 1, and where it is 0
+    parity = functools.reduce(operator.xor, (var_tt(6, k) for k in range(4)))
+    for tt in (parity & var_tt(6, 4), parity & ~var_tt(6, 4)):
+        b = reduced_bdd(6, tt)
+        swaps.clear()
+        assert ev(b) == tt
+        assert swaps == [[0, 1, 2]]
 
 
 def test_plain_bdd_range_errors():

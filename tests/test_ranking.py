@@ -498,6 +498,19 @@ def test_a_streamed_tree_is_a_bdd_that_carries_its_rank(monkeypatch):
     assert calls == []
 
 
+def test_a_streamed_trees_kind_and_rank_are_read_only():
+    # writing or deleting the kind or rank a streamed tree carries raises, so
+    # no caller can make a rank function return another tree's rank
+    for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
+        b = next(enumerate_bdds(kind, 1000, 1))
+        for name, value in (("kind", "plain" if kind == "reduced" else "reduced"), ("rank", 7)):
+            with pytest.raises(AttributeError):
+                setattr(b, name, value)
+            with pytest.raises(AttributeError):
+                delattr(b, name)
+        assert (b.kind, b.rank, rank(b)) == (kind, 1000, 1000)
+
+
 def test_threads_rank_distinct_streams_exactly():
     # each thread ranks the trees of its own stream, each of which carries
     # its rank, while the other threads build theirs
