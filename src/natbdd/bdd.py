@@ -50,8 +50,9 @@ distinct node object once per call, a bottom node's by lookup after its
 checks.  As a BDD package answers such a query at the parent, from its
 unique table, a node on variable 4 computes in its own frame each child on
 variable 3 whose two children are bottom nodes that pass the child's own
-checks, and :func:`plain_bdd` builds its children on 3 there too.  Any
-other child is walked by a call, so results, messages and walk order stay.
+checks, except in :func:`ev` with ``reduced``, and :func:`plain_bdd` builds
+its children on 3 there too.  Any other child is walked by a call, so
+results, messages and walk order stay.
 One table gives a bottom node's table t, the mask of the variables it tests
 and its reduced node.  As reduced ordered BDDs are canonical, the node is
 complete just when it is the complete bottom tree of t, and reduced just
@@ -344,7 +345,8 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
     give; leaf bits are not checked.  With ``reduced``, the reduced rank's
     check, it also refuses any leaf bit but 0 and 1, with the parsers'
     message, and any node whose two branches have equal tables: one
-    comparison per distinct node, so only reduced trees pass.
+    comparison per distinct node, so only reduced trees pass.  Each node is
+    then checked in its own call, none in its parent's frame.
     """
     nv = check_var_count(b.nv, max_nv)
     tested = [0]
@@ -356,8 +358,8 @@ def ev(b: Bdd, max_nv: int = DEFAULT_MAX_VARS, reduced: bool = False) -> int:
 # memo: id(node) -> its table at its own width, as in _reduce_node, and tested[0]
 # the mask of the variables tested; a module-level walk, as a recursive closure
 # would leave a reference cycle, holding the memo, for the collector to free
-# later; a node on 4 evaluates in frame each child on 3 over two bottom nodes on 2
-# (with reduced, their own reduced nodes, of tables that differ), as the fold does
+# later; without reduced, a node on 4 evaluates in frame each child on 3 over two
+# bottom nodes on 2, as the fold does; with reduced, each child is walked by a call
 def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[int], reduced: bool) -> int:
     """``node``'s table widened to 2**bound bits, in bit-reversed row order."""
     if isinstance(node, Leaf):
@@ -374,19 +376,17 @@ def _ev_node(node: Node, bound: int, memo: dict[int, int], tested: list[int], re
             raise ValueError(_NOT_REDUCED)
         tested[0] |= mask
     elif (table := memo.get(i)) is None:
-        if v != _BOTTOM_NV + 1:
+        if v != _BOTTOM_NV + 1 or reduced:
             high, low = _ev_node(high, v, memo, tested, reduced), _ev_node(low, v, memo, tested, reduced)
         else:  # a bottom node whose mask has bit 2 set is on variable 2
             if (isinstance(high, Ite) and high.var == _BOTTOM_NV and (hh := _BOTTOM_TABLES.get(id(high.high)))
-                    and (hl := _BOTTOM_TABLES.get(id(high.low))) and hh[1] & hl[1] & 4 and (not reduced or (
-                        hh[2] is high.high and hl[2] is high.low and hh[0] != hl[0]))):
+                    and (hl := _BOTTOM_TABLES.get(id(high.low))) and hh[1] & hl[1] & 4):
                 tested[0] |= hh[1] | hl[1] | 8
                 high = hh[0] | hl[0] << 8
             else:
                 high = _ev_node(high, v, memo, tested, reduced)
             if (isinstance(low, Ite) and low.var == _BOTTOM_NV and (lh := _BOTTOM_TABLES.get(id(low.high)))
-                    and (ll := _BOTTOM_TABLES.get(id(low.low))) and lh[1] & ll[1] & 4 and (not reduced or (
-                        lh[2] is low.high and ll[2] is low.low and lh[0] != ll[0]))):
+                    and (ll := _BOTTOM_TABLES.get(id(low.low))) and lh[1] & ll[1] & 4):
                 tested[0] |= lh[1] | ll[1] | 8
                 low = lh[0] | ll[0] << 8
             else:

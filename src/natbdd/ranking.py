@@ -13,18 +13,16 @@ evaluation; both place rank n at bsum(k-1) + local index.  A stream
 (:func:`enumerate_bdds`) carries its table from tree to tree, and each tree
 it yields carries its own kind and rank, so ranking that tree back reads
 the rank instead of walking the tree.  The module keeps no state that a
-call writes but the caches of argument-only values.
+call writes but one cache of argument-only values, :func:`_flips`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .bdd import Bdd, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
-from .truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, check_var_count, count_text, reverse_rows, size_text
-from .truthtab import _CACHED_SWAP_NV
+from .truthtab import _CACHED_SWAP_NV, DEFAULT_MAX_VARS, check_var_count, count_text, reverse_rows, size_text
 
 
 class RankPair(NamedTuple):
@@ -42,13 +40,8 @@ def bsum(n: int, max_nv: int = DEFAULT_MAX_VARS) -> int:
 
 
 def _bsum(n: int) -> int:
-    # bsum without the guard, as to_bsum needs it for any rank; the sums a
-    # guard allows are kept, each built on first use (bsum(24) takes 1 MiB)
-    return (_kept_bsum if n <= MAX_VARS_CEILING else _kept_bsum.__wrapped__)(n)
-
-
-@lru_cache(maxsize=None)
-def _kept_bsum(n: int) -> int:
+    # bsum without the guard, as to_bsum needs it for any rank; summed on each
+    # call, as a stream or an unrank takes one sum and a walked rank one more
     return sum(map(_block_size, range(1, n + 1)))
 
 
@@ -138,11 +131,16 @@ def _check_block(nv: int) -> None:
         )
 
 
+def _read_only(b: Bdd, name: str, *value: object) -> None:
+    raise AttributeError(f"a streamed tree is read-only: cannot set or delete {name!r}")
+
+
 class _Streamed(Bdd):
-    # a tree enumerate_bdds yielded, which carries its kind and rank, read-only;
-    # one made from it by _replace or _make carries neither, and is walked
-    _kind = _rank = None
-    kind, rank = property(attrgetter("_kind")), property(attrgetter("_rank"))
+    # a tree enumerate_bdds yielded, which carries its kind and rank in its __dict__,
+    # where the stream, copy and pickle write them; every attribute write or delete
+    # is refused; one made from it by _replace or _make carries neither, and is walked
+    kind = rank = None
+    __setattr__ = __delattr__ = _read_only
 
     def __repr__(self) -> str:
         return repr(Bdd(*self))
@@ -171,10 +169,10 @@ def enumerate_bdds(
     than twelve times that, however long the stream.  A tree past
     ``max_nv`` raises the guard's message when the stream reaches it.
     Each tree is of a private subclass of :class:`~natbdd.bdd.Bdd` that
-    carries its kind and rank, read-only, so :func:`plain_bdd2nat` or
-    :func:`bdd2nat` of it returns that rank, with no walk; it equals, hashes
-    and prints as the tree built alone.  A tree made from it by ``_replace``
-    or ``_make`` carries neither, and is walked.
+    carries its kind and rank and refuses every attribute write and delete,
+    so :func:`plain_bdd2nat` or :func:`bdd2nat` of it returns that rank, with
+    no walk; it equals, hashes and prints as the tree built alone.  A tree
+    made from it by ``_replace`` or ``_make`` carries neither, and is walked.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
@@ -190,7 +188,8 @@ def enumerate_bdds(
             t, flips = (r, ()) if build is _reduced_node else (reverse_rows(r, k, range(k // 2)), _flips(k))
         root = build(k, t, memo)  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
         b = tuple.__new__(_Streamed, (k, root))  # without NamedTuple's Python-level __new__
-        b._kind, b._rank = kind, n
+        carried = b.__dict__  # written as copy and pickle write it, past _Streamed's refusals
+        carried["kind"], carried["rank"] = kind, n
         yield b
         if not r & 7:
             for v, level in enumerate(memo):

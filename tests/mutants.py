@@ -147,8 +147,8 @@ MUTANTS = [
            "tables[id(node.low)][1], rs[t])", "tables[id(node.low)][1], node)",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
     # a node on variable 4 takes each child on 3 over two bottom nodes in its own
-    # frame, only where the child's own frame would pass every check; _plain_node
-    # on 5 builds its children on 3 through memo[4]
+    # frame, only where the child's own frame would pass every check, and in ev
+    # only without reduced; _plain_node on 5 builds its children on 3 through memo[4]
     Mutant("_plain_node swapping a child's bottom nodes at v=5", "bdd.py",
            "bottom[hi & 255], bottom[hi >> 8]", "bottom[hi >> 8], bottom[hi & 255]",
            bdd_tests("test_plain_bdd_equals_recursive_unpairing")),
@@ -165,19 +165,11 @@ MUTANTS = [
            "isinstance(low, Ite) and low.var == _BOTTOM_NV\n                   and (lh",
            "isinstance(low, Ite)\n                   and (lh",
            bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
-    Mutant("ev skipping the reduced test", "bdd.py",
-           " and lh[1] & ll[1] & 4 and (not reduced or (\n"
-           "                        lh[2] is low.high and ll[2] is low.low and lh[0] != ll[0]))):",
-           " and lh[1] & ll[1] & 4):",
-           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
-    Mutant("ev skipping the halves-differ test under reduced", "bdd.py",
-           " and hh[0] != hl[0]))):", "))):",
-           bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
-    Mutant("ev skipping the grandchildren's reduced test", "bdd.py",
-           "hh[2] is high.high and hl[2] is high.low and ", "",
+    Mutant("ev taking children in frame under reduced", "bdd.py",
+           "        if v != _BOTTOM_NV + 1 or reduced:\n", "        if v != _BOTTOM_NV + 1:\n",
            bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
     Mutant("ev taking grandchildren on lower variables", "bdd.py",
-           " and hh[1] & hl[1] & 4 and", " and",
+           " and hh[1] & hl[1] & 4):", "):",
            bdd_tests("test_nodes_on_variable_3_walk_the_children_the_bottom_does_not_answer")),
     Mutant("ev marking no tested variables for the high child", "bdd.py",
            "                tested[0] |= hh[1] | hl[1] | 8\n", "                tested[0] |= 8\n",
@@ -215,13 +207,16 @@ MUTANTS = [
            'b.kind == "plain" and b.nv <= max_nv:', 'b.kind == "plain":',
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
     Mutant("a streamed tree's _replace with no kind to read", "ranking.py",
-           "    _kind = _rank = None\n", "",
+           "    kind = rank = None\n", "",
            ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
     Mutant("the stream's trees yielded without their rank", "ranking.py",
-           "        b._kind, b._rank = kind, n\n", "",
+           '        carried["kind"], carried["rank"] = kind, n\n', "",
            ranking_tests("test_a_streamed_tree_ranks_with_no_walk")),
-    Mutant("a streamed tree's rank writable", "ranking.py",
-           'property(attrgetter("_rank"))', 'property(attrgetter("_rank"), lambda b, n: vars(b).update(_rank=n))',
+    Mutant("a streamed tree with no refusing __setattr__", "ranking.py",
+           "    __setattr__ = __delattr__ = _read_only\n", "    __delattr__ = _read_only\n",
+           ranking_tests("test_a_streamed_trees_kind_and_rank_are_read_only")),
+    Mutant("a streamed tree's __delattr__ accepting deletes", "ranking.py",
+           "    __setattr__ = __delattr__ = _read_only\n", "    __setattr__ = _read_only\n",
            ranking_tests("test_a_streamed_trees_kind_and_rank_are_read_only")),
     Mutant("a streamed tree written by its own class name", "ranking.py",
            "        return repr(Bdd(*self))\n", "        return Bdd.__repr__(self)\n",

@@ -500,15 +500,21 @@ def test_a_streamed_tree_is_a_bdd_that_carries_its_rank(monkeypatch):
 
 def test_a_streamed_trees_kind_and_rank_are_read_only():
     # writing or deleting the kind or rank a streamed tree carries raises, so
-    # no caller can make a rank function return another tree's rank
+    # no caller can make a rank function return another tree's rank; so does
+    # any other attribute write or delete, by a private name too
     for kind, rank in (("plain", plain_bdd2nat), ("reduced", bdd2nat)):
         b = next(enumerate_bdds(kind, 1000, 1))
-        for name, value in (("kind", "plain" if kind == "reduced" else "reduced"), ("rank", 7)):
+        other = "plain" if kind == "reduced" else "reduced"
+        for name, value in (("kind", other), ("rank", 7), ("_kind", other), ("_rank", 7), ("other", 1)):
             with pytest.raises(AttributeError):
                 setattr(b, name, value)
             with pytest.raises(AttributeError):
                 delattr(b, name)
         assert (b.kind, b.rank, rank(b)) == (kind, 1000, 1000)
+        for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            with pytest.raises(AttributeError):
+                c.rank = 7
+            assert (c.kind, c.rank, rank(c)) == (kind, 1000, 1000)
 
 
 def test_threads_rank_distinct_streams_exactly():
