@@ -9,11 +9,12 @@ leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 equal subtrees are one object.  Its bottom, every complete and reduced tree
 on at most 3 variables, is built once at import and shared by every call;
 above it both builders keep the table per call, or per block while
-:func:`natbdd.ranking.enumerate_bdds` streams, in one layout, nv + 1 dicts
-with ``memo[v]`` mapping a 2**v-bit table to its node, in bit-reversed row
-order but for :func:`reduced_bdd`'s tables above 16 variables.  The stream
-calls :func:`_plain_node` and :func:`_reduced_split` directly, on a table it
-carries in that order from tree to tree.
+:func:`natbdd.ranking.enumerate_bdds` streams, in one layout, ``memo[v]``
+mapping a 2**v-bit table to its node, in bit-reversed row order but for
+:func:`reduced_bdd`'s tables above 16 variables: nv + 1 dicts, or a
+``defaultdict(dict)`` in :func:`reduced_bdd`, which fills few levels.  The
+stream calls :func:`_plain_node` and :func:`_reduced_split` directly, on a
+table it carries in that order from tree to tree.
 :func:`reduce` keeps the sharing of its input.  Trees parsed from text share
 the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
 from it, and read and write a bottom subtree's text whole.  Sharing never
@@ -32,7 +33,7 @@ The encoding and its inverses:
   whose halves are equal and stopping at constant tables: one node per
   distinct sub-table whose halves differ.  Above 16 variables it splits by
   the same unpairing; at 16 or fewer it reverses a table's rows once and
-  splits as :func:`plain_bdd` does;
+  splits as :func:`plain_bdd` does, and a constant half ends the descent;
 * :func:`plain_inverse_bdd` folds a complete tree back by recursive
   pairing, the paper's structural fold, and refuses any other tree.  It
   runs as ``ev`` does, in bit-reversed row order, where pairing the two
@@ -68,6 +69,7 @@ For every plain tree the two inverses agree with the original table, and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
 from itertools import chain, product
 from typing import NamedTuple
@@ -132,6 +134,8 @@ def _build_bottom():
 
 
 _PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_ITES, _BOTTOM_TABLES = _build_bottom()
+# _ONES[v]: the all-ones table on v variables, kept up to 16 as reverse_rows keeps masks (16 KiB)
+_ONES = tuple((1 << (1 << v)) - 1 for v in range(_CACHED_SWAP_NV + 1))
 
 
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
@@ -217,27 +221,29 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
 
     Equal to ``reduce(plain_bdd(nv, tt, max_nv))`` but built top-down: a
     constant table is a leaf at once, a level whose two halves are equal
-    tables adds no node, and one node, shared by all its parents, is made per
-    distinct sub-table whose halves differ (a bead), not per tree position.
-    Beads are kept as :func:`plain_bdd` keeps its sub-tables: ``memo[v]``
-    maps a 2**v-bit table to its node.  Above 16 variables a table is split
-    by :func:`natbdd.pairing.bitmerge_unpair`, in natural row order, so no
-    table or mask wider than it is built; at or below 16, where
-    :func:`natbdd.truthtab.reverse_rows` keeps its masks, a table that is
-    not constant has its rows reversed once and is split into contiguous
-    halves, as in :func:`plain_bdd`.
+    tables adds no node, and a constant half ends the descent there.  One
+    node, shared by all its parents, is made per distinct sub-table whose
+    halves differ (a bead), not per tree position, and kept in ``memo[v]``
+    by its 2**v-bit table, as :func:`plain_bdd` keeps its sub-tables.  Above
+    16 variables a table is split by :func:`natbdd.pairing.bitmerge_unpair`,
+    in natural row order, so no table or mask wider than it is built, and
+    only one whose top row is 1 is popcounted.  At or below 16, where
+    :func:`natbdd.truthtab.reverse_rows` keeps its masks and this module its
+    all-ones tables, which mask the splits, a table is compared with those,
+    and one that is not constant has its rows reversed once and is split
+    into contiguous halves, as in :func:`plain_bdd`.
     """
     check_table(nv, tt, max_nv, "truth table")
-    return Bdd(nv, _reduced_node(nv, tt, [{} for _ in range(nv + 1)]))
+    return Bdd(nv, _reduced_node(nv, tt, defaultdict(dict)))
 
 
 # memo: the builders' layout (module docstring), filled only at beads, so skipped
 # levels are never hashed; equal halves, and only they, give equal reduced trees;
-# tables in natural row order above _CACHED_SWAP_NV variables (reduced_bdd)
-def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
-    while t and t.bit_count() != 1 << v:
-        if v <= _CACHED_SWAP_NV:
-            return _reduced_split(v, reverse_rows(t, v, range(v // 2)), memo)
+# tables in natural row order above _CACHED_SWAP_NV variables, popcounted if the top row is 1
+def _reduced_node(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int, dict[int, Node]]) -> Node:
+    while v > _CACHED_SWAP_NV:
+        if not t or t.bit_length() == 1 << v and t.bit_count() == 1 << v:
+            return LEAVES[t & 1]
         hi, lo = bitmerge_unpair(t)
         if hi != lo:
             node = memo[v].get(t)
@@ -246,14 +252,15 @@ def _reduced_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
                 node = memo[v][t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
-    return LEAVES[1 if t else 0]
+    if t and t != _ONES[v]:
+        return _reduced_split(v, reverse_rows(t, v, range(v // 2)), memo)
+    return LEAVES[t & 1]
 
 
 # _reduced_node on a table in bit-reversed row order, split as in _plain_node
-def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
+def _reduced_split(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int, dict[int, Node]]) -> Node:
     while v > _BOTTOM_NV:
-        w = 1 << (v - 1)
-        hi, lo = t & ((1 << w) - 1), t >> w
+        hi, lo = t & _ONES[v - 1], t >> (1 << (v - 1))
         if hi != lo:
             node = memo[v].get(t)
             if node is None:
@@ -264,6 +271,8 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
                 node = memo[v][t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
+        if not t or t == _ONES[v]:  # a constant half ends the descent
+            return LEAVES[t & 1]
     return _REDUCED_BOTTOM[v][t]
 
 

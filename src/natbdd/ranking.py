@@ -161,8 +161,9 @@ def enumerate_bdds(
     through one memo, the stream's unique table.  Table r is carried in
     bit-reversed row order, as those builders split it: reversed once at
     the block's start, then, from r - 1 to r, XORed with the reversal of
-    the rows the two differ in, rows 0 .. m-1, kept on at most 16 variables
-    for m up to 16.  So no tree reverses a whole table.  A reduced tree
+    the rows the two differ in, rows 0 .. m-1, kept for m up to 16: across
+    streams on at most 16 variables, and above for the block, each built on
+    first use.  So no tree reverses a whole table.  A reduced tree
     above 16 variables is built from table r itself, as :func:`reduced_bdd`
     builds it there.  Every eighth tree, a level is cleared once it holds
     four times the tables one tree can hold there, so it never holds more
@@ -185,7 +186,8 @@ def enumerate_bdds(
             memo = [{} for _ in range(check_var_count(k, max_nv) + 1)]
             # natural row order for a reduced tree above 16 variables, as reduced_bdd splits there
             build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
-            t, flips = (r, ()) if build is _reduced_node else (reverse_rows(r, k, range(k // 2)), _flips(k))
+            t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
+            flips = _flips(k) if k <= _CACHED_SWAP_NV else {}  # above 16 variables, this block's own
         root = build(k, t, memo)  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
         b = tuple.__new__(_Streamed, (k, root))  # without NamedTuple's Python-level __new__
         carried = b.__dict__  # written as copy and pickle write it, past _Streamed's refusals
@@ -202,11 +204,12 @@ def enumerate_bdds(
             t = r
         else:  # r - 1 and r differ in rows 0 .. m-1
             m = (r & -r).bit_length()
-            t ^= flips[m] if m < len(flips) else reverse_rows((1 << m) - 1, k, range(k // 2))
+            flip = flips.get(m) or reverse_rows((1 << m) - 1, k, range(k // 2))
+            t ^= flips.setdefault(m, flip) if m <= _CACHED_SWAP_NV else flip  # kept on first use
 
 
-# flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16,
-# kept on at most 16 variables as reverse_rows keeps its masks; a longer carry is rare
+# flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16, kept on
+# at most 16 variables as reverse_rows keeps its masks, above by a stream's block; a longer carry is rare
 @lru_cache(maxsize=None)
-def _flips(k: int) -> tuple[int, ...]:
-    return tuple(reverse_rows((1 << m) - 1, k, range(k // 2)) for m in range(17 if k <= _CACHED_SWAP_NV else 0))
+def _flips(k: int) -> dict[int, int]:
+    return {m: reverse_rows((1 << m) - 1, k, range(k // 2)) for m in range(1, _CACHED_SWAP_NV + 1)}

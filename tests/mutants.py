@@ -52,7 +52,9 @@ MUTANTS = [
     # reduced_bdd: natural-order unpairing above 16 variables, one reversal and
     # contiguous splits at or below, the reduced bottom by bit-reversed table
     Mutant("reduced_bdd reverses the table at every nv", "bdd.py",
-           "        if v <= _CACHED_SWAP_NV:\n", "        if True:\n",
+           "        hi, lo = bitmerge_unpair(t)\n",
+           "        r, w = reverse_rows(t, v, range(v // 2)), 1 << (v - 1)\n"
+           "        hi, lo = (reverse_rows(h, v - 1, range((v - 1) // 2)) for h in (r & (1 << w) - 1, r >> w))\n",
            ("tests/test_truthtab.py::test_table_checks_build_no_mask",
             *bdd_tests("test_reduced_bdd_work_follows_the_reduced_tree"))),
     Mutant("reduced_bdd's reversal misses a swap", "bdd.py",
@@ -60,10 +62,22 @@ MUTANTS = [
            "_reduced_split(v, reverse_rows(t, v, range(1, v // 2)), memo)",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
     Mutant("no equal-halves skip below the cutoff", "bdd.py",
-           "        hi, lo = t & ((1 << w) - 1), t >> w\n        if hi != lo:\n",
-           "        hi, lo = t & ((1 << w) - 1), t >> w\n        if True:\n",
+           "        hi, lo = t & _ONES[v - 1], t >> (1 << (v - 1))\n        if hi != lo:\n",
+           "        hi, lo = t & _ONES[v - 1], t >> (1 << (v - 1))\n        if True:\n",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random",
                      "test_plain_and_reduced_trees_share_equal_subtrees")),
+    # a constant half ends the descent below the cutoff; above it only a table
+    # whose top row is 1 is popcounted
+    Mutant("the constant exit always returning the 0-leaf", "bdd.py",
+           "            return LEAVES[t & 1]\n    return _REDUCED_BOTTOM[v][t]\n",
+           "            return LEAVES[0]\n    return _REDUCED_BOTTOM[v][t]\n",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_where_halves_turn_constant")),
+    Mutant("the constant exit comparing with the all-ones table one variable short", "bdd.py",
+           "t == _ONES[v]:  # a constant half", "t == _ONES[v - 1]:  # a constant half",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_where_halves_turn_constant")),
+    Mutant("no top-row guard before the popcount", "bdd.py",
+           "t.bit_length() == 1 << v and t.bit_count() == 1 << v:", "t.bit_count() == 1 << v:",
+           bdd_tests("test_reduced_bdd_popcounts_only_tables_whose_top_row_is_1")),
     Mutant("the reduced bottom indexed by natural-order table", "bdd.py",
            "    return tuple(plain), tuple(reduced), ites, {",
            "    for v, d, mask in ((2, 1, 0b10), (3, 3, 0b1010)):\n"
@@ -246,8 +260,14 @@ MUTANTS = [
            "root = build(k, t, memo)", "root = (build if r or kind == 'plain' else _plain_node)(k, t, memo)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
     Mutant("the stream's long carries read from the kept flips", "ranking.py",
-           "flips[m] if m < len(flips) else", "flips[m % len(flips)] if flips else",
+           "flips.get(m) or", "flips.get(min(m, _CACHED_SWAP_NV)) or",
            ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries")),
+    Mutant("the stream's carries above 16 variables not kept", "ranking.py",
+           "flips.setdefault(m, flip) if", "flip if",
+           ranking_tests("test_a_stream_reverses_one_table_per_block")),
+    Mutant("a long carry kept in the module's flips", "ranking.py",
+           "if m <= _CACHED_SWAP_NV else flip", "if True else flip",
+           ranking_tests("test_a_stream_reverses_one_table_per_block")),
     Mutant("to_bsum without its correction step", "ranking.py",
            "    return RankPair(k + 1, r - size) if r >= size else RankPair(k, r)\n",
            "    return RankPair(k, r)\n",

@@ -633,6 +633,58 @@ def test_reduced_bdd_equals_reduced_plain_tree_random():
         assert reduced_bdd(nv, tt) == reduce(plain_bdd(nv, tt)), nv
 
 
+def leaves_of(node, seen):
+    if isinstance(node, Leaf):
+        yield node
+    elif id(node) not in seen:
+        seen.add(id(node))
+        yield from leaves_of(node.high, seen)
+        yield from leaves_of(node.low, seen)
+
+
+@pytest.mark.parametrize("nv", [15, 16, 17])
+def test_reduced_bdd_equals_reduced_plain_tree_where_halves_turn_constant(nv):
+    # on both sides of the 16 variables up to which the reduced build keeps
+    # its masks: tables whose halves turn constant at every level, each
+    # variable's column, ANDs and ORs of a few, and the two constants
+    rng = random.Random(nv)
+    columns = [var_tt(nv, k) for k in range(nv)]
+    ones = (1 << (1 << nv)) - 1
+    tables = [0, ones, *columns]
+    for arity in (2, 2, 3, 3, 4, 4):
+        chosen = [columns[k] for k in rng.sample(range(nv), arity)]
+        tables += [functools.reduce(operator.and_, chosen), functools.reduce(operator.or_, chosen)]
+    tables += [columns[0] & columns[1] & columns[2], columns[nv - 1] | columns[nv - 2] | columns[nv - 3]]
+    for tt in tables:
+        b = reduced_bdd(nv, tt)
+        assert b == reduce(plain_bdd(nv, tt)), (nv, tt.bit_length())
+        assert ev(b) == tt, (nv, tt.bit_length())
+        assert all(leaf is LEAVES[0] or leaf is LEAVES[1] for leaf in leaves_of(b.root, set()))
+    assert reduced_bdd(nv, columns[3]) == Bdd(nv, ite(3, c(1), c(0)))
+    assert reduced_bdd(nv, ones).root is LEAVES[1] and reduced_bdd(nv, 0).root is LEAVES[0]
+
+
+def test_reduced_bdd_popcounts_only_tables_whose_top_row_is_1():
+    # at 16 or fewer variables a table is compared with the kept all-ones
+    # table; above 16 only a table whose top row is 1 can be all ones, so
+    # only such a table is popcounted
+    popcounts = []
+
+    class Counted(int):
+        def bit_count(self):
+            popcounts.append(self.bit_length())
+            return int.bit_count(self)
+
+    rng = random.Random(5)
+    for nv in (15, 16, 17, 18):
+        top = 1 << (1 << nv) - 1
+        for tt, counted in ((0, 0), (var_tt(nv, 0), 0), (var_tt(nv, nv - 1), 0),
+                            (rng.getrandbits(1 << nv) | top, 1), (2 * top - 1, 1)):
+            popcounts.clear()
+            assert reduced_bdd(nv, Counted(tt)) == reduced_bdd(nv, tt)
+            assert popcounts == ([1 << nv] * counted if nv > 16 else []), (nv, tt.bit_length())
+
+
 @pytest.mark.parametrize(
     "nv,tt,max_nv",
     [(1, 4, 20), (0, 2, 20), (2, -1, 20), (21, 0, 20), (-1, 0, 20), (5, 0, 4)],

@@ -353,6 +353,18 @@ def test_a_stream_reverses_one_table_per_block(monkeypatch):
                     expected.append(((1 << m) - 1, k))
             assert calls == expected, (kind, start)
             assert len(calls) == (1 if start == bsum(6) + 12345 else 2), (kind, start)
+    # above 16 variables a plain stream keeps each carry of up to 16 rows for
+    # its block, built on first use: one reversal per block, plus one per
+    # distinct carry length; the reduced stream there splits natural-order
+    # tables and reverses none
+    start = bsum(16) + 123457
+    for kind in ("plain", "reduced"):
+        calls.clear()
+        for _ in enumerate_bdds(kind, start, 40):
+            pass
+        lengths = dict.fromkeys((r & -r).bit_length() for r in range(123458, 123457 + 40))
+        assert len(lengths) == 6
+        assert calls == ([(123457, 17)] + [((1 << m) - 1, 17) for m in lengths] if kind == "plain" else []), kind
 
 
 def ite_ids(node, seen):
