@@ -31,9 +31,11 @@ The encoding and its inverses:
   per distinct subtree;
 * :func:`reduced_bdd` builds the reduced tree top-down, skipping levels
   whose halves are equal and stopping at constant tables: one node per
-  distinct sub-table whose halves differ.  Above 16 variables it splits by
-  the same unpairing; at 16 or fewer it reverses a table's rows once and
-  splits as :func:`plain_bdd` does, and a constant half ends the descent;
+  distinct sub-table whose halves differ.  It first drops the low variables
+  the table ignores, builds on the rest, and raises each node's variable by
+  the number dropped.  Above 16 variables it splits by the same unpairing;
+  at 16 or fewer it reverses a table's rows once and splits as
+  :func:`plain_bdd` does, and a constant half ends the descent;
 * :func:`plain_inverse_bdd` folds a complete tree back by recursive
   pairing, the paper's structural fold, and refuses any other tree.  It
   runs as ``ev`` does, in bit-reversed row order, where pairing the two
@@ -224,8 +226,12 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     tables adds no node, and a constant half ends the descent there.  One
     node, shared by all its parents, is made per distinct sub-table whose
     halves differ (a bead), not per tree position, and kept in ``memo[v]``
-    by its 2**v-bit table, as :func:`plain_bdd` keeps its sub-tables.  Above
-    16 variables a table is split by :func:`natbdd.pairing.bitmerge_unpair`,
+    by its 2**v-bit table, as :func:`plain_bdd` keeps its sub-tables.  A
+    table that is not constant first drops the low variables 0..o-1 it
+    ignores, each while its two contiguous halves are equal (a shift and a
+    compare, no mask), and the tree of the rest is lifted by o, with each
+    node that lands below variable 3 taken from the bottom.  Above 16
+    variables a table is split by :func:`natbdd.pairing.bitmerge_unpair`,
     in natural row order, so no table or mask wider than it is built, and
     only one whose top row is 1 is popcounted.  At or below 16, where
     :func:`natbdd.truthtab.reverse_rows` keeps its masks and this module its
@@ -234,7 +240,25 @@ def reduced_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     into contiguous halves, as in :func:`plain_bdd`.
     """
     check_table(nv, tt, max_nv, "truth table")
-    return Bdd(nv, _reduced_node(nv, tt, defaultdict(dict)))
+    if not tt or (tt == _ONES[nv] if nv <= _CACHED_SWAP_NV
+                  else tt.bit_length() == 1 << nv and tt.bit_count() == 1 << nv):
+        return Bdd(nv, LEAVES[tt & 1])
+    o = 0  # the table ignores variable o when its two contiguous halves are equal
+    while (hi := tt >> (w := 1 << (nv - o - 1))) == tt ^ hi << w:
+        tt, o = hi, o + 1
+    return Bdd(nv, _lifted(_reduced_node(nv - o, tt, defaultdict(dict)), o, {}))
+
+
+# node with each variable raised by o, memo as in _reduce_node; a node below 3 is the bottom's, as in cli._form
+def _lifted(node: Node, o: int, memo: dict[int, Node]) -> Node:
+    if not o or isinstance(node, Leaf):
+        return node
+    done = memo.get(i := id(node))
+    if done is None:
+        v, high, low = node
+        high, low, v = _lifted(high, o, memo), _lifted(low, o, memo), v + o
+        done = memo[i] = _BOTTOM_ITES[v, id(high), id(low)] if v < _BOTTOM_NV else _new_ite((v, high, low))
+    return done
 
 
 # memo: the builders' layout (module docstring), filled only at beads, so skipped

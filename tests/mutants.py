@@ -66,6 +66,26 @@ MUTANTS = [
            "        hi, lo = t & _ONES[v - 1], t >> (1 << (v - 1))\n        if True:\n",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random",
                      "test_plain_and_reduced_trees_share_equal_subtrees")),
+    # reduced_bdd strips the low variables a table ignores, after a constant
+    # table's exit, and lifts the stripped table's tree onto the shared bottom
+    Mutant("the strip running one level too far", "bdd.py",
+           "    return Bdd(nv, _lifted(_reduced_node(nv - o,",
+           "    tt, o = tt >> (1 << (nv - o - 1)), o + 1\n    return Bdd(nv, _lifted(_reduced_node(nv - o,",
+           bdd_tests("test_reduced_bdd_strips_the_low_variables_a_table_ignores")),
+    Mutant("the lift adding o - 1", "bdd.py",
+           "_lifted(low, o, memo), v + o\n", "_lifted(low, o, memo), v + o - 1\n",
+           bdd_tests("test_reduced_bdd_strips_the_low_variables_a_table_ignores")),
+    Mutant("the lift making fresh nodes below variable 3", "bdd.py",
+           "_BOTTOM_ITES[v, id(high), id(low)] if v < _BOTTOM_NV else _new_ite((v, high, low))",
+           "_new_ite((v, high, low))",
+           bdd_tests("test_reduced_bdd_strips_the_low_variables_a_table_ignores")),
+    Mutant("no top-row guard before reduced_bdd's popcount", "bdd.py",
+           "tt.bit_length() == 1 << nv and tt.bit_count() == 1 << nv):", "tt.bit_count() == 1 << nv):",
+           bdd_tests("test_reduced_bdd_popcounts_only_tables_whose_top_row_is_1")),
+    Mutant("no constant exit before the strip", "bdd.py",
+           "        return Bdd(nv, LEAVES[tt & 1])\n    o = 0", "        pass\n    o = 0",
+           bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_where_halves_turn_constant",
+                     "test_reduced_bdd_popcounts_only_tables_whose_top_row_is_1")),
     # a constant half ends the descent below the cutoff; above it only a table
     # whose top row is 1 is popcounted
     Mutant("the constant exit always returning the 0-leaf", "bdd.py",

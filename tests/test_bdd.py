@@ -655,6 +655,9 @@ def test_reduced_bdd_equals_reduced_plain_tree_where_halves_turn_constant(nv):
         chosen = [columns[k] for k in rng.sample(range(nv), arity)]
         tables += [functools.reduce(operator.and_, chosen), functools.reduce(operator.or_, chosen)]
     tables += [columns[0] & columns[1] & columns[2], columns[nv - 1] | columns[nv - 2] | columns[nv - 3]]
+    # x5 ? x3 : x0, which depends on variable 0, so nothing is stripped: its x3
+    # branch skips variable 4 and is then a column on 4 variables, not constant
+    tables += [columns[5] & columns[3] | (ones ^ columns[5]) & columns[0]]
     for tt in tables:
         b = reduced_bdd(nv, tt)
         assert b == reduce(plain_bdd(nv, tt)), (nv, tt.bit_length())
@@ -677,12 +680,35 @@ def test_reduced_bdd_popcounts_only_tables_whose_top_row_is_1():
 
     rng = random.Random(5)
     for nv in (15, 16, 17, 18):
-        top = 1 << (1 << nv) - 1
+        top, ones = 1 << (1 << nv) - 1, (1 << (1 << nv)) - 1
+        # (table, popcounts of it above 16 variables): one to tell it constant;
+        # a second in the build, unless its low variables are stripped first, as a
+        # stripped table is a new int, never counted
         for tt, counted in ((0, 0), (var_tt(nv, 0), 0), (var_tt(nv, nv - 1), 0),
-                            (rng.getrandbits(1 << nv) | top, 1), (2 * top - 1, 1)):
+                            (rng.getrandbits(1 << nv) | top, 2), (ones ^ var_tt(nv, 0), 2),
+                            (ones ^ var_tt(nv, 1), 1), (ones ^ var_tt(nv, nv - 1), 1), (ones, 1)):
             popcounts.clear()
             assert reduced_bdd(nv, Counted(tt)) == reduced_bdd(nv, tt)
             assert popcounts == ([1 << nv] * counted if nv > 16 else []), (nv, tt.bit_length())
+
+
+def test_reduced_bdd_strips_the_low_variables_a_table_ignores():
+    # seeded tables made independent of variables 0..o-1, for every o, on both
+    # sides of the 16 variables up to which the stripped table is reversed once,
+    # not unpaired: the reduced tree, each node once, over the shared bottom and
+    # leaves; ev's reduced check refuses any node whose branches are equal
+    rng = random.Random(37)
+    for nv in range(1, 19):
+        for o in range(nv + 1):
+            tt = independent_of(nv, rng.getrandbits(1 << nv), range(o))
+            b = reduced_bdd(nv, tt)
+            if nv <= 12:
+                assert b == reduce(plain_bdd(nv, tt)), (nv, o)
+            assert ev(b) == ev(b, reduced=True) == tt, (nv, o)
+            nodes = ite_objects(b.root)
+            assert len(set(nodes)) == len(nodes), (nv, o)
+            assert all(id(node) in natbdd.bdd._BOTTOM_TABLES for node in nodes if node.var < 3), (nv, o)
+            assert all(leaf is LEAVES[0] or leaf is LEAVES[1] for leaf in leaves_of(b.root, set())), (nv, o)
 
 
 @pytest.mark.parametrize(
@@ -697,12 +723,13 @@ def test_reduced_bdd_range_errors_match_plain_bdd(nv, tt, max_nv):
     assert str(reduced_error.value) == str(plain_error.value)
 
 
-@pytest.mark.parametrize("k", [5, 10, 19, 15, 16])
+@pytest.mark.parametrize("k", [0, 3, 5, 10, 15, 16, 19])
 def test_reduced_bdd_work_follows_the_reduced_tree(monkeypatch, k):
     # one variable's column at nv=20: a plain tree would take 2**20 - 1
-    # unpairings; the reduced build unpairs once per level above both the
-    # variable and the 16 levels split in bit-reversed order, and reverses
-    # the 2**16-bit table once if the variable lies among those levels
+    # unpairings; the reduced build strips the k variables below the column's,
+    # which the table ignores, unpairs once per level of the 20 - k left above
+    # the 16 split in bit-reversed order, and reverses one table, on the levels
+    # left up to 16
     nv = 20
     tt = var_tt(nv, k)
     unpairs, reversals = [], []
@@ -718,8 +745,8 @@ def test_reduced_bdd_work_follows_the_reduced_tree(monkeypatch, k):
     monkeypatch.setattr(natbdd.bdd, "bitmerge_unpair", counting_unpair)
     monkeypatch.setattr(natbdd.bdd, "reverse_rows", counting_reverse)
     assert reduced_bdd(nv, tt) == Bdd(nv, ite(k, c(1), c(0)))
-    assert len(unpairs) == nv - max(k, 16)
-    assert reversals == ([16] if k < 16 else [])
+    assert len(unpairs) == max(0, 4 - k)
+    assert reversals == [min(nv - k, 16)]
 
 
 def test_reduce_is_idempotent():
