@@ -7,14 +7,14 @@ immutable NamedTuples, equal to plain tuples of the same fields.  The two
 leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 :func:`reduced_bdd` also share subtrees, as an ROBDD's unique table does:
 equal subtrees are one object.  Its bottom, every complete and reduced tree
-on at most 3 variables, is built once at import and shared by every call;
-above it both builders keep the table per call, or per block while
-:func:`natbdd.ranking.enumerate_bdds` streams, in one layout, ``memo[v]``
-mapping a 2**v-bit table to its node, in bit-reversed row order but for
-:func:`reduced_bdd`'s tables above 16 variables: nv + 1 dicts, or a
-``defaultdict(dict)`` in :func:`reduced_bdd`, which fills few levels.  The
-stream calls :func:`_plain_node` and :func:`_reduced_split` directly, on a
-table it carries in that order from tree to tree.
+on at most 3 variables, is built once at import and shared by every call.
+Above it the builders keep the table in one layout, ``memo[v]`` mapping a
+2**v-bit table to its node, in bit-reversed row order but for reduced
+tables above 16 variables: nv + 1 dicts per run of consecutive tables,
+:func:`_run`, which carries its table in that order from tree to tree, or
+a ``defaultdict(dict)`` per :func:`reduced_bdd` call, which fills few
+levels.  :func:`plain_bdd` is a run of one table, and each block of
+:func:`natbdd.ranking.enumerate_bdds` is one run.
 :func:`reduce` keeps the sharing of its input.  Trees parsed from text share
 the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
 from it, and read and write a bottom subtree's text whole.  Sharing never
@@ -49,21 +49,22 @@ The encoding and its inverses:
   handles O(nv * 2**nv) bits, whatever the tree's size, and never pairs.
 
 :func:`reduce`, :func:`plain_inverse_bdd` and :func:`ev` each handle each
-distinct node object once per call, a bottom node's by lookup after its
-checks.  As a BDD package answers such a query at the parent, from its
-unique table, a node on variable 4 computes in its own frame each child on
-variable 3 whose two children are bottom nodes that pass the child's own
-checks, except in :func:`ev` with ``reduced``, and :func:`plain_bdd` builds
-its children on 3 there too.  Any other child is walked by a call, so
-results, messages and walk order stay.
+distinct node object once per call, :func:`reduce` and :func:`ev` a bottom
+node's by lookup after its checks.  As a BDD package answers such a query
+at the parent, from its unique table, a node on variable 4 computes in its
+own frame each child on variable 3 whose two children are bottom nodes
+that pass the child's own checks, except in :func:`ev` with ``reduced``,
+and :func:`plain_bdd` builds its children on 3 there too.  Any other child
+is walked by a call, so results, messages and walk order stay.
 One table gives a bottom node's table t, the mask of the variables it tests
 and its reduced node.  As reduced ordered BDDs are canonical, the node is
 complete just when it is the complete bottom tree of t, and reduced just
 when it is its reduced node, which is what :func:`reduce` makes of it.
 Each walk takes a fresh memo per call, freed when it returns, so this
 module keeps no memo across calls: what a walk computes depends only on
-its tree.  A streamed tree is ranked with no walk at all: it carries its
-own rank (:func:`natbdd.ranking.enumerate_bdds`).
+its tree; its one cache, :func:`_flips`, holds values of its argument
+only.  A streamed tree is ranked with no walk at all: it carries its own
+rank (:func:`natbdd.ranking.enumerate_bdds`).
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -72,9 +73,9 @@ For every plain tree the two inverses agree with the original table, and
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .pairing import bitmerge_unpair
 from .truthtab import _CACHED_SWAP_NV, DEFAULT_MAX_VARS, check_table, check_var_count, reverse_rows, size_text
@@ -152,8 +153,7 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     unique table: one node per distinct sub-table of each level.
     """
     check_table(nv, tt, max_nv, "truth table")
-    memo: list[dict[int, Node]] = [{} for _ in range(nv + 1)]
-    return Bdd(nv, _plain_node(nv, reverse_rows(tt, nv, range(nv // 2)), memo))
+    return Bdd(nv, next(_run("plain", nv, tt, max_nv)))
 
 
 # memo: the builders' layout (module docstring), tables in bit-reversed row order
@@ -300,6 +300,39 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int
     return _REDUCED_BOTTOM[v][t]
 
 
+# the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one
+# memo, in the builders' layout, made once the guard passes; table r carried in bit-reversed row
+# order, as _plain_node and _reduced_split split it, reversed once and then XORed from r - 1 to r
+# with the reversal of the rows 0 .. m-1 the two differ in; a reduced table above 16 variables in
+# natural order, as reduced_bdd splits there; every eighth tree, a level cleared once it holds four
+# times the tables one tree can hold there, so it never holds more than twelve times that
+def _run(kind: str, k: int, r: int, max_nv: int) -> Iterator[Node]:
+    memo: list[dict[int, Node]] = [{} for _ in range(check_var_count(k, max_nv) + 1)]
+    build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
+    t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
+    flips = _flips(k) if k <= _CACHED_SWAP_NV else {}  # above 16 variables, this run's own
+    while True:
+        yield build(k, t, memo)  # only table 0 is constant; _reduced_split makes it the 0-leaf
+        if not r & 7:
+            for v, level in enumerate(memo):
+                if len(level) > 1 << (k - v + 2):
+                    level.clear()
+        r += 1
+        if build is _reduced_node:
+            t = r
+        else:  # r - 1 and r differ in rows 0 .. m-1
+            m = (r & -r).bit_length()
+            flip = flips.get(m) or reverse_rows((1 << m) - 1, k, range(k // 2))
+            t ^= flips.setdefault(m, flip) if m <= _CACHED_SWAP_NV else flip  # kept on first use
+
+
+# flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16, kept on
+# at most 16 variables as reverse_rows keeps its masks, above by a run; a longer carry is rare
+@lru_cache(maxsize=None)
+def _flips(k: int) -> dict[int, int]:
+    return {m: reverse_rows((1 << m) - 1, k, range(k // 2)) for m in range(1, _CACHED_SWAP_NV + 1)}
+
+
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     """Fold a complete tree back into its table by recursive bit interleaving.
 
@@ -334,10 +367,7 @@ def _inverse_node(node: Node, bound: int, memo: dict[int, int]) -> int:
     v, high, low = node
     if v != bound - 1:
         raise _order_error(v, bound) if not 0 <= v < bound else ValueError(_INCOMPLETE)
-    i = id(node)
-    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(i)) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:
-        return bottom[0]
-    done = memo.get(i)
+    done = memo.get(i := id(node))
     if done is None:  # in reversed order, pairing two folds of 2**v bits is concatenation
         if v != _BOTTOM_NV + 1:
             high, low = _inverse_node(high, v, memo), _inverse_node(low, v, memo)

@@ -10,19 +10,18 @@ all (variable count, table) pairs.
 
 Plain trees rank via the structural fold, reduced trees via boolean
 evaluation; both place rank n at bsum(k-1) + local index.  A stream
-(:func:`enumerate_bdds`) carries its table from tree to tree, and each tree
-it yields carries its own kind and rank, so ranking that tree back reads
-the rank instead of walking the tree.  The module keeps no state that a
-call writes but one cache of argument-only values, :func:`_flips`.
+(:func:`enumerate_bdds`) takes the trees of each block from one run of
+:mod:`natbdd.bdd`, which builds them, and each tree it yields carries its
+own kind and rank, so ranking that tree back reads the rank instead of
+walking the tree.  The module keeps no state that a call writes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .bdd import Bdd, _plain_node, _reduced_node, _reduced_split, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
-from .truthtab import _CACHED_SWAP_NV, DEFAULT_MAX_VARS, check_var_count, count_text, reverse_rows, size_text
+from .bdd import Bdd, _run, ev, plain_bdd, plain_inverse_bdd, reduced_bdd
+from .truthtab import DEFAULT_MAX_VARS, check_var_count, count_text, size_text
 
 
 class RankPair(NamedTuple):
@@ -157,18 +156,11 @@ def enumerate_bdds(
     ``kind`` selects ``"plain"`` or ``"reduced"`` trees, each equal to the
     one :func:`nat2plain_bdd` or :func:`nat2bdd` gives.  ``start`` is
     decomposed once.  The trees of a block, whose tables differ in a few
-    rows, are built as :func:`plain_bdd` and :func:`reduced_bdd` build one,
-    through one memo, the stream's unique table.  Table r is carried in
-    bit-reversed row order, as those builders split it: reversed once at
-    the block's start, then, from r - 1 to r, XORed with the reversal of
-    the rows the two differ in, rows 0 .. m-1, kept for m up to 16: across
-    streams on at most 16 variables, and above for the block, each built on
-    first use.  So no tree reverses a whole table.  A reduced tree
-    above 16 variables is built from table r itself, as :func:`reduced_bdd`
-    builds it there.  Every eighth tree, a level is cleared once it holds
-    four times the tables one tree can hold there, so it never holds more
-    than twelve times that, however long the stream.  A tree past
-    ``max_nv`` raises the guard's message when the stream reaches it.
+    rows, are built by one run of :mod:`natbdd.bdd`, through one memo
+    capped per level, and from a table carried from tree to tree, never
+    reversed whole.  The run ends with the block or the stream, so no
+    tree past ``count`` is built.  A tree past ``max_nv`` raises the
+    guard's message when the stream reaches it.
     Each tree is of a private subclass of :class:`~natbdd.bdd.Bdd` that
     carries its kind and rank and refuses every attribute write and delete,
     so :func:`plain_bdd2nat` or :func:`bdd2nat` of it returns that rank, with
@@ -180,36 +172,12 @@ def enumerate_bdds(
     if start < 0 or count < 0:
         raise ValueError("start and count must be naturals")
     k, r = to_bsum(start)
-    memo = None
-    for n in range(start, start + count):
-        if memo is None:  # a new block
-            memo = [{} for _ in range(check_var_count(k, max_nv) + 1)]
-            # natural row order for a reduced tree above 16 variables, as reduced_bdd splits there
-            build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
-            t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
-            flips = _flips(k) if k <= _CACHED_SWAP_NV else {}  # above 16 variables, this block's own
-        root = build(k, t, memo)  # in a block only table 0 is constant; _reduced_split makes it the 0-leaf
-        b = tuple.__new__(_Streamed, (k, root))  # without NamedTuple's Python-level __new__
-        carried = b.__dict__  # written as copy and pickle write it, past _Streamed's refusals
-        carried["kind"], carried["rank"] = kind, n
-        yield b
-        if not r & 7:
-            for v, level in enumerate(memo):
-                if len(level) > 1 << (k - v + 2):
-                    level.clear()
-        r += 1
-        if r == _block_size(k):
-            k, r, memo = k + 1, 0, None
-        elif build is _reduced_node:
-            t = r
-        else:  # r - 1 and r differ in rows 0 .. m-1
-            m = (r & -r).bit_length()
-            flip = flips.get(m) or reverse_rows((1 << m) - 1, k, range(k // 2))
-            t ^= flips.setdefault(m, flip) if m <= _CACHED_SWAP_NV else flip  # kept on first use
-
-
-# flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16, kept on
-# at most 16 variables as reverse_rows keeps its masks, above by a stream's block; a longer carry is rare
-@lru_cache(maxsize=None)
-def _flips(k: int) -> dict[int, int]:
-    return {m: reverse_rows((1 << m) - 1, k, range(k // 2)) for m in range(1, _CACHED_SWAP_NV + 1)}
+    n, stop = start, start + count
+    while n < stop:
+        end = min(n - r + _block_size(k), stop)  # the block's end, or the stream's
+        for rank, root in zip(range(n, end), _run(kind, k, r, max_nv)):  # the range first: no tree past end
+            b = tuple.__new__(_Streamed, (k, root))  # without NamedTuple's Python-level __new__
+            carried = b.__dict__  # written as copy and pickle write it, past _Streamed's refusals
+            carried["kind"], carried["rank"] = kind, rank
+            yield b
+        k, r, n = k + 1, 0, end

@@ -138,25 +138,14 @@ MUTANTS = [
            bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
     # the fold: complete trees only, checked before every lookup
     Mutant("no fold memo", "bdd.py",
-           "    done = memo.get(i)\n    if done is None:  # in reversed order",
-           "    done = None\n    if done is None:  # in reversed order",
+           "    done = memo.get(i := id(node))\n    if done is None:  # in reversed order",
+           "    done = {}.get(i := id(node))\n    if done is None:  # in reversed order",
            bdd_tests("test_memoized_walks_equal_unmemoized_references")),
     Mutant("the fold's memo lookup before its checks", "bdd.py",
            "    v, high, low = node\n    if v != bound - 1:\n",
            "    v, high, low = node\n    if id(node) in memo:\n        return memo[id(node)]\n    if v != bound - 1:\n",
            bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
                      "test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
-    Mutant("the fold's bottom lookup before its checks", "bdd.py",
-           "    v, high, low = node\n    if v != bound - 1:\n",
-           "    v, high, low = node\n"
-           "    if v < _BOTTOM_NV and (bottom := _BOTTOM_TABLES.get(id(node))) and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:\n"
-           "        return bottom[0]\n"
-           "    if v != bound - 1:\n",
-           bdd_tests("test_fold_refuses_what_ev_refuses_with_its_message",
-                     "test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
-    Mutant("the fold vouches for reduced bottom nodes", "bdd.py",
-           " and _PLAIN_BOTTOM[v + 1][bottom[0]] is node:\n", ":\n",
-           bdd_tests("test_fold_and_plain_rank_refuse_trees_without_a_plain_rank")),
     Mutant("no leaf-place check in the fold", "bdd.py",
            "        if bound:\n            raise ValueError(_INCOMPLETE)\n",
            "        if False:\n            raise ValueError(_INCOMPLETE)\n",
@@ -244,7 +233,7 @@ MUTANTS = [
            "    kind = rank = None\n", "",
            ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
     Mutant("the stream's trees yielded without their rank", "ranking.py",
-           '        carried["kind"], carried["rank"] = kind, n\n', "",
+           '            carried["kind"], carried["rank"] = kind, rank\n', "",
            ranking_tests("test_a_streamed_tree_ranks_with_no_walk")),
     Mutant("a streamed tree with no refusing __setattr__", "ranking.py",
            "    __setattr__ = __delattr__ = _read_only\n", "    __delattr__ = _read_only\n",
@@ -255,37 +244,42 @@ MUTANTS = [
     Mutant("a streamed tree written by its own class name", "ranking.py",
            "        return repr(Bdd(*self))\n", "        return Bdd.__repr__(self)\n",
            ranking_tests("test_a_streamed_tree_is_a_bdd_that_carries_its_rank")),
-    # the stream: one decomposition, one capped memo per block
-    Mutant("the stream's memo without a level cap", "ranking.py",
-           "            if len(level) > 1 << (k - v + 2):\n", "            if False:\n",
+    # the stream: one decomposition, one run per block, bounded by the end of
+    # the block or of the stream, each run with one capped memo
+    Mutant("the stream's memo without a level cap", "bdd.py",
+           "                if len(level) > 1 << (k - v + 2):\n", "                if False:\n",
            ranking_tests("test_a_long_stream_holds_a_bounded_table")),
-    Mutant("a fresh memo per streamed tree", "ranking.py",
-           "        if memo is None:  # a new block\n", "        if True:\n",
+    Mutant("a fresh memo per streamed tree", "bdd.py",
+           "        yield build(k, t, memo)", "        yield build(k, t, [{} for _ in memo])",
            ranking_tests("test_a_stream_shares_nodes_across_its_trees")),
-    Mutant("the stream's memo kept across a block change", "ranking.py",
-           "            k, r, memo = k + 1, 0, None\n", "            k, r = k + 1, 0\n",
+    Mutant("the stream's memo kept across a block change", "bdd.py",
+           "    memo: list[dict[int, Node]] = [{} for _ in range(check_var_count(k, max_nv) + 1)]\n",
+           "    memo = _run.__dict__.setdefault(\"memo\", [{} for _ in range(check_var_count(k, max_nv) + 1)])\n",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
     Mutant("the stream leaves a block one tree early", "ranking.py",
-           "        if r == _block_size(k):\n", "        if r == _block_size(k) - 1:\n",
+           "end = min(n - r + _block_size(k), stop)", "end = min(n - r + _block_size(k) - 1, stop)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    Mutant("the run bounded one tree past the block", "ranking.py",
+           "zip(range(n, end), _run(kind, k, r, max_nv))", "zip(_run(kind, k, r, max_nv), range(n, end))",
+           ranking_tests("test_a_stream_builds_only_the_trees_it_yields")),
     # the stream's table, carried in bit-reversed row order from tree to tree
-    Mutant("the carried update using m - 1", "ranking.py",
+    Mutant("the carried update using m - 1", "bdd.py",
            "            m = (r & -r).bit_length()\n", "            m = (r & -r).bit_length() - 1\n",
            ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries",
                          "test_streams_from_any_start_equal_trees_built_alone")),
-    Mutant("the stream's cap check never firing", "ranking.py",
+    Mutant("the stream's cap check never firing", "bdd.py",
            "        if not r & 7:\n", "        if r & 7 == 8:\n",
            ranking_tests("test_a_long_stream_holds_a_bounded_table")),
-    Mutant("the reduced stream's table 0 built as its complete tree, not the 0-leaf", "ranking.py",
-           "root = build(k, t, memo)", "root = (build if r or kind == 'plain' else _plain_node)(k, t, memo)",
+    Mutant("the reduced stream's table 0 built as its complete tree, not the 0-leaf", "bdd.py",
+           "yield build(k, t, memo)", "yield (build if r or kind == 'plain' else _plain_node)(k, t, memo)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
-    Mutant("the stream's long carries read from the kept flips", "ranking.py",
+    Mutant("the stream's long carries read from the kept flips", "bdd.py",
            "flips.get(m) or", "flips.get(min(m, _CACHED_SWAP_NV)) or",
            ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries")),
-    Mutant("the stream's carries above 16 variables not kept", "ranking.py",
+    Mutant("the stream's carries above 16 variables not kept", "bdd.py",
            "flips.setdefault(m, flip) if", "flip if",
            ranking_tests("test_a_stream_reverses_one_table_per_block")),
-    Mutant("a long carry kept in the module's flips", "ranking.py",
+    Mutant("a long carry kept in the module's flips", "bdd.py",
            "if m <= _CACHED_SWAP_NV else flip", "if True else flip",
            ranking_tests("test_a_stream_reverses_one_table_per_block")),
     Mutant("to_bsum without its correction step", "ranking.py",

@@ -253,9 +253,10 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
 
     # the fold enters the root, then the two children of each distinct ite
     # object above variable 4 once: a node on variable 4 folds in its own
-    # frame each child on variable 3 over two complete bottom nodes, and only
-    # the root of an nv=4 tree, on variable 3, enters its two bottom
-    # children; without its memo the fold would enter each tree position
+    # frame each child on variable 3 over two complete bottom nodes, so only
+    # a tree on at most 4 variables enters its nodes below variable 4, each
+    # distinct one's two children once, down to the leaves; without its memo
+    # the fold would enter each tree position
     monkeypatch.setattr(natbdd.bdd, "_inverse_node", counting_inverse_node)
     for i, b in enumerate(built + reparsed + incomplete):
         assert reduce(b) == Bdd(b.nv, reduce_reference(b.root)), i
@@ -265,7 +266,7 @@ def test_memoized_walks_equal_unmemoized_references(monkeypatch):
         assert all(id(node) in bottom for node in nodes if node.var < 3), i
         calls.clear()
         assert plain_inverse_bdd(b) == fold_reference(b.root), i
-        assert len(calls) == 1 + 2 * sum(node.var > 4 for node in nodes) + 2 * (b.nv == 4), i
+        assert len(calls) == 1 + 2 * sum(node.var > 4 or b.nv <= 4 for node in nodes), i
     for b in incomplete:
         assert_fold_refuses_as_incomplete(b)
 

@@ -333,10 +333,10 @@ def test_a_stream_reverses_one_table_per_block(monkeypatch):
     # reversed once, and then only a carry of over 16 rows, the rows 0 ..
     # m-1 in which r - 1 and r differ
     for k in range(1, 9):
-        natbdd.ranking._flips(k)  # kept already, so that only the stream's calls count
+        natbdd.bdd._flips(k)  # kept already, so that only the stream's calls count
     calls = []
-    reverse_rows = natbdd.ranking.reverse_rows
-    monkeypatch.setattr(natbdd.ranking, "reverse_rows",
+    reverse_rows = natbdd.bdd.reverse_rows
+    monkeypatch.setattr(natbdd.bdd, "reverse_rows",
                         lambda t, nv, swaps: calls.append((t, nv)) or reverse_rows(t, nv, swaps))
     for kind in ("plain", "reduced"):
         for start in (bsum(6) + 12345, bsum(6) + (1 << 20) - 1000, bsum(7) - 100):
@@ -356,7 +356,8 @@ def test_a_stream_reverses_one_table_per_block(monkeypatch):
     # above 16 variables a plain stream keeps each carry of up to 16 rows for
     # its block, built on first use: one reversal per block, plus one per
     # distinct carry length; the reduced stream there splits natural-order
-    # tables and reverses none
+    # tables and reverses none on 17 variables, only the 16-variable tables
+    # its unpairing leaves, as reduced_bdd does
     start = bsum(16) + 123457
     for kind in ("plain", "reduced"):
         calls.clear()
@@ -364,7 +365,30 @@ def test_a_stream_reverses_one_table_per_block(monkeypatch):
             pass
         lengths = dict.fromkeys((r & -r).bit_length() for r in range(123458, 123457 + 40))
         assert len(lengths) == 6
-        assert calls == ([(123457, 17)] + [((1 << m) - 1, 17) for m in lengths] if kind == "plain" else []), kind
+        wide = [call for call in calls if call[1] == 17]
+        assert wide == ([(123457, 17)] + [((1 << m) - 1, 17) for m in lengths] if kind == "plain" else []), kind
+
+
+def test_a_stream_builds_only_the_trees_it_yields(monkeypatch):
+    # each block's run is bounded by the end of the block or of the stream,
+    # so a stream pulls exactly count roots from its runs, whether it ends
+    # one tree before a block's end, at it, or past it
+    pulled = []
+    run = natbdd.ranking._run
+
+    def counting_run(*args):
+        for root in run(*args):
+            pulled.append(root)
+            yield root
+
+    monkeypatch.setattr(natbdd.ranking, "_run", counting_run)
+    for k in (1, 4, 7, 17):
+        for kind in ("plain", "reduced"):
+            for count in (1, 2, 5):
+                pulled.clear()
+                start = bsum(k) - 2  # block k's last two trees, and then block k + 1's
+                assert len(list(enumerate_bdds(kind, start, count))) == count
+                assert len(pulled) == count, (k, kind, count)
 
 
 def ite_ids(node, seen):
