@@ -10,11 +10,13 @@ equal subtrees are one object.  Its bottom, every complete and reduced tree
 on at most 3 variables, is built once at import and shared by every call.
 Above it the builders keep the table in one layout, ``memo[v]`` mapping a
 2**v-bit table to its node, in bit-reversed row order but for reduced
-tables above 16 variables: nv + 1 dicts per run of consecutive tables,
-:func:`_run`, which carries its table in that order from tree to tree, or
-a ``defaultdict(dict)`` per :func:`reduced_bdd` call, which fills few
-levels.  :func:`plain_bdd` is a run of one table, and each block of
-:func:`natbdd.ranking.enumerate_bdds` is one run.
+tables above 16 variables: a dict per level above 3 for each run of
+consecutive tables, :func:`_run`, which carries its table in that order
+from tree to tree, or a ``defaultdict(dict)`` per :func:`reduced_bdd`
+call, which fills few levels.  A node looks up its children in
+``memo[v - 1]`` and calls only for a table that level lacks, so a plain
+run never stores its roots.  :func:`plain_bdd` is a run of one table, and
+each block of :func:`natbdd.ranking.enumerate_bdds` is one run.
 :func:`reduce` keeps the sharing of its input.  Trees parsed from text share
 the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
 from it, and read and write a bottom subtree's text whole.  Sharing never
@@ -156,22 +158,24 @@ def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
     return Bdd(nv, next(_run("plain", nv, tt, max_nv)))
 
 
-# memo: the builders' layout (module docstring), tables in bit-reversed row order
-def _plain_node(v: int, t: int, memo: list[dict[int, Node]]) -> Node:
+# memo: the builders' layout (module docstring), tables in bit-reversed row order; each child is
+# looked up in memo[v - 1], and built by a call and kept there only if missing
+def _plain_node(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
     if v <= _BOTTOM_NV:
         return _PLAIN_BOTTOM[v][t]
-    node = memo[v].get(t)
-    if node is None:
-        w = 1 << (v - 1)
-        hi, lo = t & ((1 << w) - 1), t >> w
-        if v == _BOTTOM_NV + 2:  # its children on variable 3 here, through memo[4], over 8-bit bottom tables
-            below, bottom = memo[v - 1], _PLAIN_BOTTOM[v - 2]
-            high = below.get(hi) or below.setdefault(hi, _new_ite((v - 2, bottom[hi & 255], bottom[hi >> 8])))
-            low = below.get(lo) or below.setdefault(lo, _new_ite((v - 2, bottom[lo & 255], bottom[lo >> 8])))
-        else:
-            high, low = _plain_node(v - 1, hi, memo), _plain_node(v - 1, lo, memo)
-        node = memo[v][t] = _new_ite((v - 1, high, low))
-    return node
+    w = 1 << (v - 1)
+    hi, lo = t & ((1 << w) - 1), t >> w
+    if v > _BOTTOM_NV + 2:
+        below = memo[v - 1]
+        high = below.get(hi) or below.setdefault(hi, _plain_node(v - 1, hi, memo))
+        low = below.get(lo) or below.setdefault(lo, _plain_node(v - 1, lo, memo))
+    elif v == _BOTTOM_NV + 2:  # its children on variable 3 here, through memo[4], over 8-bit bottom tables
+        below, bottom = memo[v - 1], _PLAIN_BOTTOM[v - 2]
+        high = below.get(hi) or below.setdefault(hi, _new_ite((v - 2, bottom[hi & 255], bottom[hi >> 8])))
+        low = below.get(lo) or below.setdefault(lo, _new_ite((v - 2, bottom[lo & 255], bottom[lo >> 8])))
+    else:  # a root on 4 variables: its children are the bottom's
+        high, low = _PLAIN_BOTTOM[v - 1][hi], _PLAIN_BOTTOM[v - 1][lo]
+    return _new_ite((v - 1, high, low))
 
 
 def reduce(b: Bdd) -> Bdd:
@@ -264,16 +268,16 @@ def _lifted(node: Node, o: int, memo: dict[int, Node]) -> Node:
 # memo: the builders' layout (module docstring), filled only at beads, so skipped
 # levels are never hashed; equal halves, and only they, give equal reduced trees;
 # tables in natural row order above _CACHED_SWAP_NV variables, popcounted if the top row is 1
-def _reduced_node(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int, dict[int, Node]]) -> Node:
+def _reduced_node(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
     while v > _CACHED_SWAP_NV:
         if not t or t.bit_length() == 1 << v and t.bit_count() == 1 << v:
             return LEAVES[t & 1]
         hi, lo = bitmerge_unpair(t)
         if hi != lo:
-            node = memo[v].get(t)
+            node = (level := memo[v]).get(t)
             if node is None:
                 high, low = _reduced_node(v - 1, hi, memo), _reduced_node(v - 1, lo, memo)
-                node = memo[v][t] = _new_ite((v - 1, high, low))
+                node = level[t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
     if t and t != _ONES[v]:
@@ -281,18 +285,22 @@ def _reduced_node(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int,
     return LEAVES[t & 1]
 
 
-# _reduced_node on a table in bit-reversed row order, split as in _plain_node
-def _reduced_split(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int, dict[int, Node]]) -> Node:
+# _reduced_node on a table in bit-reversed row order, split as in _plain_node; a bead looks up its children
+# in memo[v - 1] if that level is there and holds tables, and calls for the rest, which look themselves up
+def _reduced_split(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
     while v > _BOTTOM_NV:
         hi, lo = t & _ONES[v - 1], t >> (1 << (v - 1))
         if hi != lo:
-            node = memo[v].get(t)
+            node = (level := memo[v]).get(t)
             if node is None:
                 if v == _BOTTOM_NV + 1:
                     high, low = _REDUCED_BOTTOM[v - 1][hi], _REDUCED_BOTTOM[v - 1][lo]
+                elif v - 1 in memo and (below := memo[v - 1]):
+                    high = below.get(hi) or _reduced_split(v - 1, hi, memo)
+                    low = below.get(lo) or _reduced_split(v - 1, lo, memo)
                 else:
                     high, low = _reduced_split(v - 1, hi, memo), _reduced_split(v - 1, lo, memo)
-                node = memo[v][t] = _new_ite((v - 1, high, low))
+                node = level[t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
         if not t or t == _ONES[v]:  # a constant half ends the descent
@@ -300,30 +308,32 @@ def _reduced_split(v: int, t: int, memo: list[dict[int, Node]] | defaultdict[int
     return _REDUCED_BOTTOM[v][t]
 
 
-# the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one
-# memo, in the builders' layout, made once the guard passes; table r carried in bit-reversed row
-# order, as _plain_node and _reduced_split split it, reversed once and then XORed from r - 1 to r
-# with the reversal of the rows 0 .. m-1 the two differ in; a reduced table above 16 variables in
-# natural order, as reduced_bdd splits there; every eighth tree, a level cleared once it holds four
-# times the tables one tree can hold there, so it never holds more than twelve times that
+# the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one memo, in
+# the builders' layout, made once the guard passes; table r carried in bit-reversed row order, reversed
+# once and then XORed from r - 1 to r with the reversal of the rows 0 .. m-1 the two differ in, but for
+# reduced tables above 16 variables, kept in natural order; every fourth tree, a level cleared once it
+# holds eight times the tables one tree can add there, so that it never holds more than twelve times that
 def _run(kind: str, k: int, r: int, max_nv: int) -> Iterator[Node]:
-    memo: list[dict[int, Node]] = [{} for _ in range(check_var_count(k, max_nv) + 1)]
+    memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}
     build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
     t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
     flips = _flips(k) if k <= _CACHED_SWAP_NV else {}  # above 16 variables, this run's own
     while True:
         yield build(k, t, memo)  # only table 0 is constant; _reduced_split makes it the 0-leaf
-        if not r & 7:
-            for v, level in enumerate(memo):
-                if len(level) > 1 << (k - v + 2):
+        if not r & 3:
+            for v, level in memo.items():
+                if len(level) > 8 << (k - v):
                     level.clear()
         r += 1
         if build is _reduced_node:
             t = r
         else:  # r - 1 and r differ in rows 0 .. m-1
             m = (r & -r).bit_length()
-            flip = flips.get(m) or reverse_rows((1 << m) - 1, k, range(k // 2))
-            t ^= flips.setdefault(m, flip) if m <= _CACHED_SWAP_NV else flip  # kept on first use
+            if (flip := flips.get(m)) is None:
+                flip = reverse_rows((1 << m) - 1, k, range(k // 2))
+                if m <= _CACHED_SWAP_NV:  # kept on first use
+                    flips[m] = flip
+            t ^= flip
 
 
 # flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16, kept on

@@ -175,6 +175,15 @@ MUTANTS = [
     Mutant("_plain_node swapping a child's bottom nodes at v=5", "bdd.py",
            "bottom[hi & 255], bottom[hi >> 8]", "bottom[hi >> 8], bottom[hi & 255]",
            bdd_tests("test_plain_bdd_equals_recursive_unpairing")),
+    # a node looks up each child in the level below and calls only for one it lacks
+    Mutant("a held plain child still built by a call", "bdd.py",
+           "        high = below.get(hi) or below.setdefault(hi, _plain_node(v - 1, hi, memo))\n",
+           "        high = below.setdefault(hi, _plain_node(v - 1, hi, memo))\n",
+           ranking_tests("test_a_builder_is_called_only_for_a_table_the_memo_lacks")),
+    Mutant("a held reduced child still built by a call", "bdd.py",
+           "                    low = below.get(lo) or _reduced_split(v - 1, lo, memo)\n",
+           "                    low = _reduced_split(v - 1, lo, memo)\n",
+           ranking_tests("test_a_builder_is_called_only_for_a_table_the_memo_lacks")),
     Mutant("_reduced_split taking complete nodes at v=4", "bdd.py",
            "_REDUCED_BOTTOM[v - 1][hi], _REDUCED_BOTTOM[v - 1][lo]", "_PLAIN_BOTTOM[v - 1][hi], _PLAIN_BOTTOM[v - 1][lo]",
            bdd_tests("test_reduced_bdd_equals_reduced_plain_tree_random")),
@@ -247,14 +256,14 @@ MUTANTS = [
     # the stream: one decomposition, one run per block, bounded by the end of
     # the block or of the stream, each run with one capped memo
     Mutant("the stream's memo without a level cap", "bdd.py",
-           "                if len(level) > 1 << (k - v + 2):\n", "                if False:\n",
+           "                if len(level) > 8 << (k - v):\n", "                if False:\n",
            ranking_tests("test_a_long_stream_holds_a_bounded_table")),
     Mutant("a fresh memo per streamed tree", "bdd.py",
-           "        yield build(k, t, memo)", "        yield build(k, t, [{} for _ in memo])",
+           "        yield build(k, t, memo)", "        yield build(k, t, {v: {} for v in memo})",
            ranking_tests("test_a_stream_shares_nodes_across_its_trees")),
     Mutant("the stream's memo kept across a block change", "bdd.py",
-           "    memo: list[dict[int, Node]] = [{} for _ in range(check_var_count(k, max_nv) + 1)]\n",
-           "    memo = _run.__dict__.setdefault(\"memo\", [{} for _ in range(check_var_count(k, max_nv) + 1)])\n",
+           "    memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}\n",
+           "    memo = _run.__dict__.setdefault(\"memo\", {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)})\n",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
     Mutant("the stream leaves a block one tree early", "ranking.py",
            "end = min(n - r + _block_size(k), stop)", "end = min(n - r + _block_size(k) - 1, stop)",
@@ -268,19 +277,22 @@ MUTANTS = [
            ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries",
                          "test_streams_from_any_start_equal_trees_built_alone")),
     Mutant("the stream's cap check never firing", "bdd.py",
-           "        if not r & 7:\n", "        if r & 7 == 8:\n",
+           "        if not r & 3:\n", "        if r & 3 == 4:\n",
            ranking_tests("test_a_long_stream_holds_a_bounded_table")),
+    Mutant("the stream's cap check every eighth tree", "bdd.py",
+           "        if not r & 3:\n", "        if not r & 7:\n",
+           ranking_tests("test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level")),
     Mutant("the reduced stream's table 0 built as its complete tree, not the 0-leaf", "bdd.py",
            "yield build(k, t, memo)", "yield (build if r or kind == 'plain' else _plain_node)(k, t, memo)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
     Mutant("the stream's long carries read from the kept flips", "bdd.py",
-           "flips.get(m) or", "flips.get(min(m, _CACHED_SWAP_NV)) or",
+           "(flip := flips.get(m))", "(flip := flips.get(min(m, _CACHED_SWAP_NV)))",
            ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries")),
     Mutant("the stream's carries above 16 variables not kept", "bdd.py",
-           "flips.setdefault(m, flip) if", "flip if",
+           "if m <= _CACHED_SWAP_NV:  # kept on first use", "if False:  # kept on first use",
            ranking_tests("test_a_stream_reverses_one_table_per_block")),
     Mutant("a long carry kept in the module's flips", "bdd.py",
-           "if m <= _CACHED_SWAP_NV else flip", "if True else flip",
+           "if m <= _CACHED_SWAP_NV:  # kept on first use", "if True:  # kept on first use",
            ranking_tests("test_a_stream_reverses_one_table_per_block")),
     Mutant("to_bsum without its correction step", "ranking.py",
            "    return RankPair(k + 1, r - size) if r >= size else RankPair(k, r)\n",

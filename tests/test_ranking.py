@@ -401,8 +401,8 @@ def ite_ids(node, seen):
 
 def test_a_stream_shares_nodes_across_its_trees():
     # consecutive tables differ in a few rows, so the trees of a stream share
-    # all but a few nodes: 130-170 distinct ites over 64 k=7 trees, against
-    # 700 or more when each tree is built alone
+    # all but a few nodes: 125-160 distinct ites over 64 k=7 trees, against
+    # 900 or more when each tree is built alone
     rng = random.Random(7)
     for kind in ("plain", "reduced"):
         for _ in range(3):
@@ -429,6 +429,67 @@ def test_a_long_stream_holds_a_bounded_table():
         finally:
             tracemalloc.stop()
         assert peak < 256 << 10, (kind, peak)
+
+
+def record_builder_calls(monkeypatch):
+    """The calls of the two tree builders from now on, each as (name, v,
+    whether memo[v] held t at call time), and the memo of the latest call."""
+    calls, memos = [], [None]
+    for name in ("_plain_node", "_reduced_split"):
+        build = getattr(natbdd.bdd, name)
+
+        def recorded(v, t, memo, build=build, name=name):
+            calls.append((name, v, t in memo.get(v, ())))  # get, as reduced_bdd's defaultdict would make a level
+            memos[0] = memo
+            return build(v, t, memo)
+
+        monkeypatch.setattr(natbdd.bdd, name, recorded)
+    return calls, memos
+
+
+def test_a_builder_is_called_only_for_a_table_the_memo_lacks(monkeypatch):
+    # a node looks up its children in the level below, in its own frame, and
+    # calls only for a table that level lacks; a plain root is not looked up
+    calls, _ = record_builder_calls(monkeypatch)
+    rng = random.Random(39)
+    for k, count in ((4, 256), (5, 300), (7, 300), (10, 100), (16, 12)):
+        for start in (bsum(k - 1), bsum(k - 1) + rng.randrange(max(bsum(k) - bsum(k - 1) - count, 1))):
+            for kind in ("plain", "reduced"):
+                for _ in enumerate_bdds(kind, start, count):
+                    pass
+    for nv in range(4, 15):
+        for tt in (rng.getrandbits(1 << nv), rng.getrandbits(1 << nv) & rng.getrandbits(1 << nv)):
+            plain_bdd(nv, tt)
+            reduced_bdd(nv, tt)
+    assert len(calls) > 10**4
+    assert [call for call in calls if call[2]] == []
+    # a root and its misses: at most 2 calls per plain tree and 2.5 per
+    # reduced tree over these 64 k=7 trees
+    start = bsum(6) + random.Random(7).randrange(bsum(7) - bsum(6) - 64)
+    for kind, most in (("plain", 2.0), ("reduced", 2.5)):
+        calls.clear()
+        for _ in enumerate_bdds(kind, start, 64):
+            pass
+        assert 64 <= len(calls) <= most * 64, (kind, len(calls))
+
+
+def test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level(monkeypatch):
+    # every fourth tree, a level that holds more than eight trees' worth of
+    # tables, 8 << (k - v), is cleared, so after each tree it holds at most
+    # twelve trees' worth; a plain run keeps no root, and a reduced run's
+    # roots, one table a tree, reach twelve just before a check clears them
+    _, memos = record_builder_calls(monkeypatch)
+    rng = random.Random(12)
+    for k, count in ((7, 5000), (10, 2000)):
+        start = bsum(k - 1) + rng.randrange(bsum(k) - bsum(k - 1) - count)
+        for kind in ("plain", "reduced"):
+            roots = 0  # the most roots memo[k] held
+            for _ in enumerate_bdds(kind, start, count):
+                memo = memos[0]
+                for v, level in memo.items():
+                    assert len(level) <= 12 << (k - v), (kind, k, v, len(level))
+                roots = max(roots, len(memo[k]))
+            assert roots == (0 if kind == "plain" else 12), (kind, k)
 
 
 def count_walk_calls(monkeypatch):
