@@ -64,9 +64,9 @@ complete just when it is the complete bottom tree of t, and reduced just
 when it is its reduced node, which is what :func:`reduce` makes of it.
 Each walk takes a fresh memo per call, freed when it returns, so this
 module keeps no memo across calls: what a walk computes depends only on
-its tree; its one cache, :func:`_flips`, holds values of its argument
-only.  A streamed tree is ranked with no walk at all: it carries its own
-rank (:func:`natbdd.ranking.enumerate_bdds`).
+its tree; the one table it keeps across calls, the stream's row carries
+``_FLIPS``, depends on its keys only.  A streamed tree is ranked with no
+walk at all: it carries its own rank (:func:`natbdd.ranking.enumerate_bdds`).
 
 For every plain tree the two inverses agree with the original table, and
 ``ev`` also recovers the table from the reduced tree.
@@ -75,7 +75,7 @@ For every plain tree the two inverses agree with the original table, and
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, product
 from typing import Iterator, NamedTuple
 
@@ -141,6 +141,9 @@ def _build_bottom():
 _PLAIN_BOTTOM, _REDUCED_BOTTOM, _BOTTOM_ITES, _BOTTOM_TABLES = _build_bottom()
 # _ONES[v]: the all-ones table on v variables, kept up to 16 as reverse_rows keeps masks (16 KiB)
 _ONES = tuple((1 << (1 << v)) - 1 for v in range(_CACHED_SWAP_NV + 1))
+# _FLIPS[k][m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, the stream's carries,
+# kept by _run as reverse_rows keeps its masks
+_FLIPS: tuple[dict[int, int], ...] = tuple({} for _ in range(_CACHED_SWAP_NV + 1))
 
 
 def plain_bdd(nv: int, tt: int, max_nv: int = DEFAULT_MAX_VARS) -> Bdd:
@@ -310,14 +313,15 @@ def _reduced_split(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
 
 # the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one memo, in
 # the builders' layout, made once the guard passes; table r carried in bit-reversed row order, reversed
-# once and then XORed from r - 1 to r with the reversal of the rows 0 .. m-1 the two differ in, but for
+# once and then XORed from r - 1 to r with the reversal of the rows 0 .. m-1 the two differ in, a carry
+# made on first use and kept for m up to 16, in _FLIPS[k] or above 16 variables by the run, but for
 # reduced tables above 16 variables, kept in natural order; every fourth tree, a level cleared once it
 # holds eight times the tables one tree can add there, so that it never holds more than twelve times that
 def _run(kind: str, k: int, r: int, max_nv: int) -> Iterator[Node]:
     memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}
     build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
     t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
-    flips = _flips(k) if k <= _CACHED_SWAP_NV else {}  # above 16 variables, this run's own
+    flips = _FLIPS[k] if k <= _CACHED_SWAP_NV else {}
     while True:
         yield build(k, t, memo)  # only table 0 is constant; _reduced_split makes it the 0-leaf
         if not r & 3:
@@ -334,13 +338,6 @@ def _run(kind: str, k: int, r: int, max_nv: int) -> Iterator[Node]:
                 if m <= _CACHED_SWAP_NV:  # kept on first use
                     flips[m] = flip
             t ^= flip
-
-
-# flips[m]: rows 0 .. m-1 of a k-variable table in bit-reversed row order, m up to 16, kept on
-# at most 16 variables as reverse_rows keeps its masks, above by a run; a longer carry is rare
-@lru_cache(maxsize=None)
-def _flips(k: int) -> dict[int, int]:
-    return {m: reverse_rows((1 << m) - 1, k, range(k // 2)) for m in range(1, _CACHED_SWAP_NV + 1)}
 
 
 def plain_inverse_bdd(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:

@@ -487,7 +487,9 @@ def run(
     """Run one command; returns the exit status without calling sys.exit.
 
     Usage errors are argparse's: it prints to sys.stderr and raises
-    SystemExit(2).  A closed stdout raises BrokenPipeError.
+    SystemExit(2).  A closed stdout raises BrokenPipeError.  A
+    ``ValueError`` or ``OSError``, or running out of memory, is one line on
+    ``stderr`` and exit status 1.
     """
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
@@ -505,6 +507,9 @@ def run(
         raise
     except (ValueError, OSError) as exc:
         print(f"natbdd: error: {exc}", file=stderr)
+        return 1
+    except MemoryError:  # the last resort, for an input no guard bounds before it is read whole
+        print("natbdd: error: out of memory", file=stderr)
         return 1
     return 0
 

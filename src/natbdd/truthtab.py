@@ -8,7 +8,6 @@ column encoding (see :func:`var_tt`).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 # masks occupy 2**nv bits, so an unchecked var count allocates gigabit
@@ -98,9 +97,9 @@ def reverse_rows(t: int, nv: int, swaps: Iterable[int]) -> int:
     unchanged by its swap, so a caller that knows this may leave it out.
     The permutation is its own inverse.
     """
-    plan = _swap_plan(nv) if nv <= _CACHED_SWAP_NV else None
-    for k in swaps:
-        d, mask = plan[k] if plan is not None else _row_swap(nv, k)
+    plan = _PLANS[nv] if nv <= _CACHED_SWAP_NV else None
+    for k in swaps:  # a mask is kept on first use up to 16 variables, and above made swap by swap
+        d, mask = (plan.get(k) or plan.setdefault(k, _row_swap(nv, k))) if plan is not None else _row_swap(nv, k)
         s = ((t >> d) ^ t) & mask
         t ^= s | s << d
     return t
@@ -116,15 +115,11 @@ def _row_swap(nv: int, k: int) -> tuple[int, int]:
     return (1 << j) - (1 << k), _repeat_rows(block, (*range(k + 1, j), *range(j + 1, nv)))
 
 
-# masks up to nv=16 (8 KiB each, under 120 KiB in all) are kept, one plan per
-# nv indexed by k; a wider one costs about as much to build as the swap that
-# uses it, a small share of the evaluation that needs it, and is not kept
+# masks up to nv=16 (8 KiB each, under 120 KiB in all) are kept on first use,
+# _PLANS[nv][k] for pair k; a wider one costs about as much to build as the
+# swap that uses it, a small share of the evaluation that needs it, and is not kept
 _CACHED_SWAP_NV = 16
-
-
-@lru_cache(maxsize=None)
-def _swap_plan(nv: int) -> tuple[tuple[int, int], ...]:
-    return tuple(_row_swap(nv, k) for k in range(nv // 2))
+_PLANS: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in range(_CACHED_SWAP_NV + 1))
 
 
 def shannon_split(nv: int, x: int, max_nv: int = DEFAULT_MAX_VARS) -> tuple[int, int]:

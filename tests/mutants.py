@@ -377,6 +377,12 @@ MUTANTS = [
     Mutant("_row_swap missing a repeat", "truthtab.py",
            "(*range(k + 1, j), *range(j + 1, nv))", "(*range(k + 1, j), *range(j + 2, nv))",
            ("tests/test_truthtab.py::test_reverse_rows_moves_each_row_to_its_reversed_index",)),
+    Mutant("a mask kept under the wrong pair", "truthtab.py",
+           "plan.setdefault(k, _row_swap(nv, k))", "plan.setdefault(0, _row_swap(nv, k))",
+           ("tests/test_truthtab.py::test_reverse_rows_moves_each_row_to_its_reversed_index",)),
+    Mutant("masks above 16 variables held to the end of the call", "truthtab.py",
+           "plan = _PLANS[nv] if nv <= _CACHED_SWAP_NV else None", "plan = _PLANS[nv] if nv <= _CACHED_SWAP_NV else {}",
+           ("tests/test_truthtab.py::test_reverse_rows_keeps_no_masks_above_16_variables",)),
     Mutant("_CACHED_SWAP_NV at 17", "truthtab.py",
            "_CACHED_SWAP_NV = 16\n", "_CACHED_SWAP_NV = 17\n",
            ("tests/test_truthtab.py::test_reverse_rows_keeps_no_masks_above_16_variables",)),

@@ -597,6 +597,26 @@ def test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests(monkeypatc
         assert swaps == [[0, 1, 2]]
 
 
+def test_ev_keeps_only_the_masks_of_the_pairs_it_swaps():
+    # reverse_rows keeps a mask on first use, so an evaluation keeps only the
+    # masks of the pairs its tree tests: variable 5's column at nv=16, pair 5
+    column = var_tt(16, 5)
+    b = reduced_bdd(16, column)
+    natbdd.truthtab._PLANS[16].clear()
+    assert ev(b) == column
+    assert natbdd.truthtab._PLANS[16] == {5: natbdd.truthtab._row_swap(16, 5)}
+
+
+def test_a_one_table_build_keeps_no_carry():
+    # plain_bdd is a run of one table, which never carries to a next table,
+    # so it keeps none of the stream's carries
+    rng = random.Random(41)
+    for nv in range(4, 17):
+        natbdd.bdd._FLIPS[nv].clear()
+        plain_bdd(nv, rng.getrandbits(1 << nv))
+        assert natbdd.bdd._FLIPS[nv] == {}, nv
+
+
 def test_plain_bdd_range_errors():
     with pytest.raises(ValueError):
         plain_bdd(1, 4)

@@ -313,7 +313,14 @@ def test_streamed_trees_equal_trees_built_alone_across_long_carries():
     # the stream carries its table in bit-reversed row order: from r - 1 to
     # r it flips rows 0 .. m-1, kept for m up to 16 and reversed alone above;
     # runs from just below r = 2**m - 1 cross carries of every length up to
-    # 64 rows, and at k=7, m=64, the end of the block
+    # 64 rows, and at k=7, m=64, the end of the block; first, with no carry
+    # kept yet, one run flips 16 rows at r = 2**15 and then 17 at r = 2**16,
+    # where its last three trees must still be right
+    natbdd.bdd._FLIPS[7].clear()
+    for kind, build in (("plain", nat2plain_bdd), ("reduced", nat2bdd)):
+        start = bsum(6) + (1 << 15) - 2
+        last = list(enumerate_bdds(kind, start, (1 << 15) + 4))[-3:]
+        assert last == [build(bsum(6) + r) for r in range((1 << 16) - 1, (1 << 16) + 2)], kind
     for k in (7, 8):
         for m in range(1, 65):
             assert_stream_equals_trees_built_alone(bsum(k - 1) + (1 << m) - 3, 5)
@@ -331,15 +338,16 @@ def test_streams_from_any_start_equal_trees_built_alone(k, bits, ones, count):
 def test_a_stream_reverses_one_table_per_block(monkeypatch):
     # no streamed tree reverses a whole table: each block's first table is
     # reversed once, and then only a carry of over 16 rows, the rows 0 ..
-    # m-1 in which r - 1 and r differ
-    for k in range(1, 9):
-        natbdd.bdd._flips(k)  # kept already, so that only the stream's calls count
+    # m-1 in which r - 1 and r differ; each stream runs once first, to keep
+    # the carries of up to 16 rows it meets, so that only its long ones count
     calls = []
     reverse_rows = natbdd.bdd.reverse_rows
     monkeypatch.setattr(natbdd.bdd, "reverse_rows",
                         lambda t, nv, swaps: calls.append((t, nv)) or reverse_rows(t, nv, swaps))
     for kind in ("plain", "reduced"):
         for start in (bsum(6) + 12345, bsum(6) + (1 << 20) - 1000, bsum(7) - 100):
+            for _ in enumerate_bdds(kind, start, 2000):
+                pass
             calls.clear()
             for _ in enumerate_bdds(kind, start, 2000):
                 pass

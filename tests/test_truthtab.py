@@ -225,18 +225,25 @@ def test_reverse_rows_moves_each_row_to_its_reversed_index(nv, data):
 
 
 def test_reverse_rows_keeps_no_masks_above_16_variables():
-    # masks are kept up to 16 variables only: a kept plan at 17 would hold
-    # 8 masks of 2**17 bits, 16 KiB each, for as long as the process runs
-    natbdd.truthtab._swap_plan.cache_clear()
+    # masks are kept on first use up to 16 variables only: a kept plan at 17
+    # would hold 8 masks of 2**17 bits, 16 KiB each, for as long as the
+    # process runs; above 16 each mask is dropped after its swap, so a call
+    # holds about 6 tables' worth at its peak, not 12
+    for plan in natbdd.truthtab._PLANS:
+        plan.clear()
+    t = random.Random(16).getrandbits(1 << 16)
+    assert reverse_rows(reverse_rows(t, 16, range(8)), 16, range(8)) == t
+    assert sorted(natbdd.truthtab._PLANS[16]) == list(range(8))
     t = random.Random(17).getrandbits(1 << 17)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         assert reverse_rows(reverse_rows(t, 17, range(8)), 17, range(8)) == t
-        after, _ = tracemalloc.get_traced_memory()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert after - before < 1 << 12, after - before
+    assert peak - before < 8 << 14, peak - before
 
 
 def test_reverse_rows_may_skip_the_pairs_a_table_ignores():
