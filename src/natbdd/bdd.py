@@ -14,9 +14,9 @@ tables above 16 variables: a dict per level above 3 for each run of
 consecutive tables, :func:`_run`, which carries its table in that order
 from tree to tree, or a ``defaultdict(dict)`` per :func:`reduced_bdd`
 call, which fills few levels.  A node looks up its children in
-``memo[v - 1]`` and calls only for a table that level lacks, so a plain
-run never stores its roots.  :func:`plain_bdd` is a run of one table, and
-each block of :func:`natbdd.ranking.enumerate_bdds` is one run.
+``memo[v - 1]`` and calls only for a table that level lacks, as a run does
+for each root above 5 variables; no run keeps a root.  Each block of
+:func:`natbdd.ranking.enumerate_bdds` is a run, and so is :func:`plain_bdd`.
 :func:`reduce` keeps the sharing of its input.  Trees parsed from text share
 the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
 from it, and read and write a bottom subtree's text whole.  Sharing never
@@ -314,16 +314,25 @@ def _reduced_split(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
 # the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one memo, in
 # the builders' layout, made once the guard passes; table r carried in bit-reversed row order, reversed
 # once and then XORed from r - 1 to r with the reversal of the rows 0 .. m-1 the two differ in, a carry
-# made on first use and kept for m up to 16, in _FLIPS[k] or above 16 variables by the run, but for
-# reduced tables above 16 variables, kept in natural order; every fourth tree, a level cleared once it
-# holds eight times the tables one tree can add there, so that it never holds more than twelve times that
+# made on first use and kept for m up to 16, in _FLIPS[k] or above 16 variables by the run, and a root
+# above 5 variables made here, but for reduced tables above 16 variables, kept in natural order; every
+# fourth tree, a level over eight trees' worth of tables cleared, so that it never holds over twelve
 def _run(kind: str, k: int, r: int, max_nv: int) -> Iterator[Node]:
     memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}
     build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
     t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
     flips = _FLIPS[k] if k <= _CACHED_SWAP_NV else {}
+    below = memo[k - 1] if k > _BOTTOM_NV + 2 and build is not _reduced_node else None
+    ones = (1 << (w := 1 << k >> 1)) - 1 if below is not None else 0
     while True:
-        yield build(k, t, memo)  # only table 0 is constant; _reduced_split makes it the 0-leaf
+        if below is None:
+            yield build(k, t, memo)
+        elif kind == "plain":
+            yield _new_ite((k - 1, below.get(hi := t & ones) or below.setdefault(hi, build(k - 1, hi, memo)),
+                            below.get(lo := t >> w) or below.setdefault(lo, build(k - 1, lo, memo))))
+        else:  # a reduced root: the tree of its high half, a leaf if constant, is the root if the halves are equal
+            high = below.get(hi) or build(k - 1, hi, memo) if (hi := t & ones) and hi != ones else LEAVES[hi & 1]
+            yield high if hi == (lo := t >> w) else _new_ite((k - 1, high, below.get(lo) or build(k - 1, lo, memo)))
         if not r & 3:
             for v, level in memo.items():
                 if len(level) > 8 << (k - v):

@@ -10,10 +10,9 @@ all (variable count, table) pairs.
 
 Plain trees rank via the structural fold, reduced trees via boolean
 evaluation; both place rank n at bsum(k-1) + local index.  A stream
-(:func:`enumerate_bdds`) takes the trees of each block from one run of
-:mod:`natbdd.bdd`, which builds them, and each tree it yields carries its
-own kind and rank, so ranking that tree back reads the rank instead of
-walking the tree.  The module keeps no state that a call writes.
+(:func:`enumerate_bdds`) seals each root of a block's run of :mod:`natbdd.bdd`
+with its kind and rank, so ranking that tree back reads the rank instead
+of walking it.  The module keeps no state that a call writes.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ def plain_bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     A tree a plain stream yielded, within the guard, gives the rank it
     carries, with no walk.
     """
-    if isinstance(b, _Streamed) and b.kind == "plain" and b.nv <= max_nv:
-        return b.rank
+    if isinstance(b, _Plain) and (rank := b.rank) is not None and b.nv <= max_nv:
+        return rank
     _check_block(b.nv)  # before the fold, whose guard has its own message for a negative count
     return _rank(b.nv, plain_inverse_bdd(b, max_nv))
 
@@ -104,8 +103,8 @@ def bdd2nat(b: Bdd, max_nv: int = DEFAULT_MAX_VARS) -> int:
     must lie in the block.  A tree a reduced stream yielded, within the
     guard, gives the rank it carries, with no walk.
     """
-    if isinstance(b, _Streamed) and b.kind == "reduced" and b.nv <= max_nv:
-        return b.rank
+    if isinstance(b, _Reduced) and (rank := b.rank) is not None and b.nv <= max_nv:
+        return rank
     return _rank(b.nv, ev(b, max_nv, reduced=True))
 
 
@@ -135,14 +134,18 @@ def _read_only(b: Bdd, name: str, *value: object) -> None:
 
 
 class _Streamed(Bdd):
-    # a tree enumerate_bdds yielded, which carries its kind and rank in its __dict__,
-    # where the stream, copy and pickle write them; every attribute write or delete
-    # is refused; one made from it by _replace or _make carries neither, and is walked
-    kind = rank = None
+    # a tree enumerate_bdds yielded: its class, one per kind below, named as pickle finds it, carries
+    # its kind and its __dict__ its rank, where the stream, copy and pickle write it; every attribute
+    # write or delete is refused; a copy by _replace or _make has the class but no rank, and is walked
+    rank = None
     __setattr__ = __delattr__ = _read_only
 
     def __repr__(self) -> str:
         return repr(Bdd(*self))
+
+
+_Plain = type("_Plain", (_Streamed,), {"kind": "plain"})
+_Reduced = type("_Reduced", (_Streamed,), {"kind": "reduced"})
 
 
 def enumerate_bdds(
@@ -158,26 +161,29 @@ def enumerate_bdds(
     decomposed once.  The trees of a block, whose tables differ in a few
     rows, are built by one run of :mod:`natbdd.bdd`, through one memo
     capped per level, and from a table carried from tree to tree, never
-    reversed whole.  The run ends with the block or the stream, so no
-    tree past ``count`` is built.  A tree past ``max_nv`` raises the
-    guard's message when the stream reaches it.
-    Each tree is of a private subclass of :class:`~natbdd.bdd.Bdd` that
-    carries its kind and rank and refuses every attribute write and delete,
-    so :func:`plain_bdd2nat` or :func:`bdd2nat` of it returns that rank, with
-    no walk; it equals, hashes and prints as the tree built alone.  A tree
-    made from it by ``_replace`` or ``_make`` carries neither, and is walked.
+    reversed whole.  One loop seals each root as it pulls it, and stops at
+    the block's end or the stream's, so no tree past ``count`` is built.  A
+    tree past ``max_nv`` raises the guard's message when the stream reaches
+    it.  Each tree is of a private subclass of :class:`~natbdd.bdd.Bdd` per
+    kind that carries its rank and refuses every attribute write and delete,
+    so :func:`plain_bdd2nat` or :func:`bdd2nat` of it, or of its ``copy`` or
+    ``pickle`` copies, returns that rank, with no walk; it equals, hashes and
+    prints as the tree built alone.  One made by ``_replace`` or ``_make``
+    has its class but no rank, and is walked.
     """
     if kind not in ("plain", "reduced"):
         raise ValueError(f"kind must be 'plain' or 'reduced', got {kind!r}")
     if start < 0 or count < 0:
         raise ValueError("start and count must be naturals")
     k, r = to_bsum(start)
-    n, stop = start, start + count
+    n, stop, sealed, new = start, start + count, _Plain if kind == "plain" else _Reduced, tuple.__new__
     while n < stop:
         end = min(n - r + _block_size(k), stop)  # the block's end, or the stream's
-        for rank, root in zip(range(n, end), _run(kind, k, r, max_nv)):  # the range first: no tree past end
-            b = tuple.__new__(_Streamed, (k, root))  # without NamedTuple's Python-level __new__
-            carried = b.__dict__  # written as copy and pickle write it, past _Streamed's refusals
-            carried["kind"], carried["rank"] = kind, rank
+        for root in _run(kind, k, r, max_nv):
+            b = new(sealed, (k, root))  # tuple.__new__, without NamedTuple's Python-level __new__
+            b.__dict__["rank"] = n  # written as copy and pickle write it, past _Streamed's refusals
+            n += 1
             yield b
-        k, r, n = k + 1, 0, end
+            if n == end:  # before the run is pulled again: no tree past the end
+                break
+        k, r = k + 1, 0

@@ -224,25 +224,34 @@ MUTANTS = [
            "    table = _ev_node(b.root, nv, {}, tested, reduced)\n"
            "    if nv <= 8:\n        return reverse_rows(table, nv, range(nv // 2))\n",
            bdd_tests("test_ev_swaps_the_row_pairs_of_exactly_the_variables_a_tree_tests")),
-    # a streamed tree carries its kind and rank, read only by the rank function
-    # of its kind, within the guard; a tree rebuilt from it carries neither
+    # a streamed tree's class carries its kind and its one written field its
+    # rank, read only by the rank function of its kind, within the guard; a
+    # tree rebuilt from it carries no rank
     Mutant("bdd2nat reading the rank of a plain streamed tree", "ranking.py",
-           'isinstance(b, _Streamed) and b.kind == "reduced"', "isinstance(b, _Streamed)",
+           "isinstance(b, _Reduced) and", "isinstance(b, _Streamed) and",
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
     Mutant("plain_bdd2nat reading the rank of a reduced streamed tree", "ranking.py",
-           'isinstance(b, _Streamed) and b.kind == "plain"', "isinstance(b, _Streamed)",
+           "isinstance(b, _Plain) and", "isinstance(b, _Streamed) and",
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
     Mutant("bdd2nat reading a streamed rank past the guard", "ranking.py",
-           'b.kind == "reduced" and b.nv <= max_nv:', 'b.kind == "reduced":',
+           "isinstance(b, _Reduced) and (rank := b.rank) is not None and b.nv <= max_nv:",
+           "isinstance(b, _Reduced) and (rank := b.rank) is not None:",
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
     Mutant("plain_bdd2nat reading a streamed rank past the guard", "ranking.py",
-           'b.kind == "plain" and b.nv <= max_nv:', 'b.kind == "plain":',
+           "isinstance(b, _Plain) and (rank := b.rank) is not None and b.nv <= max_nv:",
+           "isinstance(b, _Plain) and (rank := b.rank) is not None:",
            ranking_tests("test_streamed_trees_keep_the_rank_checks")),
-    Mutant("a streamed tree's _replace with no kind to read", "ranking.py",
-           "    kind = rank = None\n", "",
+    Mutant("bdd2nat reading the rank of a _replace copy", "ranking.py",
+           "isinstance(b, _Reduced) and (rank := b.rank) is not None and", "isinstance(b, _Reduced) and [rank := b.rank] and",
+           ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
+    Mutant("plain_bdd2nat reading the rank of a _replace copy", "ranking.py",
+           "isinstance(b, _Plain) and (rank := b.rank) is not None and", "isinstance(b, _Plain) and [rank := b.rank] and",
+           ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
+    Mutant("a streamed tree's _replace copy with no rank to read", "ranking.py",
+           "    rank = None\n", "",
            ranking_tests("test_streamed_trees_rank_with_no_walk_at_every_width")),
     Mutant("the stream's trees yielded without their rank", "ranking.py",
-           '            carried["kind"], carried["rank"] = kind, rank\n', "",
+           '            b.__dict__["rank"] = n  # written as copy and pickle write it, past _Streamed\'s refusals\n', "",
            ranking_tests("test_a_streamed_tree_ranks_with_no_walk")),
     Mutant("a streamed tree with no refusing __setattr__", "ranking.py",
            "    __setattr__ = __delattr__ = _read_only\n", "    __delattr__ = _read_only\n",
@@ -257,9 +266,11 @@ MUTANTS = [
     # the block or of the stream, each run with one capped memo
     Mutant("the stream's memo without a level cap", "bdd.py",
            "                if len(level) > 8 << (k - v):\n", "                if False:\n",
-           ranking_tests("test_a_long_stream_holds_a_bounded_table")),
-    Mutant("a fresh memo per streamed tree", "bdd.py",
-           "        yield build(k, t, memo)", "        yield build(k, t, {v: {} for v in memo})",
+           ranking_tests("test_a_long_stream_holds_a_bounded_table",
+                         "test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level")),
+    Mutant("a fresh memo per streamed tree, every level cleared after each", "bdd.py",
+           "        if not r & 3:\n            for v, level in memo.items():\n                if len(level) > 8 << (k - v):\n",
+           "        if True:\n            for v, level in memo.items():\n                if True:\n",
            ranking_tests("test_a_stream_shares_nodes_across_its_trees")),
     Mutant("the stream's memo kept across a block change", "bdd.py",
            "    memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}\n",
@@ -268,8 +279,21 @@ MUTANTS = [
     Mutant("the stream leaves a block one tree early", "ranking.py",
            "end = min(n - r + _block_size(k), stop)", "end = min(n - r + _block_size(k) - 1, stop)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
-    Mutant("the run bounded one tree past the block", "ranking.py",
-           "zip(range(n, end), _run(kind, k, r, max_nv))", "zip(_run(kind, k, r, max_nv), range(n, end))",
+    Mutant("the run bounded one tree past the block, its end checked after a root is pulled", "ranking.py",
+           "        for root in _run(kind, k, r, max_nv):\n"
+           "            b = new(sealed, (k, root))  # tuple.__new__, without NamedTuple's Python-level __new__\n"
+           "            b.__dict__[\"rank\"] = n  # written as copy and pickle write it, past _Streamed's refusals\n"
+           "            n += 1\n"
+           "            yield b\n"
+           "            if n == end:  # before the run is pulled again: no tree past the end\n"
+           "                break\n",
+           "        for root in _run(kind, k, r, max_nv):\n"
+           "            if n == end:\n"
+           "                break\n"
+           "            b = new(sealed, (k, root))\n"
+           "            b.__dict__[\"rank\"] = n\n"
+           "            n += 1\n"
+           "            yield b\n",
            ranking_tests("test_a_stream_builds_only_the_trees_it_yields")),
     # the stream's table, carried in bit-reversed row order from tree to tree
     Mutant("the carried update using m - 1", "bdd.py",
@@ -278,13 +302,35 @@ MUTANTS = [
                          "test_streams_from_any_start_equal_trees_built_alone")),
     Mutant("the stream's cap check never firing", "bdd.py",
            "        if not r & 3:\n", "        if r & 3 == 4:\n",
-           ranking_tests("test_a_long_stream_holds_a_bounded_table")),
+           ranking_tests("test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level")),
     Mutant("the stream's cap check every eighth tree", "bdd.py",
            "        if not r & 3:\n", "        if not r & 7:\n",
            ranking_tests("test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level")),
-    Mutant("the reduced stream's table 0 built as its complete tree, not the 0-leaf", "bdd.py",
+    Mutant("the reduced stream's table 0 on 5 variables or fewer built as its complete tree, not the 0-leaf", "bdd.py",
            "yield build(k, t, memo)", "yield (build if r or kind == 'plain' else _plain_node)(k, t, memo)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    # above 5 variables the run makes each root itself, from children it looks
+    # up in memo[k - 1], and keeps no root
+    Mutant("the reduced stream's table 0 above 5 variables built as its complete tree, not the 0-leaf", "bdd.py",
+           "hi != ones else LEAVES[hi & 1]", "hi != ones else _plain_node(k, t, memo)",
+           ranking_tests("test_streamed_trees_equal_trees_built_alone")),
+    Mutant("the run builds a plain root's child by a call though memo[k - 1] holds it", "bdd.py",
+           "below.get(hi := t & ones) or below.setdefault(hi, build(k - 1, hi, memo))",
+           "below.setdefault(hi := t & ones, build(k - 1, hi, memo))",
+           ranking_tests("test_a_builder_is_called_only_for_a_table_the_memo_lacks")),
+    Mutant("the run builds a reduced root's low child by a call though memo[k - 1] holds it", "bdd.py",
+           "high, below.get(lo) or build(k - 1, lo, memo)", "high, build(k - 1, lo, memo)",
+           ranking_tests("test_a_builder_is_called_only_for_a_table_the_memo_lacks")),
+    Mutant("the run builds a reduced root's half by a call though memo[k - 1] holds it", "bdd.py",
+           "high = below.get(hi) or build(k - 1, hi, memo) if", "high = build(k - 1, hi, memo) if",
+           ranking_tests("test_a_builder_is_called_only_for_a_table_the_memo_lacks")),
+    Mutant("a reduced run keeps its root in memo[k]", "bdd.py",
+           "_new_ite((k - 1, high, below.get(lo) or build(k - 1, lo, memo)))",
+           "memo[k].setdefault(t, _new_ite((k - 1, high, below.get(lo) or build(k - 1, lo, memo))))",
+           ranking_tests("test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level")),
+    Mutant("the run's split mask read from _ONES, which ends at 16 variables", "bdd.py",
+           "ones = (1 << (w := 1 << k >> 1)) - 1 if", "ones = _ONES[k - 1] + 0 * (w := 1 << k >> 1) if",
+           ranking_tests("test_a_stream_builds_only_the_trees_it_yields")),
     Mutant("the stream's long carries read from the kept flips", "bdd.py",
            "(flip := flips.get(m))", "(flip := flips.get(min(m, _CACHED_SWAP_NV)))",
            ranking_tests("test_streamed_trees_equal_trees_built_alone_across_long_carries")),

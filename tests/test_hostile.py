@@ -3,7 +3,9 @@
 Each case runs ``python -m natbdd`` with its address space and CPU time
 limited in the child only, and a wall timeout.  Whatever the input, the
 process must exit 0 or 1, and its stderr must be empty or one line that
-starts ``natbdd: error:``: no traceback.
+starts ``natbdd: error:``: no traceback.  Where the outcome is known, as
+running out of memory or a numeral too long, a case pins the exit status
+and the line.
 """
 
 import os
@@ -40,12 +42,18 @@ def assert_one_error_line_at_most(code, err):
     assert err == "" or (err.startswith("natbdd: error:") and err.count("\n") == 1), err[-300:]
 
 
-@pytest.mark.parametrize("argv, stdin", [(["rank", "--in", "/dev/zero"], os.devnull), (["rank"], "/dev/zero")],
-                         ids=["in", "stdin"])
+OUT_OF_MEMORY = "natbdd: error: out of memory\n"
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    pytest.param([cmd, *(["--in", "/dev/zero"] if how == "in" else [])], os.devnull if how == "in" else "/dev/zero",
+                 id=how if cmd == "rank" else f"{cmd}-{how}")
+    for cmd in ("rank", "bdd2tt", "reduce") for how in ("in", "stdin")])
 def test_an_endless_input_is_one_error_line(argv, stdin):
-    # /dev/zero is read whole before any guard can see it, until memory runs out
+    # /dev/zero is read whole before any guard can see it, until memory runs
+    # out, by each subcommand that reads BDD text, from --in and from stdin
     with open(stdin, "rb") as handle:
-        assert_one_error_line_at_most(*run_limited(argv, stdin=handle))
+        assert run_limited(argv, stdin=handle) == (1, OUT_OF_MEMORY)
 
 
 HOSTILE_STDIN = {
@@ -63,6 +71,42 @@ HOSTILE_STDIN = {
 @pytest.mark.parametrize("name", HOSTILE_STDIN)
 def test_hostile_stdin_is_one_error_line(name):
     assert_one_error_line_at_most(*run_limited(["rank"], HOSTILE_STDIN[name]))
+
+
+@pytest.mark.parametrize("cmd", ["bdd2tt", "reduce"])
+def test_a_paren_flood_is_out_of_memory_for_every_tree_reader(cmd):
+    # the flood that rank runs out of memory on, read by the other two
+    # subcommands that read BDD text
+    assert run_limited([cmd], HOSTILE_STDIN["paren_flood"]) == (1, OUT_OF_MEMORY)
+
+
+def test_100_mib_of_spaces_before_a_tree_is_out_of_memory(tmp_path):
+    # the text is read whole before it is parsed; written to a file in 1 MiB
+    # pieces, so that this process never holds it
+    path = tmp_path / "spaces.txt"
+    with open(path, "wb") as out:
+        for _ in range(100):
+            out.write(b" " * (1 << 20))
+        out.write(b"(bdd 1 (c 0))")
+    try:
+        with open(path, "rb") as handle:
+            assert run_limited(["rank"], stdin=handle) == (1, OUT_OF_MEMORY)
+    finally:
+        path.unlink()
+
+
+@pytest.mark.parametrize("text", [b"(bdd 1 (c " + b"1" * 10**5 + b"))",
+                                  b'{"vars":1,"root":{"leaf":' + b"1" * 10**5 + b"}}"], ids=["sexpr", "json"])
+def test_a_numeral_of_10e5_digits_in_bdd_text_is_named_by_its_length(text):
+    assert run_limited(["bdd2tt"], text) == (
+        1, "natbdd: error: numeral of 100000 digits in BDD text: too long for a variable or a bit\n")
+
+
+@pytest.mark.parametrize("argv", [["unrank", "9" * 10**5], ["pair", "--scheme", "cantor", "9" * 10**5, "1" * 10**5]],
+                         ids=["unrank", "pair-cantor"])
+def test_a_number_of_10e5_digits_as_an_argument_succeeds(argv):
+    # within the decimal budget of --max-vars 20 (about 315 653 digits)
+    assert run_limited(argv) == (0, "")
 
 
 def test_invalid_utf8_under_strict_decoding_is_one_error_line():

@@ -424,7 +424,9 @@ def test_a_stream_shares_nodes_across_its_trees():
 
 def test_a_long_stream_holds_a_bounded_table():
     # the stream's memo is capped per level, so a long stream holds a few
-    # trees' worth of tables, not every table it has met
+    # trees' worth of tables, not every table it has met: 11-12 KiB at peak
+    # here, against 41-42 KiB with no cap, as no run keeps a root and the
+    # children of 5000 consecutive roots repeat
     start = bsum(6) + random.Random(8).randrange(bsum(7) - bsum(6) - 10**4)
     for kind in ("plain", "reduced"):
         for _ in enumerate_bdds(kind, start, 8):
@@ -436,7 +438,7 @@ def test_a_long_stream_holds_a_bounded_table():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 256 << 10, (kind, peak)
+        assert peak < 24 << 10, (kind, peak)
 
 
 def record_builder_calls(monkeypatch):
@@ -457,7 +459,8 @@ def record_builder_calls(monkeypatch):
 
 def test_a_builder_is_called_only_for_a_table_the_memo_lacks(monkeypatch):
     # a node looks up its children in the level below, in its own frame, and
-    # calls only for a table that level lacks; a plain root is not looked up
+    # calls only for a table that level lacks; so does a run above 5
+    # variables for its root's children, and it makes the root itself
     calls, _ = record_builder_calls(monkeypatch)
     rng = random.Random(39)
     for k, count in ((4, 256), (5, 300), (7, 300), (10, 100), (16, 12)):
@@ -471,33 +474,66 @@ def test_a_builder_is_called_only_for_a_table_the_memo_lacks(monkeypatch):
             reduced_bdd(nv, tt)
     assert len(calls) > 10**4
     assert [call for call in calls if call[2]] == []
-    # a root and its misses: at most 2 calls per plain tree and 2.5 per
-    # reduced tree over these 64 k=7 trees
-    start = bsum(6) + random.Random(7).randrange(bsum(7) - bsum(6) - 64)
-    for kind, most in (("plain", 2.0), ("reduced", 2.5)):
-        calls.clear()
-        for _ in enumerate_bdds(kind, start, 64):
-            pass
-        assert 64 <= len(calls) <= most * 64, (kind, len(calls))
+    # only misses, none of them a root: over the 64 k=7 trees from a small
+    # index, at most 0.5 calls per plain tree and 0.75 per reduced tree (24
+    # and 38 here), and from a random index 1.0 and 1.5 (47 and 62 here),
+    # where a call per root made it 1.38 and 1.59, and 2.0 and 2.5, before
+    for start, plain, reduced in ((bsum(6) + 12345, 0.5, 0.75),
+                                  (bsum(6) + random.Random(7).randrange(bsum(7) - bsum(6) - 64), 1.0, 1.5)):
+        for kind, most in (("plain", plain), ("reduced", reduced)):
+            calls.clear()
+            for _ in enumerate_bdds(kind, start, 64):
+                pass
+            assert 0 < len(calls) <= most * 64, (kind, start, len(calls))
+            assert all(v < 7 for _, v, _ in calls), (kind, start)
 
 
 def test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level(monkeypatch):
-    # every fourth tree, a level that holds more than eight trees' worth of
-    # tables, 8 << (k - v), is cleared, so after each tree it holds at most
-    # twelve trees' worth; a plain run keeps no root, and a reduced run's
-    # roots, one table a tree, reach twelve just before a check clears them
+    # every fourth tree, after tree r with r % 4 == 0, a level that holds
+    # more than eight trees' worth of tables, 8 << (k - v), is cleared, and
+    # one tree adds at most one tree's worth, so a level holds at most nine
+    # trees' worth once tree r + 1 is built, and twelve after any tree; the
+    # run makes each root itself, so no run of either kind keeps a root in
+    # memo[k]; the memo is the one the run's first tree, which always
+    # misses, hands the builder
     _, memos = record_builder_calls(monkeypatch)
     rng = random.Random(12)
     for k, count in ((7, 5000), (10, 2000)):
         start = bsum(k - 1) + rng.randrange(bsum(k) - bsum(k - 1) - count)
         for kind in ("plain", "reduced"):
-            roots = 0  # the most roots memo[k] held
-            for _ in enumerate_bdds(kind, start, count):
-                memo = memos[0]
+            memos[0] = None
+            for n, _ in enumerate(enumerate_bdds(kind, start, count), start):
+                memo, most = memos[0], 9 if to_bsum(n).r & 3 == 1 else 12
                 for v, level in memo.items():
-                    assert len(level) <= 12 << (k - v), (kind, k, v, len(level))
-                roots = max(roots, len(memo[k]))
-            assert roots == (0 if kind == "plain" else 12), (kind, k)
+                    assert len(level) <= most << (k - v), (kind, n, v, len(level))
+                assert memo[k] == {}, (kind, k)
+
+
+def test_a_run_above_5_variables_makes_each_root_with_no_call_on_k(monkeypatch):
+    # above 5 variables a run splits its carried table and makes the root in
+    # its own frame, a reduced run at 16 variables or fewer: no builder call
+    # on k variables, and the trees equal the ones built alone, at k = 6, 7,
+    # 10 and 16 from the block's start and from inside it, and for plain
+    # runs at 17 and 18 too; at 5 or fewer each root is still the builder's,
+    # so a stream across the end of block 5 calls once on 5 for each tree of
+    # block 5, and never on 6
+    calls, _ = record_builder_calls(monkeypatch)
+    unrank = {"plain": nat2plain_bdd, "reduced": nat2bdd}
+    rng = random.Random(42)
+    runs = [(k, start, kind) for k in (6, 7, 10, 16) for kind in unrank
+            for start in (bsum(k - 1), bsum(k - 1) + rng.randrange(bsum(k) - bsum(k - 1) - 40))]
+    for k, start, kind in runs + [(17, bsum(16) + 12345, "plain"), (18, bsum(17), "plain")]:
+        calls.clear()
+        trees = list(enumerate_bdds(kind, start, 40))
+        assert [call for call in calls if call[1] == k] == [], (kind, k, start)
+        assert trees == [unrank[kind](n) for n in range(start, start + 40)], (kind, k, start)
+    for kind, builder in (("plain", "_plain_node"), ("reduced", "_reduced_split")):
+        calls.clear()
+        for n, b in enumerate(enumerate_bdds(kind, bsum(5) - 30, 60), bsum(5) - 30):
+            k = b.nv
+            assert [call[:2] for call in calls if call[1] == k] == ([(builder, 5)] if k == 5 else []), (kind, n)
+            assert b == unrank[kind](n), (kind, n)
+            calls.clear()
 
 
 def count_walk_calls(monkeypatch):
