@@ -9,13 +9,13 @@ leaves are shared constants, ``LEAVES``.  Trees from :func:`plain_bdd` and
 equal subtrees are one object.  Its bottom, every complete and reduced tree
 on at most 3 variables, is built once at import and shared by every call.
 Above it the builders keep the table in one layout, ``memo[v]`` mapping a
-2**v-bit table to its node, in bit-reversed row order but for reduced
-tables above 16 variables: a dict per level above 3 for each run of
-consecutive tables, :func:`_run`, which carries its table in that order
-from tree to tree, or a ``defaultdict(dict)`` per :func:`reduced_bdd`
-call, which fills few levels.  A node looks up its children in
-``memo[v - 1]`` and calls only for a table that level lacks, as a run does
-for each root above 5 variables; no run keeps a root.  Each block of
+2**v-bit table to its node, in bit-reversed row order but for reduced tables
+above 16 variables, in one ``defaultdict(dict)`` per run of consecutive
+tables, :func:`_run`, which carries its table in that order from tree to
+tree, or per :func:`reduced_bdd` call: level v exists once a node reads or
+fills it.  A node looks up its children in ``memo[v - 1]`` and calls only
+for a table that level lacks, as a run does for each root above 4 variables,
+reduced up to 16; no run keeps a root.  Each block of
 :func:`natbdd.ranking.enumerate_bdds` is a run, and so is :func:`plain_bdd`.
 :func:`reduce` keeps the sharing of its input.  Trees parsed from text share
 the bottom too: the text formats of :mod:`natbdd.cli` take each bottom node
@@ -289,7 +289,7 @@ def _reduced_node(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
 
 
 # _reduced_node on a table in bit-reversed row order, split as in _plain_node; a bead looks up its children
-# in memo[v - 1] if that level is there and holds tables, and calls for the rest, which look themselves up
+# in memo[v - 1] and calls for the rest, which look themselves up
 def _reduced_split(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
     while v > _BOTTOM_NV:
         hi, lo = t & _ONES[v - 1], t >> (1 << (v - 1))
@@ -298,11 +298,10 @@ def _reduced_split(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
             if node is None:
                 if v == _BOTTOM_NV + 1:
                     high, low = _REDUCED_BOTTOM[v - 1][hi], _REDUCED_BOTTOM[v - 1][lo]
-                elif v - 1 in memo and (below := memo[v - 1]):
+                else:
+                    below = memo[v - 1]
                     high = below.get(hi) or _reduced_split(v - 1, hi, memo)
                     low = below.get(lo) or _reduced_split(v - 1, lo, memo)
-                else:
-                    high, low = _reduced_split(v - 1, hi, memo), _reduced_split(v - 1, lo, memo)
                 node = level[t] = _new_ite((v - 1, high, low))
             return node
         v, t = v - 1, hi
@@ -311,18 +310,19 @@ def _reduced_split(v: int, t: int, memo: dict[int, dict[int, Node]]) -> Node:
     return _REDUCED_BOTTOM[v][t]
 
 
-# the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one memo, in
-# the builders' layout, made once the guard passes; table r carried in bit-reversed row order, reversed
-# once and then XORed from r - 1 to r with the reversal of the rows 0 .. m-1 the two differ in, a carry
-# made on first use and kept for m up to 16, in _FLIPS[k] or above 16 variables by the run, and a root
-# above 5 variables made here, but for reduced tables above 16 variables, kept in natural order; every
-# fourth tree, a level over eight trees' worth of tables cleared, so that it never holds over twelve
+# the roots of the kind trees of tables r, r+1, ... on k variables, for the caller to bound: one memo, in the
+# builders' layout, made once the guard passes; table r carried in bit-reversed row order, reversed once and
+# then XORed from r - 1 to r with the reversal of the rows 0 .. m-1 the two differ in, a carry made on first
+# use and kept for m up to 16, in _FLIPS[k] or above 16 variables by the run, and a root above 4 variables
+# made here from memo[k - 1], never memo[k], but for reduced tables above 16 variables, kept in natural order;
+# every fourth tree, a level over eight trees' worth of tables cleared, so that it never holds over twelve
 def _run(kind: str, k: int, r: int, max_nv: int) -> Iterator[Node]:
-    memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}
+    check_var_count(k, max_nv)
+    memo: defaultdict[int, dict[int, Node]] = defaultdict(dict)
     build = _plain_node if kind == "plain" else _reduced_split if k <= _CACHED_SWAP_NV else _reduced_node
     t = r if build is _reduced_node else reverse_rows(r, k, range(k // 2))
     flips = _FLIPS[k] if k <= _CACHED_SWAP_NV else {}
-    below = memo[k - 1] if k > _BOTTOM_NV + 2 and build is not _reduced_node else None
+    below = memo[k - 1] if k > _BOTTOM_NV + 1 and build is not _reduced_node else None
     ones = (1 << (w := 1 << k >> 1)) - 1 if below is not None else 0
     while True:
         if below is None:

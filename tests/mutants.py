@@ -273,8 +273,8 @@ MUTANTS = [
            "        if True:\n            for v, level in memo.items():\n                if True:\n",
            ranking_tests("test_a_stream_shares_nodes_across_its_trees")),
     Mutant("the stream's memo kept across a block change", "bdd.py",
-           "    memo: dict[int, dict[int, Node]] = {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)}\n",
-           "    memo = _run.__dict__.setdefault(\"memo\", {v: {} for v in range(_BOTTOM_NV + 1, check_var_count(k, max_nv) + 1)})\n",
+           "    memo: defaultdict[int, dict[int, Node]] = defaultdict(dict)\n",
+           "    memo = _run.__dict__.setdefault(\"memo\", defaultdict(dict))\n",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
     Mutant("the stream leaves a block one tree early", "ranking.py",
            "end = min(n - r + _block_size(k), stop)", "end = min(n - r + _block_size(k) - 1, stop)",
@@ -306,12 +306,15 @@ MUTANTS = [
     Mutant("the stream's cap check every eighth tree", "bdd.py",
            "        if not r & 3:\n", "        if not r & 7:\n",
            ranking_tests("test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level")),
-    Mutant("the reduced stream's table 0 on 5 variables or fewer built as its complete tree, not the 0-leaf", "bdd.py",
+    Mutant("the reduced stream's table 0 on 4 variables or fewer built as its complete tree, not the 0-leaf", "bdd.py",
            "yield build(k, t, memo)", "yield (build if r or kind == 'plain' else _plain_node)(k, t, memo)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
-    # above 5 variables the run makes each root itself, from children it looks
+    # above 4 variables the run makes each root itself, from children it looks
     # up in memo[k - 1], and keeps no root
-    Mutant("the reduced stream's table 0 above 5 variables built as its complete tree, not the 0-leaf", "bdd.py",
+    Mutant("the run's root on 5 variables made by a builder call", "bdd.py",
+           "k > _BOTTOM_NV + 1 and build", "k > _BOTTOM_NV + 2 and build",
+           ranking_tests("test_a_run_above_4_variables_makes_each_root_with_no_call_on_k")),
+    Mutant("the reduced stream's table 0 above 4 variables built as its complete tree, not the 0-leaf", "bdd.py",
            "hi != ones else LEAVES[hi & 1]", "hi != ones else _plain_node(k, t, memo)",
            ranking_tests("test_streamed_trees_equal_trees_built_alone")),
     Mutant("the run builds a plain root's child by a call though memo[k - 1] holds it", "bdd.py",

@@ -770,6 +770,56 @@ def test_reduced_bdd_work_follows_the_reduced_tree(monkeypatch, k):
     assert reversals == [min(nv - k, 16)]
 
 
+# _reduced_split's calls on each level 1..nv over the sparse tables of nv
+# variables: the ANDs, and alike the ORs, of 2, 3, 4 and 5 seeded variables
+SPARSE_SPLIT_CALLS = {
+    8: (0, 0, 0, 0, 6, 5, 5, 2),
+    9: (0, 0, 0, 5, 4, 2, 0, 1, 2),
+    10: (0, 0, 0, 4, 2, 2, 3, 0, 4, 3),
+    11: (0, 0, 0, 2, 2, 0, 2, 2, 3, 1, 0),
+    12: (0, 0, 0, 2, 4, 2, 3, 1, 0, 0, 2, 2),
+    13: (0, 0, 0, 0, 0, 0, 0, 6, 3, 6, 2, 1, 0),
+    14: (0, 0, 0, 1, 2, 2, 0, 4, 2, 2, 1, 0, 2, 0),
+    15: (0, 0, 0, 0, 0, 0, 0, 4, 0, 2, 2, 4, 1, 0, 3),
+    16: (0, 0, 0, 2, 0, 2, 2, 2, 1, 2, 2, 1, 0, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("nv", sorted(SPARSE_SPLIT_CALLS))
+def test_reduced_bdd_calls_per_level_on_sparse_tables(monkeypatch, nv):
+    # the beads of sparse tables meet levels below them that hold no table
+    # yet, whose children are built by a call each, as the child of a bead
+    # on a level that holds tables is on a miss: each column makes one call,
+    # on the level its stripped table starts at, and the ANDs and ORs the
+    # pinned calls per level; the trees pass ev's reduced check, so each is
+    # the one reduced tree of its table, and at 12 variables or fewer equal
+    # the reduced plain tree
+    calls = []
+    split = natbdd.bdd._reduced_split
+
+    def recorded(v, t, memo):
+        calls.append((v, t in memo.get(v, ())))
+        return split(v, t, memo)
+
+    monkeypatch.setattr(natbdd.bdd, "_reduced_split", recorded)
+    rng = random.Random(nv)
+    columns = [var_tt(nv, k) for k in range(nv)]
+    chosen = [[columns[k] for k in rng.sample(range(nv), arity)] for arity in (2, 3, 4, 5)]
+    for name, tables, expected in (
+            ("column", columns, (1,) * nv),
+            ("and", [functools.reduce(operator.and_, cs) for cs in chosen], SPARSE_SPLIT_CALLS[nv]),
+            ("or", [functools.reduce(operator.or_, cs) for cs in chosen], SPARSE_SPLIT_CALLS[nv])):
+        calls.clear()
+        for tt in tables:
+            b = reduced_bdd(nv, tt)
+            assert ev(b, reduced=True) == tt, (name, tt.bit_length())
+            if nv <= 12:
+                assert b == reduce(plain_bdd(nv, tt)), (name, tt.bit_length())
+        assert [call for call in calls if call[1]] == [], name
+        counts = Counter(v for v, _ in calls)
+        assert tuple(counts[v] for v in range(1, nv + 1)) == expected, name
+
+
 def test_reduce_is_idempotent():
     for nv in range(4):
         for tt in range(1 << (1 << nv)):

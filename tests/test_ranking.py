@@ -506,21 +506,22 @@ def test_a_streams_memo_holds_at_most_twelve_trees_worth_per_level(monkeypatch):
                 memo, most = memos[0], 9 if to_bsum(n).r & 3 == 1 else 12
                 for v, level in memo.items():
                     assert len(level) <= most << (k - v), (kind, n, v, len(level))
-                assert memo[k] == {}, (kind, k)
+                assert k not in memo, (kind, k)
 
 
-def test_a_run_above_5_variables_makes_each_root_with_no_call_on_k(monkeypatch):
-    # above 5 variables a run splits its carried table and makes the root in
+def test_a_run_above_4_variables_makes_each_root_with_no_call_on_k(monkeypatch):
+    # above 4 variables a run splits its carried table and makes the root in
     # its own frame, a reduced run at 16 variables or fewer: no builder call
-    # on k variables, and the trees equal the ones built alone, at k = 6, 7,
-    # 10 and 16 from the block's start and from inside it, and for plain
-    # runs at 17 and 18 too; at 5 or fewer each root is still the builder's,
-    # so a stream across the end of block 5 calls once on 5 for each tree of
-    # block 5, and never on 6
+    # on k variables, and the trees equal the ones built alone, at k = 5, 6,
+    # 7, 10 and 16 from the block's start and from inside it, and for plain
+    # runs at 17 and 18 too; at 4 or fewer each root is still the builder's,
+    # so a stream across the end of block 4 calls once on 4 for each tree of
+    # block 4, and never on 5; the trees of block 5, across its start and its
+    # end, call on 4 only for tables memo[4] lacks
     calls, _ = record_builder_calls(monkeypatch)
     unrank = {"plain": nat2plain_bdd, "reduced": nat2bdd}
     rng = random.Random(42)
-    runs = [(k, start, kind) for k in (6, 7, 10, 16) for kind in unrank
+    runs = [(k, start, kind) for k in (5, 6, 7, 10, 16) for kind in unrank
             for start in (bsum(k - 1), bsum(k - 1) + rng.randrange(bsum(k) - bsum(k - 1) - 40))]
     for k, start, kind in runs + [(17, bsum(16) + 12345, "plain"), (18, bsum(17), "plain")]:
         calls.clear()
@@ -528,12 +529,33 @@ def test_a_run_above_5_variables_makes_each_root_with_no_call_on_k(monkeypatch):
         assert [call for call in calls if call[1] == k] == [], (kind, k, start)
         assert trees == [unrank[kind](n) for n in range(start, start + 40)], (kind, k, start)
     for kind, builder in (("plain", "_plain_node"), ("reduced", "_reduced_split")):
-        calls.clear()
-        for n, b in enumerate(enumerate_bdds(kind, bsum(5) - 30, 60), bsum(5) - 30):
-            k = b.nv
-            assert [call[:2] for call in calls if call[1] == k] == ([(builder, 5)] if k == 5 else []), (kind, n)
-            assert b == unrank[kind](n), (kind, n)
+        for start in (bsum(4) - 30, bsum(5) - 30):
             calls.clear()
+            for n, b in enumerate(enumerate_bdds(kind, start, 60), start):
+                k = b.nv
+                assert [call[:2] for call in calls if call[1] == k] == ([(builder, 4)] if k == 4 else []), (kind, n)
+                assert [call for call in calls if call[2]] == [], (kind, n)
+                assert b == unrank[kind](n), (kind, n)
+                calls.clear()
+
+
+def test_a_runs_memo_never_holds_level_k_and_caps_every_level_it_holds():
+    # the run makes its memo level by level as its trees read or fill them:
+    # a run that makes each root itself never makes memo[k], and after any
+    # tree each level v it holds has at most twelve trees' worth of tables,
+    # 12 << (k - v), from a block's start and from inside it
+    rng = random.Random(43)
+    for k, count in ((5, 3000), (7, 3000), (16, 60)):
+        for start in (0, rng.randrange(bsum(k) - bsum(k - 1) - count)):
+            for kind in ("plain", "reduced"):
+                run = natbdd.bdd._run(kind, k, start, k)
+                for n in range(count):
+                    next(run)
+                    memo = run.gi_frame.f_locals["memo"]
+                    assert k not in memo, (kind, k, start + n)
+                    for v, level in memo.items():
+                        assert len(level) <= 12 << (k - v), (kind, k, start + n, v, len(level))
+                assert sorted(memo) == list(range(4, k)), (kind, k, start)
 
 
 def count_walk_calls(monkeypatch):
