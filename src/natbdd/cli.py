@@ -313,6 +313,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The root parser and one parser per subcommand.  Every subcommand takes
+    ``--max-vars`` and ``--out``; the commands that print numbers (``pair``,
+    ``unpair``, ``bdd2tt``, ``rank``, ``shannon split|fuse``, ``varbits``) take
+    ``--hex``, the tree printers (``tt2bdd``, ``reduce``, ``unrank``, ``enum``)
+    ``--format``, the tree readers (``bdd2tt``, ``reduce``, ``rank``) ``--in``,
+    and the commands that build or rank trees (``tt2bdd``, ``rank``, ``unrank``,
+    ``enum``) ``--plain | --reduced``."""
     parser = _Parser(
         prog="natbdd",
         description="Treat naturals as truth tables: pair/unpair, build and "
@@ -320,85 +327,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-vars",
-        type=_max_vars,
-        default=DEFAULT_MAX_VARS,
-        metavar="N",
-        help=f"resource guard on variable counts (default {DEFAULT_MAX_VARS}, "
-        f"at most {MAX_VARS_CEILING})",
-    )
-    common.add_argument(
-        "--out", metavar="FILE", help="write output to FILE instead of stdout"
-    )
+    def command(subs, name: str, *shared: str, **kwargs) -> argparse.ArgumentParser:
+        """``name``'s parser under ``subs``: ``--max-vars`` and ``--out``, then the
+        ``shared`` options it names out of ``--hex``, ``--format``, ``--in`` and
+        ``--plain`` (for ``--plain | --reduced``), always in that order."""
+        p = subs.add_parser(name, **kwargs)
+        p.add_argument("--max-vars", type=_max_vars, default=DEFAULT_MAX_VARS, metavar="N",
+                       help=f"resource guard on variable counts (default {DEFAULT_MAX_VARS}, "
+                       f"at most {MAX_VARS_CEILING})")
+        p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+        if "--hex" in shared:
+            p.add_argument("--hex", action="store_true", help="print numbers in hexadecimal")
+        if "--format" in shared:
+            p.add_argument("--format", choices=("sexpr", "json"), default="sexpr",
+                           help="BDD output format (default sexpr)")
+        if "--in" in shared:
+            p.add_argument("--in", dest="infile", metavar="FILE", help="read BDD text from FILE instead of stdin")
+        if "--plain" in shared:
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--plain", dest="reduced", action="store_false", help="use plain (complete) trees")
+            group.add_argument("--reduced", dest="reduced", action="store_true", help="use reduced trees (default)")
+            p.set_defaults(reduced=True)
+        return p
 
-    # only for the commands that print numbers, not trees
-    numeric = argparse.ArgumentParser(add_help=False, parents=[common])
-    numeric.add_argument("--hex", action="store_true", help="print numbers in hexadecimal")
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format",
-        choices=("sexpr", "json"),
-        default="sexpr",
-        help="BDD output format (default sexpr)",
-    )
-
-    infile = argparse.ArgumentParser(add_help=False)
-    infile.add_argument(
-        "--in", dest="infile", metavar="FILE", help="read BDD text from FILE instead of stdin"
-    )
-
-    variant = argparse.ArgumentParser(add_help=False)
-    group = variant.add_mutually_exclusive_group()
-    group.add_argument(
-        "--plain", dest="reduced", action="store_false", help="use plain (complete) trees"
-    )
-    group.add_argument(
-        "--reduced", dest="reduced", action="store_true", help="use reduced trees (default)"
-    )
-    variant.set_defaults(reduced=True)
-
-    p = sub.add_parser("pair", parents=[numeric], help="combine two naturals into one")
+    p = command(sub, "pair", "--hex", help="combine two naturals into one")
     p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
     p.add_argument("x")
     p.add_argument("y")
 
-    p = sub.add_parser("unpair", parents=[numeric], help="split a natural into two")
+    p = command(sub, "unpair", "--hex", help="split a natural into two")
     p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
     p.add_argument("z")
 
-    p = sub.add_parser("tt2bdd", parents=[common, fmt, variant], help="build a BDD from a truth table")
+    p = command(sub, "tt2bdd", "--format", "--plain", help="build a BDD from a truth table")
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("--tt", required=True, metavar="T")
 
-    p = sub.add_parser(
-        "bdd2tt", parents=[numeric, infile], help="evaluate a BDD back to its truth table"
-    )
+    command(sub, "bdd2tt", "--hex", "--in", help="evaluate a BDD back to its truth table")
+    command(sub, "reduce", "--format", "--in", help="reduce a BDD")
+    command(sub, "rank", "--hex", "--in", "--plain", help="rank a BDD onto the naturals")
 
-    p = sub.add_parser("reduce", parents=[common, fmt, infile], help="reduce a BDD")
-
-    p = sub.add_parser("rank", parents=[numeric, infile, variant], help="rank a BDD onto the naturals")
-
-    p = sub.add_parser("unrank", parents=[common, fmt, variant], help="unrank a natural to a BDD")
+    p = command(sub, "unrank", "--format", "--plain", help="unrank a natural to a BDD")
     p.add_argument("n")
 
-    p = sub.add_parser("enum", parents=[common, fmt, variant], help="print a run of the BDD stream")
+    p = command(sub, "enum", "--format", "--plain", help="print a run of the BDD stream")
     p.add_argument("--from", dest="start", default="0", metavar="N")
     p.add_argument("--count", required=True, metavar="C")
 
     p = sub.add_parser("shannon", help="split or fuse a table on variable 0")
     shannon_sub = p.add_subparsers(dest="mode", required=True, metavar="mode")
-    p = shannon_sub.add_parser("split", parents=[numeric])
+    # no help= for the modes: the key alone would list them in `shannon --help`
+    p = command(shannon_sub, "split", "--hex")
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("x")
-    p = shannon_sub.add_parser("fuse", parents=[numeric])
+    p = command(shannon_sub, "fuse", "--hex")
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("hi")
     p.add_argument("lo")
 
-    p = sub.add_parser("varbits", parents=[numeric], help="print a variable's truth-table column")
+    p = command(sub, "varbits", "--hex", help="print a variable's truth-table column")
     p.add_argument("--vars", required=True, metavar="N")
     p.add_argument("--index", required=True, metavar="K")
 
@@ -524,7 +511,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

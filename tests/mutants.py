@@ -389,6 +389,20 @@ MUTANTS = [
     Mutant("_Parser keeping leftover arguments", "cli.py",
            "        if extras:\n", "        if False:\n",
            cli_tests("test_unknown_argument_names_the_nested_subcommand")),
+    # build_parser's one helper: the shared options each subcommand takes
+    Mutant("--hex given to every command", "cli.py",
+           '        if "--hex" in shared:\n', "        if True:\n",
+           cli_tests("test_tree_printers_refuse_hex[tt2bdd]",
+                     "test_each_command_path_keeps_its_options_and_positionals")),
+    Mutant("the reduced=True default dropped", "cli.py",
+           "            p.set_defaults(reduced=True)\n", "",
+           cli_tests("test_each_command_path_keeps_its_options_and_positionals")),
+    Mutant('--in added without dest="infile"', "cli.py",
+           'p.add_argument("--in", dest="infile", metavar="FILE"', 'p.add_argument("--in", metavar="FILE"',
+           cli_tests("test_in_file", "test_each_command_path_keeps_its_options_and_positionals")),
+    Mutant("shannon's modes given help=None, which lists them in shannon --help", "cli.py",
+           'p = command(shannon_sub, "split", "--hex")', 'p = command(shannon_sub, "split", "--hex", help=None)',
+           cli_tests("test_each_command_path_keeps_its_options_and_positionals")),
     Mutant("parse_sexpr's start check refusing empty text only", "cli.py",
            '    if next(tokens, None) != "(":\n', "    if next(tokens, None) is None:\n",
            cli_tests("test_sexpr_text_must_start_with_a_parenthesis[bdd 1 (c 0))]")),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -18,6 +19,7 @@ from natbdd.bdd import LEAVES, Bdd, Ite, Leaf, plain_bdd, reduced_bdd
 from natbdd.bdd import reduce as reduce_bdd
 from natbdd.cli import (
     BddTextError,
+    build_parser,
     format_nat,
     parse_bdd,
     parse_json,
@@ -594,6 +596,65 @@ def test_unknown_argument_names_the_nested_subcommand(cli, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: natbdd shannon split [-h]")
     assert err.endswith("\nnatbdd shannon split: error: unrecognized arguments: --bogus\n")
+
+
+# each option as (option strings, dest, default, choices, required)
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False)
+SHARED = (HELP, (("--max-vars",), "max_vars", DEFAULT_MAX_VARS, None, False), (("--out",), "out", None, None, False))
+HEX = (("--hex",), "hex", False, None, False)
+FORMAT = (("--format",), "format", "sexpr", ("sexpr", "json"), False)
+IN = (("--in",), "infile", None, None, False)
+VARIANT = ((("--plain",), "reduced", True, None, False), (("--reduced",), "reduced", True, None, False))
+SCHEME = (("--scheme",), "scheme", None, ("bitmerge", "cantor", "pepis"), True)
+
+
+def required(flag):
+    return ((flag,), flag[2:], None, None, True)
+
+
+# each command path: the names of its positional arguments, then its options in order
+COMMAND_PATHS = {
+    "": (["command"], [HELP]),
+    "pair": (["x", "y"], [*SHARED, HEX, SCHEME]),
+    "unpair": (["z"], [*SHARED, HEX, SCHEME]),
+    "tt2bdd": ([], [*SHARED, FORMAT, *VARIANT, required("--vars"), required("--tt")]),
+    "bdd2tt": ([], [*SHARED, HEX, IN]),
+    "reduce": ([], [*SHARED, FORMAT, IN]),
+    "rank": ([], [*SHARED, HEX, IN, *VARIANT]),
+    "unrank": (["n"], [*SHARED, FORMAT, *VARIANT]),
+    "enum": ([], [*SHARED, FORMAT, *VARIANT, (("--from",), "start", "0", None, False), required("--count")]),
+    "shannon": (["mode"], [HELP]),
+    "shannon split": (["x"], [*SHARED, HEX, required("--vars")]),
+    "shannon fuse": (["hi", "lo"], [*SHARED, HEX, required("--vars")]),
+    "varbits": ([], [*SHARED, HEX, required("--vars"), required("--index")]),
+}
+
+
+def command_paths(parser, path=()):
+    """Each command path's parser, the root's first, through the subcommand actions."""
+    yield " ".join(path), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from command_paths(child, (*path, name))
+
+
+def test_each_command_path_keeps_its_options_and_positionals(cli, capsys):
+    found = {}
+    for path, parser in command_paths(build_parser()):
+        positionals = [action.dest for action in parser._actions if not action.option_strings]
+        options = [(tuple(action.option_strings), action.dest, action.default,
+                    None if action.choices is None else tuple(action.choices), action.required)
+                   for action in parser._actions if action.option_strings]
+        found[path] = (positionals, options)
+    assert found == COMMAND_PATHS
+    # `shannon --help` shows its modes as the one `mode` positional, with no row per mode
+    with pytest.raises(SystemExit) as excinfo:
+        cli(["shannon", "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: natbdd shannon [-h] mode ...\n")
+    assert not re.search(r"^\s+(split|fuse)\b", out, re.MULTILINE)
 
 
 def test_out_file(cli, tmp_path):
