@@ -1,10 +1,12 @@
 """Command-line front end with bit-exact text formats.
 
-Every library operation is exposed as a subcommand.  BDDs travel as
-single-line s-expressions, ``(bdd NV NODE)`` with ``(c BIT)`` leaves and
-``(ite VAR THEN ELSE)`` nodes, or as JSON via ``--format json``; input
-format is auto-detected from the first character.  Numbers are decimal,
-with ``0x`` accepted on input; the commands that print numbers take ``--hex``.
+Every library operation is exposed as a subcommand, which prints one line
+per result: a natural, two naturals separated by a space, or a tree.  BDDs
+travel as single-line s-expressions, ``(bdd NV NODE)`` with ``(c BIT)``
+leaves and ``(ite VAR THEN ELSE)`` nodes, or as JSON via ``--format json``;
+input format is auto-detected from the first character.  Numbers are
+decimal, with ``0x`` accepted on input; the commands that print numbers
+take ``--hex``.
 
 Exit status: 0 on success, 1 on domain errors (out-of-range values,
 unparseable input), 2 on usage errors.
@@ -50,19 +52,17 @@ _LOG10_2 = math.log10(2)
 _PIECE = 4096
 
 
-@functools.cache
-def _pow10(level: int) -> int:
-    """10 ** (_PIECE * 2**level), where a decimal of 2**(level+1) pieces splits."""
-    return 10 ** (_PIECE << level)
-
-
-def _int_pieces(s: str) -> int:
-    """``int(s)`` of a decimal of any length; recursion depth is log2 of it."""
+def _int_pieces(s: str, powers: dict[int, int]) -> int:
+    """``int(s)`` of a decimal of any length; recursion depth is log2 of it.
+    A decimal of at most 2**(level+1) pieces, and more than 2**level, splits
+    at 10 ** (_PIECE * 2**level), which ``powers`` holds once per level for
+    one parse, so that no power outlives it."""
     if len(s) <= _PIECE:
         return int(s)
     level = ((len(s) - 1) // _PIECE).bit_length() - 1
     cut = len(s) - (_PIECE << level)
-    return _int_pieces(s[:cut]) * _pow10(level) + _int_pieces(s[cut:])
+    power = powers.get(level) or powers.setdefault(level, 10 ** (_PIECE << level))
+    return _int_pieces(s[:cut], powers) * power + _int_pieces(s[cut:], powers)
 
 
 def parse_nat(text: str, max_vars: int = DEFAULT_MAX_VARS) -> int:
@@ -81,7 +81,7 @@ def parse_nat(text: str, max_vars: int = DEFAULT_MAX_VARS) -> int:
         raise ValueError(
             f"decimal of {len(s)} digits exceeds the 2**{max_vars}-bit budget of --max-vars {max_vars}"
         )
-    return _int_pieces(s)
+    return _int_pieces(s, {})
 
 
 def format_nat(n: int, hexadecimal: bool = False) -> str:
@@ -313,13 +313,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The root parser and one parser per subcommand.  Every subcommand takes
+    """The root parser and one parser per command path, each runnable one
+    declared by one call of a helper, ``command``.  Every subcommand takes
     ``--max-vars`` and ``--out``; the commands that print numbers (``pair``,
     ``unpair``, ``bdd2tt``, ``rank``, ``shannon split|fuse``, ``varbits``) take
     ``--hex``, the tree printers (``tt2bdd``, ``reduce``, ``unrank``, ``enum``)
     ``--format``, the tree readers (``bdd2tt``, ``reduce``, ``rank``) ``--in``,
-    and the commands that build or rank trees (``tt2bdd``, ``rank``, ``unrank``,
-    ``enum``) ``--plain | --reduced``."""
+    the commands that build or rank trees (``tt2bdd``, ``rank``, ``unrank``,
+    ``enum``) ``--plain | --reduced``, ``pair`` and ``unpair`` a required
+    ``--scheme``, and the commands on tables (``tt2bdd``, ``shannon
+    split|fuse``, ``varbits``) a required ``--vars``.  The helper also declares
+    each command's positionals; only ``--tt``, ``--from``, ``--count`` and
+    ``--index`` are added command by command."""
     parser = _Parser(
         prog="natbdd",
         description="Treat naturals as truth tables: pair/unpair, build and "
@@ -327,49 +332,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(subs, name: str, *shared: str, **kwargs) -> argparse.ArgumentParser:
+    def command(subs, name: str, *names: str, **kwargs) -> argparse.ArgumentParser:
         """``name``'s parser under ``subs``: ``--max-vars`` and ``--out``, then the
-        ``shared`` options it names out of ``--hex``, ``--format``, ``--in`` and
-        ``--plain`` (for ``--plain | --reduced``), always in that order."""
+        options it names out of ``--hex``, ``--format``, ``--in``, ``--plain`` (for
+        ``--plain | --reduced``), ``--scheme`` and ``--vars``, always in that
+        order, then each name not starting with ``-`` as a positional, in the
+        order given."""
         p = subs.add_parser(name, **kwargs)
         p.add_argument("--max-vars", type=_max_vars, default=DEFAULT_MAX_VARS, metavar="N",
                        help=f"resource guard on variable counts (default {DEFAULT_MAX_VARS}, "
                        f"at most {MAX_VARS_CEILING})")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-        if "--hex" in shared:
+        if "--hex" in names:
             p.add_argument("--hex", action="store_true", help="print numbers in hexadecimal")
-        if "--format" in shared:
+        if "--format" in names:
             p.add_argument("--format", choices=("sexpr", "json"), default="sexpr",
                            help="BDD output format (default sexpr)")
-        if "--in" in shared:
+        if "--in" in names:
             p.add_argument("--in", dest="infile", metavar="FILE", help="read BDD text from FILE instead of stdin")
-        if "--plain" in shared:
+        if "--plain" in names:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--plain", dest="reduced", action="store_false", help="use plain (complete) trees")
             group.add_argument("--reduced", dest="reduced", action="store_true", help="use reduced trees (default)")
             p.set_defaults(reduced=True)
+        if "--scheme" in names:
+            p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
+        if "--vars" in names:
+            p.add_argument("--vars", required=True, metavar="N")
+        for positional in names:
+            if not positional.startswith("-"):
+                p.add_argument(positional)
         return p
 
-    p = command(sub, "pair", "--hex", help="combine two naturals into one")
-    p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = command(sub, "unpair", "--hex", help="split a natural into two")
-    p.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
-    p.add_argument("z")
-
-    p = command(sub, "tt2bdd", "--format", "--plain", help="build a BDD from a truth table")
-    p.add_argument("--vars", required=True, metavar="N")
+    command(sub, "pair", "--hex", "--scheme", "x", "y", help="combine two naturals into one")
+    command(sub, "unpair", "--hex", "--scheme", "z", help="split a natural into two")
+    p = command(sub, "tt2bdd", "--format", "--plain", "--vars", help="build a BDD from a truth table")
     p.add_argument("--tt", required=True, metavar="T")
-
     command(sub, "bdd2tt", "--hex", "--in", help="evaluate a BDD back to its truth table")
     command(sub, "reduce", "--format", "--in", help="reduce a BDD")
     command(sub, "rank", "--hex", "--in", "--plain", help="rank a BDD onto the naturals")
-
-    p = command(sub, "unrank", "--format", "--plain", help="unrank a natural to a BDD")
-    p.add_argument("n")
-
+    command(sub, "unrank", "--format", "--plain", "n", help="unrank a natural to a BDD")
     p = command(sub, "enum", "--format", "--plain", help="print a run of the BDD stream")
     p.add_argument("--from", dest="start", default="0", metavar="N")
     p.add_argument("--count", required=True, metavar="C")
@@ -377,16 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shannon", help="split or fuse a table on variable 0")
     shannon_sub = p.add_subparsers(dest="mode", required=True, metavar="mode")
     # no help= for the modes: the key alone would list them in `shannon --help`
-    p = command(shannon_sub, "split", "--hex")
-    p.add_argument("--vars", required=True, metavar="N")
-    p.add_argument("x")
-    p = command(shannon_sub, "fuse", "--hex")
-    p.add_argument("--vars", required=True, metavar="N")
-    p.add_argument("hi")
-    p.add_argument("lo")
+    command(shannon_sub, "split", "--hex", "--vars", "x")
+    command(shannon_sub, "fuse", "--hex", "--vars", "hi", "lo")
 
-    p = command(sub, "varbits", "--hex", help="print a variable's truth-table column")
-    p.add_argument("--vars", required=True, metavar="N")
+    p = command(sub, "varbits", "--hex", "--vars", help="print a variable's truth-table column")
     p.add_argument("--index", required=True, metavar="K")
 
     return parser
@@ -394,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------- commands
 
-def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
-    """The output lines of one command; every check runs before the first."""
+def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[int | tuple[int, int] | Bdd]:
+    """The results of one command, as the library returns them: naturals, pairs
+    of naturals or trees; every check runs before the first."""
     cmd = args.command
     nat = functools.partial(parse_nat, max_vars=args.max_vars)
 
@@ -406,17 +403,15 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
         if args.scheme == "pepis" and x > 1 << min(args.max_vars, x.bit_length()):
             raise ValueError(f"pepis pairing of an x above 2**{args.max_vars} exceeds "
                              f"the 2**{args.max_vars}-bit budget of --max-vars {args.max_vars}")
-        return [format_nat(pair_fn(x, y), args.hex)]
+        return [pair_fn(x, y)]
 
     if cmd == "unpair":
         _, unpair_fn = SCHEMES[args.scheme]
-        x, y = unpair_fn(nat(args.z))
-        return [f"{format_nat(x, args.hex)} {format_nat(y, args.hex)}"]
+        return [unpair_fn(nat(args.z))]
 
     if cmd == "tt2bdd":
         build = reduced_bdd if args.reduced else plain_bdd
-        b = build(nat(args.vars), nat(args.tt), args.max_vars)
-        return [render_bdd(b, args.format)]
+        return [build(nat(args.vars), nat(args.tt), args.max_vars)]
 
     if cmd in ("bdd2tt", "reduce", "rank"):
         if args.infile is None:
@@ -426,42 +421,43 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str]) -> Iterable[str]:
                 text = handle.read()
         b = parse_bdd(text, args.max_vars)
         if cmd == "bdd2tt":
-            return [format_nat(ev(b, args.max_vars), args.hex)]
+            return [ev(b, args.max_vars)]
         if cmd == "reduce":
-            return [render_bdd(reduce_bdd(b), args.format)]
+            return [reduce_bdd(b)]
         rank = bdd2nat if args.reduced else plain_bdd2nat
-        return [format_nat(rank(b, args.max_vars), args.hex)]
+        return [rank(b, args.max_vars)]
 
     if cmd == "unrank":
         unrank = nat2bdd if args.reduced else nat2plain_bdd
-        return [render_bdd(unrank(nat(args.n), args.max_vars), args.format)]
+        return [unrank(nat(args.n), args.max_vars)]
 
     if cmd == "enum":
         kind = "reduced" if args.reduced else "plain"
         start, count = nat(args.start), nat(args.count)
         if count:  # the last tree has the most variables
             check_var_count(to_bsum(start + count - 1).k, args.max_vars)
-        stream = enumerate_bdds(kind, start, count, args.max_vars)
-        return (render_bdd(b, args.format) for b in stream)
+        return enumerate_bdds(kind, start, count, args.max_vars)
 
     if cmd == "shannon":
         nv = nat(args.vars)
         if args.mode == "split":
-            hi, lo = shannon_split(nv, nat(args.x), args.max_vars)
-            return [f"{format_nat(hi, args.hex)} {format_nat(lo, args.hex)}"]
-        fused = shannon_fuse(nv, nat(args.hi), nat(args.lo), args.max_vars)
-        return [format_nat(fused, args.hex)]
+            return [shannon_split(nv, nat(args.x), args.max_vars)]
+        return [shannon_fuse(nv, nat(args.hi), nat(args.lo), args.max_vars)]
 
     if cmd == "varbits":
-        column = var_tt(nat(args.vars), nat(args.index), args.max_vars)
-        return [format_nat(column, args.hex)]
+        return [var_tt(nat(args.vars), nat(args.index), args.max_vars)]
 
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
-def _write(lines: Iterable[str], out: IO[str]) -> None:
-    for line in lines:
-        out.write(line + "\n")
+def _line(result: int | tuple[int, int] | Bdd, args: argparse.Namespace) -> str:
+    """One result's output line: a tree in ``--format``, and a natural, or each
+    of a pair's two with a space between, in hexadecimal under ``--hex``."""
+    if isinstance(result, Bdd):  # before the pair's check: a Bdd is a tuple too
+        return render_bdd(result, args.format)
+    if isinstance(result, tuple):
+        return f"{format_nat(result[0], args.hex)} {format_nat(result[1], args.hex)}"
+    return format_nat(result, args.hex)
 
 
 def run(
@@ -484,12 +480,13 @@ def run(
 
     args = build_parser().parse_args(argv)
     try:
-        lines = _dispatch(args, stdin)
+        # each line made as it is written, so enum streams
+        lines = (_line(result, args) + "\n" for result in _dispatch(args, stdin))
         if args.out is None:
-            _write(lines, stdout)
+            stdout.writelines(lines)
         else:
             with open(args.out, "w", encoding="utf-8") as handle:
-                _write(lines, handle)
+                handle.writelines(lines)
     except BrokenPipeError:
         raise
     except (ValueError, OSError) as exc:

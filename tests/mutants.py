@@ -381,17 +381,20 @@ MUTANTS = [
            "    if len(s) - 1 > math.ldexp(", "    if len(s) > math.ldexp(",
            cli_tests("test_parse_nat_rejects_decimals_past_the_bit_budget")),
     Mutant("_int_pieces cutting a digit", "cli.py",
-           "_int_pieces(s[cut:])", "_int_pieces(s[cut + 1:])",
+           "_int_pieces(s[cut:], powers)", "_int_pieces(s[cut + 1:], powers)",
            cli_tests("test_decimal_pieces_match_builtin_conversion")),
+    Mutant("the decimal parser's powers of ten kept past the parse", "cli.py",
+           "    return _int_pieces(s, {})\n", '    return _int_pieces(s, _int_pieces.__dict__.setdefault("powers", {}))\n',
+           cli_tests("test_a_decimal_parse_keeps_no_powers_of_ten")),
     Mutant("parse_json without its RecursionError catch", "cli.py",
            "    except (json.JSONDecodeError, RecursionError) as exc:", "    except json.JSONDecodeError as exc:",
            cli_tests("test_hostile_bdd_text_exits_1[deep-json-bdd2tt]")),
     Mutant("_Parser keeping leftover arguments", "cli.py",
            "        if extras:\n", "        if False:\n",
            cli_tests("test_unknown_argument_names_the_nested_subcommand")),
-    # build_parser's one helper: the shared options each subcommand takes
+    # build_parser's one helper: the options and positionals each subcommand takes
     Mutant("--hex given to every command", "cli.py",
-           '        if "--hex" in shared:\n', "        if True:\n",
+           '        if "--hex" in names:\n', "        if True:\n",
            cli_tests("test_tree_printers_refuse_hex[tt2bdd]",
                      "test_each_command_path_keeps_its_options_and_positionals")),
     Mutant("the reduced=True default dropped", "cli.py",
@@ -401,8 +404,22 @@ MUTANTS = [
            'p.add_argument("--in", dest="infile", metavar="FILE"', 'p.add_argument("--in", metavar="FILE"',
            cli_tests("test_in_file", "test_each_command_path_keeps_its_options_and_positionals")),
     Mutant("shannon's modes given help=None, which lists them in shannon --help", "cli.py",
-           'p = command(shannon_sub, "split", "--hex")', 'p = command(shannon_sub, "split", "--hex", help=None)',
+           'command(shannon_sub, "split", "--hex", "--vars", "x")',
+           'command(shannon_sub, "split", "--hex", "--vars", "x", help=None)',
            cli_tests("test_each_command_path_keeps_its_options_and_positionals")),
+    Mutant("the helper dropping the positionals", "cli.py",
+           "                p.add_argument(positional)\n", "                pass\n",
+           cli_tests("test_each_command_path_keeps_its_options_and_positionals")),
+    Mutant("the helper adding --vars without required=True", "cli.py",
+           'p.add_argument("--vars", required=True, metavar="N")', 'p.add_argument("--vars", metavar="N")',
+           cli_tests("test_each_command_path_keeps_its_options_and_positionals")),
+    # one function writes every output line
+    Mutant("_line writing a pair's second member in decimal under --hex", "cli.py",
+           "format_nat(result[1], args.hex)", "format_nat(result[1], False)",
+           cli_tests("test_each_command_path_prints_its_results_byte_for_byte")),
+    Mutant("_line rendering every tree as an s-expression", "cli.py",
+           "        return render_bdd(result, args.format)\n", "        return render_sexpr(result)\n",
+           cli_tests("test_each_command_path_prints_its_results_byte_for_byte")),
     Mutant("parse_sexpr's start check refusing empty text only", "cli.py",
            '    if next(tokens, None) != "(":\n', "    if next(tokens, None) is None:\n",
            cli_tests("test_sexpr_text_must_start_with_a_parenthesis[bdd 1 (c 0))]")),

@@ -114,8 +114,8 @@ def test_decimal_pieces_match_builtin_conversion():
 
 
 def test_decimal_conversions_from_many_threads():
-    # conversions leave the interpreter-wide digit cap alone and share one
-    # cache of powers of ten; every thread must still get exact results
+    # conversions leave the interpreter-wide digit cap alone, and each keeps
+    # its own powers; every thread must still get exact results
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     wide = [random.Random(i).getrandbits(1 << 14) for i in range(4)]
     errors = []
@@ -140,6 +140,19 @@ def test_decimal_conversions_from_many_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+def test_a_decimal_parse_keeps_no_powers_of_ten():
+    # in a fresh process: powers that an earlier test's parse left would hide these
+    code = ("import tracemalloc; from natbdd.cli import format_nat, parse_nat; "
+            "from natbdd.truthtab import var_tt; "
+            "text = format_nat(var_tt(20, 13) | 1); tracemalloc.start(); "
+            "before = tracemalloc.get_traced_memory()[0]; "
+            "assert parse_nat(text) == var_tt(20, 13) | 1; "
+            "print(tracemalloc.get_traced_memory()[0] - before)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 64 << 10  # an nv=20 parse's powers of ten are 0.22 MiB
 
 
 def test_parse_nat_rejects_decimals_past_the_bit_budget(cli):
@@ -569,6 +582,40 @@ def test_hex_io(cli):
     assert cli(["bdd2tt", "--hex"], stdin_text=REDUCED_42_TEXT) == (0, "0x2a\n", "")
     assert cli(["rank", "--hex"], stdin_text=cli(["unrank", "200"])[1]) == (0, "0xc8\n", "")
     assert cli(["varbits", "--vars", "3", "--index", "0", "--hex"]) == (0, "0xf\n", "")
+
+
+# a command path, its arguments, its stdin and its stdout byte for byte, each
+# path in an output form that no other test pins
+PRINTED = {
+    "pair-cantor-hex": (["pair", "--scheme", "cantor", "--hex", "1", "2"], "", "0x8\n"),
+    "pair-pepis-hex": (["pair", "--scheme", "pepis", "--hex", "1", "10"], "", "0x29\n"),
+    "unpair-cantor-hex": (["unpair", "--scheme", "cantor", "--hex", "8"], "", "0x1 0x2\n"),
+    "unpair-pepis-hex": (["unpair", "--scheme", "pepis", "--hex", "0x29"], "", "0x1 0xa\n"),
+    "tt2bdd-plain-json": (["tt2bdd", "--vars", "2", "--tt", "6", "--plain", "--format", "json"], "",
+                          '{"vars": 2, "root": {"var": 1, "then": {"var": 0, "then": {"leaf": 0}, "else": {"leaf": 1}}, '
+                          '"else": {"var": 0, "then": {"leaf": 1}, "else": {"leaf": 0}}}}\n'),
+    "bdd2tt-hex-zero": (["bdd2tt", "--hex"], '{"vars": 2, "root": {"leaf": 0}}', "0x0\n"),
+    "reduce-json": (["reduce", "--format", "json"], REDUCED_42_TEXT,
+                    '{"vars": 3, "root": {"var": 2, "then": {"leaf": 0}, "else": {"var": 1, "then": {"leaf": 1}, '
+                    '"else": {"var": 0, "then": {"leaf": 1}, "else": {"leaf": 0}}}}}\n'),
+    "rank-plain-hex": (["rank", "--plain", "--hex"], "(bdd 1 (ite 0 (c 1) (c 0)))", "0x1\n"),
+    "unrank-plain-json": (["unrank", "5", "--plain", "--format", "json"], "",
+                          '{"vars": 2, "root": {"var": 1, "then": {"var": 0, "then": {"leaf": 1}, "else": {"leaf": 0}}, '
+                          '"else": {"var": 0, "then": {"leaf": 1}, "else": {"leaf": 0}}}}\n'),
+    "enum-plain-json": (["enum", "--count", "3", "--plain", "--format", "json"], "",
+                        '{"vars": 1, "root": {"var": 0, "then": {"leaf": 0}, "else": {"leaf": 0}}}\n'
+                        '{"vars": 1, "root": {"var": 0, "then": {"leaf": 1}, "else": {"leaf": 0}}}\n'
+                        '{"vars": 2, "root": {"var": 1, "then": {"var": 0, "then": {"leaf": 0}, "else": {"leaf": 0}}, '
+                        '"else": {"var": 0, "then": {"leaf": 0}, "else": {"leaf": 0}}}}\n'),
+    "shannon-split-hex": (["shannon", "split", "--vars", "3", "--hex", "42"], "", "0x2 0xa\n"),
+    "shannon-fuse-hex": (["shannon", "fuse", "--vars", "3", "--hex", "2", "10"], "", "0x2a\n"),
+    "varbits-hex": (["varbits", "--vars", "3", "--index", "2", "--hex"], "", "0x55\n"),
+}
+
+
+@pytest.mark.parametrize("argv,stdin_text,want", PRINTED.values(), ids=PRINTED)
+def test_each_command_path_prints_its_results_byte_for_byte(cli, argv, stdin_text, want):
+    assert cli(argv, stdin_text=stdin_text) == (0, want, "")
 
 
 @pytest.mark.parametrize("argv", [
