@@ -507,4 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         # SIGPIPE note advises, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: end by SIGINT, as a filter does, with no traceback
+        import signal  # here, so that only an interrupted run pays its import
+        sys.stdout.flush()
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
     return code

@@ -2,14 +2,14 @@
 
     python tests/mutants.py
 
-Each mutant is an exact edit of one file under ``src/``: its old text, the
-new text it is replaced by, and the tests that must catch it.  For each
-mutant ``src/`` is copied to a temporary directory, the edit is made there,
-and the named tests are run against the copy with pytest; the run must
-fail.  The same tests must first pass on an unmutated copy, all in one
-pytest run.  An old text that is not in its file exactly once fails the
-script, so a refactor of the code restates its mutants instead of losing
-them.  Edits that change no output are listed apart, as equivalent, each
+Each mutant is an exact edit of one file under ``src/``, or of a table of
+expected output under ``tests/``: its old text, the new text it is replaced
+by, and the tests that must catch it.  For each mutant ``src/`` and
+``tests/`` are copied to a temporary directory, the edit is made there, and
+the named tests are run from the copy with pytest; the run must fail.
+The same tests must first pass on an unmutated copy, all in one pytest
+run.  An old text that is not in its file exactly once fails the script, so
+a refactor of the code restates its mutants instead of losing them.  Edits that change no output are listed apart, as equivalent, each
 with the reason, and are not run.  Pytest does not collect this file (its name has no ``test_``
 prefix).  Exit status 0 when every mutant is killed, 1 otherwise.
 """
@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class Mutant(NamedTuple):
     name: str
-    file: str  # under src/natbdd
+    file: str  # under src/natbdd, or under the repo root if it starts with tests/
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids, relative to the repo root
@@ -466,6 +466,18 @@ MUTANTS = [
     Mutant("_CACHED_SWAP_NV at 17", "truthtab.py",
            "_CACHED_SWAP_NV = 16\n", "_CACHED_SWAP_NV = 17\n",
            ("tests/test_truthtab.py::test_reverse_rows_keeps_no_masks_above_16_variables",)),
+    # the CLI's process contract: Ctrl-C, and a row of the table
+    Mutant("main without its KeyboardInterrupt handling", "cli.py",
+           "    except KeyboardInterrupt:  # Ctrl-C: end by SIGINT, as a filter does, with no traceback\n"
+           "        import signal  # here, so that only an interrupted run pays its import\n"
+           "        sys.stdout.flush()\n"
+           "        signal.signal(signal.SIGINT, signal.SIG_DFL)\n"
+           "        os.kill(os.getpid(), signal.SIGINT)\n", "",
+           cli_tests("test_ctrl_c_ends_enum_by_sigint_with_its_lines_written_and_no_traceback",
+                     "test_ctrl_c_ends_rank_blocked_on_stdin_by_sigint_with_no_traceback")),
+    Mutant("a contract row expecting 2009 from pair 60 26", "tests/test_cli_contract.py",
+           '"2008\\n"', '"2009\\n"',
+           ("tests/test_cli_contract.py::test_every_row_of_the_cli_contract_holds",)),
 ]
 
 # Edits that no test can catch, as they change no output: each with the reason.
@@ -477,12 +489,12 @@ EQUIVALENT = [
 
 
 def run_tests(src: Path, tests: tuple[str, ...]) -> bool:
-    """Whether ``tests`` pass against the package under ``src``."""
+    """Whether ``tests`` pass, run from the copy that holds ``src``."""
     # no third-party plugin is loaded: the tests need none, and loading them
     # takes about half of each run's time
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+    return subprocess.run(cmd, cwd=src.parent, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode == 0
 
 
@@ -491,12 +503,13 @@ def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part, ignore=shutil.ignore_patterns("__pycache__"))
         tests = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
         if not run_tests(src, tests):
             failures.append(f"fail on the unmutated code, one or more of: {' '.join(tests)}")
         for m in MUTANTS:
-            path = src / "natbdd" / m.file
+            path = Path(tmp) / m.file if m.file.startswith("tests/") else src / "natbdd" / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
                 failures.append(f"{m.name}: old text found {text.count(m.old)} times in {m.file}")

@@ -10,6 +10,8 @@ import signal
 import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -29,7 +31,7 @@ from natbdd.cli import (
     render_sexpr,
     run,
 )
-from natbdd.ranking import nat2bdd, nat2plain_bdd
+from natbdd.ranking import bdd2nat, nat2bdd, nat2plain_bdd
 from natbdd.truthtab import DEFAULT_MAX_VARS, MAX_VARS_CEILING, var_tt
 
 REDUCED_42_TEXT = "(bdd 3 (ite 2 (c 0) (ite 1 (c 1) (ite 0 (c 1) (c 0)))))"
@@ -716,6 +718,16 @@ def test_in_file(cli, tmp_path):
     assert cli(["bdd2tt", "--in", str(source)]) == (0, "42\n", "")
 
 
+def test_reduce_writes_over_its_own_input(cli, tmp_path):
+    # the input is read whole before --out truncates it; a streaming reader must keep that so
+    plain = cli(["tt2bdd", "--vars", "6", "--tt", "0x0123456789abcdef", "--plain"])[1]
+    reduced = cli(["reduce"], plain)[1]
+    tree = tmp_path / "tree.txt"
+    tree.write_text(plain)
+    assert cli(["reduce", "--in", str(tree), "--out", str(tree)]) == (0, "", "")
+    assert tree.read_text() == reduced != plain
+
+
 def test_max_vars_override(cli):
     code, _, err = cli(["shannon", "split", "--vars", "21", "0"])
     assert code == 1 and "exceeds the guard" in err
@@ -876,16 +888,6 @@ def test_deterministic_output(cli):
 
 # ------------------------------------------------------------ subprocess
 
-def test_module_invocation():
-    proc = subprocess.run(
-        [sys.executable, "-m", "natbdd", "pair", "--scheme", "bitmerge", "60", "26"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "2008\n"
-
-
 def test_short_decimals_leave_the_decimal_module_unimported():
     code = ("import io, sys; from natbdd.cli import run; "
             "run(['tt2bdd', '--vars', '14', '--tt', str(10**4000)], stdout=io.StringIO()); "
@@ -894,29 +896,6 @@ def test_short_decimals_leave_the_decimal_module_unimported():
             "print('decimal' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
-
-
-def test_real_shell_pipe():
-    me = sys.executable
-    cmd = f"{me} -m natbdd tt2bdd --vars 3 --tt 42 | {me} -m natbdd bdd2tt"
-    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "42\n"
-    cmd = f"{me} -m natbdd unrank 4242 | {me} -m natbdd rank"
-    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "4242\n"
-
-
-def test_real_pipe_rank_plain_refuses_a_reduced_tree():
-    me = sys.executable
-    cmd = f"{me} -m natbdd unrank 5 | {me} -m natbdd rank --plain"
-    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("natbdd: error: ") and proc.stderr.count("\n") == 1
-    cmd = f"{me} -m natbdd unrank 5 --plain | {me} -m natbdd rank --plain"
-    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "")
 
 
 def test_enum_streams_and_stops_quietly_on_a_closed_pipe():
@@ -931,3 +910,37 @@ def test_enum_streams_and_stops_quietly_on_a_closed_pipe():
         raise
     assert out == "(bdd 1 (c 0))\n"
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _interruptible(argv, **kwargs):
+    """A real ``natbdd`` process that SIGINT reaches (the parent may ignore it)
+    with a buffered stdout, so that lines written before the signal sit in
+    the buffer; its pipes are unbuffered here, so that a line read from one
+    leaves the rest to ``communicate``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "natbdd", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, bufsize=0, env=env,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL), **kwargs)
+
+
+def test_ctrl_c_ends_enum_by_sigint_with_its_lines_written_and_no_traceback():
+    with _interruptible(["enum", "--count", "100000000"]) as proc:
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    assert (proc.returncode, err) == (-signal.SIGINT, b"")
+    lines = (first + out).decode().splitlines(keepends=True)
+    assert lines[-1].endswith("\n")
+    assert [bdd2nat(parse_bdd(line)) for line in lines] == list(range(len(lines)))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/wchan"), reason="needs /proc/PID/wchan")
+def test_ctrl_c_ends_rank_blocked_on_stdin_by_sigint_with_no_traceback():
+    with _interruptible(["rank"], stdin=subprocess.PIPE) as proc:
+        deadline = time.monotonic() + 10
+        while not Path(f"/proc/{proc.pid}/wchan").read_text().endswith("pipe_read"):
+            assert time.monotonic() < deadline, "rank never blocked reading stdin"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        assert proc.communicate(timeout=10) == (b"", b"")
+    assert proc.returncode == -signal.SIGINT
