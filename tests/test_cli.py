@@ -888,6 +888,16 @@ def test_deterministic_output(cli):
 
 # ------------------------------------------------------------ subprocess
 
+def test_module_invocation():
+    proc = subprocess.run(
+        [sys.executable, "-m", "natbdd", "pair", "--scheme", "bitmerge", "60", "26"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "2008\n"
+
+
 def test_short_decimals_leave_the_decimal_module_unimported():
     code = ("import io, sys; from natbdd.cli import run; "
             "run(['tt2bdd', '--vars', '14', '--tt', str(10**4000)], stdout=io.StringIO()); "
@@ -896,6 +906,29 @@ def test_short_decimals_leave_the_decimal_module_unimported():
             "print('decimal' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
+
+
+def test_real_shell_pipe():
+    me = sys.executable
+    cmd = f"{me} -m natbdd tt2bdd --vars 3 --tt 42 | {me} -m natbdd bdd2tt"
+    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "42\n"
+    cmd = f"{me} -m natbdd unrank 4242 | {me} -m natbdd rank"
+    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "4242\n"
+
+
+def test_real_pipe_rank_plain_refuses_a_reduced_tree():
+    me = sys.executable
+    cmd = f"{me} -m natbdd unrank 5 | {me} -m natbdd rank --plain"
+    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("natbdd: error: ") and proc.stderr.count("\n") == 1
+    cmd = f"{me} -m natbdd unrank 5 --plain | {me} -m natbdd rank --plain"
+    proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "")
 
 
 def test_enum_streams_and_stops_quietly_on_a_closed_pipe():
